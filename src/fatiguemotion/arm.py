@@ -206,7 +206,10 @@ def generate_dataset(
 
 
 def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict | None = None):
-    """Paired motion/torque CSVs (+ derivative CSVs) and a JSON manifest."""
+    """Paired motion/torque CSVs (+ derivative CSVs) and a JSON manifest.
+
+    Returns the manifest as written.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -228,6 +231,7 @@ def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict |
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+    return manifest
 
 
 def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:

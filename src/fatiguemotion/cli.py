@@ -33,9 +33,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_manifest(outdir: Path, command: str, argv, seed: int, config: dict) -> None:
+def _write_manifest(outdir: Path, command: str, argv, seed: int, config: dict,
+                    base: dict | None = None) -> None:
+    """Write the run manifest; keys of ``base`` (a dataset manifest) are kept."""
     outdir.mkdir(parents=True, exist_ok=True)
     doc = {
+        **(base or {}),
         "command": command,
         "argv": list(argv),
         "seed": seed,
@@ -51,16 +54,23 @@ def _write_manifest(outdir: Path, command: str, argv, seed: int, config: dict) -
 
 def _parse_load(spec: str, duration: float, dt: float) -> cc.LoadProfile:
     if spec.startswith("const:"):
-        return cc.LoadProfile.constant(float(spec[len("const:"):]), duration, dt)
+        try:
+            level = float(spec[len("const:"):])
+        except ValueError:
+            raise ParameterError(f"cannot parse load spec {spec!r}: not a number") from None
+        return cc.LoadProfile.constant(level, duration, dt)
     if spec.startswith("csv:"):
         path = spec[len("csv:"):]
         values = []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.lower() in ("tl", "target_load"):
                     continue
-                values.append(float(line))
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise DataFormatError(f"{path}:{lineno}: target load {line!r} is not a number") from None
         return cc.LoadProfile(np.array(values), dt)
     raise ParameterError(f"cannot parse load spec {spec!r} (use const:<value> or csv:<path>)")
 
@@ -73,12 +83,13 @@ def _cmd_gen_data(args, argv) -> int:
         params, args.trials, args.frames, args.dt, args.seed, n_segments=args.segments
     )
     outdir = Path(args.out)
-    armdyn.save_dataset(trials, params, outdir, meta={"seed": args.seed})
+    dataset = armdyn.save_dataset(trials, params, outdir, meta={"seed": args.seed})
     config = {
         "trials": args.trials, "frames": args.frames, "dt": args.dt,
         "segments": args.segments, "arm_params": params.to_dict(),
     }
-    _write_manifest(outdir, "gen-data", argv, args.seed, config)
+    # One manifest: the dataset keys train-dyn reads plus the run record.
+    _write_manifest(outdir, "gen-data", argv, args.seed, config, base=dataset)
     return 0
 
 
@@ -105,6 +116,8 @@ def _cmd_train_pinn(args, argv) -> int:
         params = profile.cc3
     else:
         params = cc.Cc3Params(args.F, args.R, args.LD, args.LR)
+    if args.frames < 2:
+        raise ParameterError(f"--frames must be >= 2, got {args.frames}")
     fine_dt = min(0.05, args.t / max(args.frames - 1, 1))
     load_fine = _parse_load(args.tl, args.t, fine_dt)
     colloc_dt = args.t / (args.frames - 1)
@@ -203,19 +216,41 @@ def _cmd_train_dyn(args, argv) -> int:
 
 
 def _load_model_dir(modeldir: Path):
-    id_models, fd_models, tau_max = {}, {}, {}
-    angle_norm = torque_norm = None
-    for path in sorted(modeldir.glob("id_*.json")):
-        model, meta = sg.load_model(path)
-        id_models[meta["joint"]] = model
-        tau_max[meta["joint"]] = meta.get("tau_max")
-        angle_norm = sq.NormalizationParams.from_dict(meta["input_norm"])
-        torque_norm = sq.NormalizationParams.from_dict(meta["target_norm"])
-    for path in sorted(modeldir.glob("fd_*.json")):
-        model, meta = sg.load_model(path)
-        fd_models[meta["joint"]] = model
+    """ID and FD checkpoints of one train-dyn run.
+
+    Every checkpoint must carry the same normalization (angles in and
+    torques out for ID, the reverse for FD), and the ID and FD sets must
+    cover the same joints, once each; otherwise DataFormatError.
+    """
+    models = {"id": {}, "fd": {}}
+    tau_max = {}
+    reference = None  # (first checkpoint path, its (angle, torque) normalization)
+    for kind in ("id", "fd"):
+        for path in sorted(modeldir.glob(f"{kind}_*.json")):
+            model, meta = sg.load_model(path)
+            try:
+                joint = meta["joint"]
+                inp, tgt = meta["input_norm"], meta["target_norm"]
+            except KeyError as exc:
+                raise DataFormatError(f"{path}: checkpoint meta lacks {exc}") from None
+            if joint in models[kind]:
+                raise DataFormatError(f"{path}: second {kind.upper()} checkpoint for joint {joint!r}")
+            norms = (inp, tgt) if kind == "id" else (tgt, inp)
+            if reference is None:
+                reference = (path, norms)
+            elif norms != reference[1]:
+                raise DataFormatError(f"{path}: normalization differs from {reference[0].name}")
+            models[kind][joint] = model
+            if kind == "id":
+                tau_max[joint] = meta.get("tau_max")
+    id_models, fd_models = models["id"], models["fd"]
     if not id_models or not fd_models:
         raise DataFormatError(f"{modeldir}: no id_*/fd_* checkpoints found")
+    if set(id_models) != set(fd_models):
+        raise DataFormatError(
+            f"{modeldir}: ID joints {sorted(id_models)} differ from FD joints {sorted(fd_models)}"
+        )
+    angle_norm, torque_norm = (sq.NormalizationParams.from_dict(d) for d in reference[1])
     return id_models, fd_models, angle_norm, torque_norm, tau_max
 
 
@@ -226,7 +261,10 @@ def _cmd_apply_fatigue(args, argv) -> int:
     if args.mode == "dynamic":
         mode, level = "dynamic", None
     elif args.mode.startswith("fixed:"):
-        mode, level = "fixed", float(args.mode[len("fixed:"):])
+        try:
+            mode, level = "fixed", float(args.mode[len("fixed:"):])
+        except ValueError:
+            raise ParameterError(f"cannot parse mode {args.mode!r}: level is not a number") from None
     else:
         raise ParameterError(f"mode must be 'dynamic' or 'fixed:<level>', got {args.mode!r}")
     config = pl.PipelineConfig(

@@ -299,9 +299,10 @@ def load_profiles(path) -> dict[str, FatigueProfile]:
 
 def trajectory_to_csv(traj: Cc3Trajectory, path, lam: float = 1.0) -> None:
     """Trajectory export: t, M_A, M_F, M_R, RC, RC_lambda."""
+    rc = traj.rc
     rc_l = traj.rc_lambda(lam)
     with open(path, "w") as fh:
         fh.write("t,M_A,M_F,M_R,RC,RC_lambda\n")
         for i in range(traj.times.size):
-            cells = (traj.times[i], *traj.states[i], traj.rc[i], rc_l[i])
+            cells = (traj.times[i], *traj.states[i], rc[i], rc_l[i])
             fh.write(",".join(repr(float(c)) for c in cells) + "\n")

@@ -318,6 +318,5 @@ def load_model(path) -> tuple[Pinn3ccModel, dict]:
     model = Pinn3ccModel(
         cc3, arch["t_scale"], PinnSpec(arch["hidden"], arch["activation"]), seed=arch.get("seed", 0)
     )
-    for p, val in zip(model.params(), doc["params"]):
-        p[...] = val
+    nncore.assign_params(model.params(), doc["params"], path)
     return model, doc["meta"]

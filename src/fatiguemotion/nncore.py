@@ -177,7 +177,10 @@ class LstmCell:
     Gate pre-activations are packed as [i, f, o, g] rows of Wx/Wh so the three
     sigmoid gates evaluate in one call. The input projection for all
     timesteps is computed in one matmul; only the hidden recurrence loops
-    over time.
+    over time. :meth:`forward` keeps the gates and cell states that BPTT
+    needs, so it is the training path. Inference runs cells through
+    ``surrogates.BiLstmBank``, which stacks many cells on a leading axis,
+    keeps no caches and shares the per-step gate math (:func:`lstm_gates`).
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng=None):
@@ -205,11 +208,7 @@ class LstmCell:
         c = np.zeros((batch, hdim))
         for t in range(t_len):
             z = zx[t] + h @ self.Wh.T
-            gate = gates[t]
-            gate[:, : 3 * hdim] = _sigmoid(z[:, : 3 * hdim])
-            gate[:, 3 * hdim :] = np.tanh(z[:, 3 * hdim :])
-            c = gate[:, :hdim] * gate[:, 3 * hdim :] + gate[:, hdim : 2 * hdim] * c
-            h = gate[:, 2 * hdim : 3 * hdim] * np.tanh(c)
+            c, h = lstm_gates(z, c, gates[t], hdim)
             cs[t] = c
             hs[t] = h
         return hs, (x, gates, cs, hs)
@@ -250,6 +249,20 @@ class LstmCell:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+
+
+def lstm_gates(z: np.ndarray, c: np.ndarray, gate: np.ndarray, hdim: int):
+    """One LSTM step from pre-activations z (..., 4H) and cell state c (..., H).
+
+    Writes the activated [i, f, o, g] gates into ``gate`` and returns the new
+    (c, h). Leading axes are free, so one call steps a single cell (B, 4H) or
+    a stack of cells (K, B, 4H) alike.
+    """
+    gate[..., : 3 * hdim] = _sigmoid(z[..., : 3 * hdim])
+    gate[..., 3 * hdim :] = np.tanh(z[..., 3 * hdim :])
+    c = gate[..., :hdim] * gate[..., 3 * hdim :] + gate[..., hdim : 2 * hdim] * c
+    h = gate[..., 2 * hdim : 3 * hdim] * np.tanh(c)
+    return c, h
 
 
 # --- losses -------------------------------------------------------------------
@@ -387,6 +400,24 @@ def decode_params(enc: dict):
     if offset != flat.size:
         raise ParameterError("parameter blob size does not match shapes")
     return out
+
+
+def assign_params(params, values, source) -> None:
+    """Copy checkpoint arrays into a model's parameters, in place.
+
+    The checkpoint must hold exactly one array per parameter, each of the
+    parameter's shape; anything else raises ShapeError naming ``source``.
+    """
+    if len(values) != len(params):
+        raise ShapeError(
+            f"{source}: checkpoint holds {len(values)} parameter arrays, architecture needs {len(params)}"
+        )
+    for i, (p, val) in enumerate(zip(params, values)):
+        if p.shape != val.shape:
+            raise ShapeError(
+                f"{source}: parameter {i} has shape {val.shape}, architecture needs {p.shape}"
+            )
+        p[...] = val
 
 
 def save_checkpoint(path, architecture: dict, params, meta: dict | None = None) -> None:

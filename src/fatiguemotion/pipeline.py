@@ -7,6 +7,13 @@ modulated torques. Joints without a fatigue profile pass their unmodulated
 torque through to the forward model. Deviation metrics compare against the
 unmodulated round trip FD(ID(q)), which isolates the fatigue effect from
 surrogate error.
+
+Each surrogate pass is one :class:`~fatiguemotion.surrogates.BiLstmBank`
+call per architecture: the joint-specific ID models all read the same
+angles, so they run stacked in one time loop per layer. The FD models run
+the unmodulated and the modulated torques together as a batch of two, so the
+baseline round trip costs no pass of its own. Inference keeps no training
+caches.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ import numpy as np
 from .compartments import CompartmentState, FatigueProfile, advance, modulate_torque
 from .errors import DegenerateChannelError, ParameterError, ShapeError
 from .sequences import MotionSequence, NormalizationParams, torque_to_activation
-from .surrogates import BiLstmModel
+from .surrogates import BiLstmModel, predict_models
 
 
 def nrmse(pred, truth) -> float:
@@ -79,9 +86,16 @@ class PipelineConfig:
                 raise ParameterError("fixed mode needs fixed_level in [0,100]")
         if self.angle_norm.joints != self.torque_norm.joints:
             raise ShapeError("angle and torque normalization joint sets differ")
+        n_joints = len(self.angle_norm.joints)
         for name in self.angle_norm.joints:
             if name not in self.id_models or name not in self.fd_models:
                 raise ParameterError(f"joint {name!r}: missing ID or FD model")
+            for model in (self.id_models[name], self.fd_models[name]):
+                if model.n_in != n_joints or model.n_out != 1:
+                    raise ShapeError(
+                        f"joint {name!r}: models must map {n_joints} channels to 1, "
+                        f"got {model.n_in} -> {model.n_out}"
+                    )
         for name in self.profiles:
             if name not in self.angle_norm.joints:
                 raise ParameterError(f"profile for unknown joint {name!r}")
@@ -146,13 +160,6 @@ class FatigueReport:
             fh.write("\n")
 
 
-def _predict_all(models: dict[str, BiLstmModel], order, frames: np.ndarray) -> np.ndarray:
-    out = np.empty_like(frames)
-    for i, name in enumerate(order):
-        out[:, i] = models[name].predict_sequence(frames)
-    return out
-
-
 def apply_fatigue(motion: MotionSequence, config: PipelineConfig):
     """Run the full chain on one motion; returns (fatigued motion, report)."""
     if motion.joint_names != config.angle_norm.joints:
@@ -165,11 +172,9 @@ def apply_fatigue(motion: MotionSequence, config: PipelineConfig):
     t_len = motion.n_frames
 
     x = config.angle_norm.apply(motion.frames)
-    tau_norm = _predict_all(config.id_models, order, x)
+    # (N, T, 1, 1) -> (T, N): one torque channel per joint-specific model
+    tau_norm = predict_models([config.id_models[n] for n in order], x[:, None, :])[:, :, 0, 0].T
     tau_raw = config.torque_norm.invert(tau_norm)
-
-    baseline_norm = _predict_all(config.fd_models, order, tau_norm)
-    baseline = MotionSequence(motion.joints, motion.dt, config.angle_norm.invert(baseline_norm))
 
     tau_mod = tau_raw.copy()
     traces: dict[str, JointFatigueTrace] = {}
@@ -194,8 +199,11 @@ def apply_fatigue(motion: MotionSequence, config: PipelineConfig):
                 rc_hat=rc_hat, m_a=m_hist[:, 0], m_f=m_hist[:, 1], m_r=m_hist[:, 2]
             )
 
-    fatigued_norm = _predict_all(config.fd_models, order, config.torque_norm.apply(tau_mod))
-    fatigued = MotionSequence(motion.joints, motion.dt, config.angle_norm.invert(fatigued_norm))
+    # Batch entry 0 is the unmodulated round trip, entry 1 the fatigued motion.
+    fd_in = np.stack([tau_norm, config.torque_norm.apply(tau_mod)], axis=1)
+    angles_norm = predict_models([config.fd_models[n] for n in order], fd_in)[:, :, :, 0]
+    baseline = MotionSequence(motion.joints, motion.dt, config.angle_norm.invert(angles_norm[:, :, 0].T))
+    fatigued = MotionSequence(motion.joints, motion.dt, config.angle_norm.invert(angles_norm[:, :, 1].T))
 
     dev_nrmse = {}
     dev_r2 = {}

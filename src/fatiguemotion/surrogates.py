@@ -7,6 +7,16 @@ bidirectional LSTM layers whose per-frame output is the concatenation of the
 forward and backward hidden states (linear on the first layer, relu on the
 rest), closed by a linear dense head.
 
+Training runs one model at a time through :meth:`BiLstmModel.forward`, which
+keeps the gate and cell-state caches BPTT needs. Inference runs through
+:class:`BiLstmBank`: the forward and backward cells of N models of one
+architecture are stacked on a leading axis of size K = 2N, so one Python loop
+over time per layer steps every joint-specific model and both directions with
+one batched matmul. The bank keeps no caches; it projects the input in
+chunks of :data:`BANK_CHUNK` steps and writes each layer into one
+preallocated (N, T, B, 2H) output. :meth:`BiLstmModel.predict_sequence` is
+the N = 1 case.
+
 Inputs and targets are min-max normalized to [0,1]. The optional physics
 term for ID training penalizes the squared equation-of-motion residual of
 the denormalized prediction, using exact analytic velocities/accelerations
@@ -21,7 +31,7 @@ import numpy as np
 from . import arm as armdyn
 from . import nncore
 from .errors import ParameterError, ShapeError, UnsupportedModeError
-from .nncore import DenseLayer, LstmCell, TrainConfig, _act, _act_d
+from .nncore import DenseLayer, LstmCell, TrainConfig, _act, _act_d, lstm_gates
 from .sequences import NormalizationParams
 
 
@@ -44,6 +54,10 @@ DESK_SPEC = BiLstmSpec(n_layers=2, hidden=32)
 # plateau decay settles Adam once the loss stops improving.
 DESK_WINDOW = 96
 DESK_WINDOW_STRIDE = 2
+
+# Time steps whose input projection the inference bank computes at once: it
+# bounds the (K, chunk * B, 4H) projection buffer for long sequences.
+BANK_CHUNK = 128
 
 
 def desk_train_config(seed: int = 0, epochs: int = 30) -> TrainConfig:
@@ -148,9 +162,120 @@ class BiLstmModel:
         frames = np.asarray(frames, dtype=float)
         if frames.ndim != 2 or frames.shape[1] != self.n_in:
             raise ShapeError(f"expected (T, {self.n_in}) frames, got {frames.shape}")
-        y, _ = self.forward(frames[:, None, :])
-        y = y[:, 0, :]
+        y = BiLstmBank([self]).forward(frames[:, None, :])[0, :, 0, :]
         return y[:, 0] if self.n_out == 1 else y
+
+
+def _architecture(model: BiLstmModel) -> tuple[int, int, int, int]:
+    """(n_in, n_out, n_layers, hidden): models with equal tuples can share a bank."""
+    return (model.n_in, model.n_out, model.spec.n_layers, model.spec.hidden)
+
+
+class BiLstmBank:
+    """N models of one architecture stacked for cache-free inference.
+
+    Per layer, the Wx, Wh and b of the N forward cells and then the N
+    backward cells are stacked on a leading axis of size K = 2N. One loop
+    over time steps all K cells with one batched matmul of the (K, B, H)
+    hidden states. Backward cells read the input through a reversed slice
+    and write their state straight into the second half of the layer output
+    at the mirrored time index. The weights are copied at construction, so
+    a bank reflects its models' parameters at that moment.
+    """
+
+    def __init__(self, models):
+        models = list(models)
+        if not models:
+            raise ParameterError("a bank needs at least one model")
+        arch = _architecture(models[0])
+        if any(_architecture(m) != arch for m in models):
+            raise ShapeError("bank models must share (n_in, n_out, n_layers, hidden)")
+        self.n_models = len(models)
+        self.n_in, self.n_out, _, self.hidden = arch
+        self.layers = []
+        for i, layer in enumerate(models[0].layers):
+            cells = [m.layers[i].fwd for m in models] + [m.layers[i].bwd for m in models]
+            wx_t = np.stack([cell.Wx.T for cell in cells])       # (K, width, 4H)
+            wh_t = np.stack([cell.Wh.T for cell in cells])       # (K, H, 4H)
+            b = np.stack([cell.b for cell in cells])[:, None, :]  # (K, 1, 4H)
+            self.layers.append((wx_t, wh_t, b, layer.activation))
+        self.head_w_t = np.stack([m.head.W.T for m in models])  # (N, 2H, n_out)
+        self.head_b = np.stack([m.head.b for m in models])[:, None, :]  # (N, 1, n_out)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """x: (T, B, n_in), shared by every model -> (N, T, B, n_out)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 3 or x.shape[2] != self.n_in:
+            raise ShapeError(f"bank expects (T, B, {self.n_in}), got {x.shape}")
+        if x.shape[0] < 1:
+            raise ShapeError("empty sequence")
+        out = x
+        for wx_t, wh_t, b, activation in self.layers:
+            out = self._layer(out, wx_t, wh_t, b)
+            if activation == "relu":
+                np.maximum(out, 0.0, out=out)
+            else:
+                out = _act(activation, out)
+        n, t_len, batch, width = out.shape
+        y = np.matmul(out.reshape(n, t_len * batch, width), self.head_w_t) + self.head_b
+        nncore.ensure_finite("bilstm bank forward", y)
+        return y.reshape(n, t_len, batch, self.n_out)
+
+    def _layer(self, inp, wx_t, wh_t, b) -> np.ndarray:
+        """One bidirectional layer for all N models: (N, T, B, 2H).
+
+        ``inp`` is the shared (T, B, width) model input on the first layer
+        and the previous layer's (N, T, B, 2H) output after it.
+        """
+        n, hdim = self.n_models, self.hidden
+        k = 2 * n
+        *lead, t_len, batch, width = inp.shape  # lead: [] for the shared input, [N] after
+        out = np.empty((n, t_len, batch, 2 * hdim))
+        chunk = min(BANK_CHUNK, t_len)
+        zx = np.empty((k, chunk * batch, 4 * hdim))
+        z = np.empty((k, batch, 4 * hdim))
+        gate = np.empty((k, batch, 4 * hdim))
+        h = np.zeros((k, batch, hdim))
+        c = np.zeros((k, batch, hdim))
+        for s0 in range(0, t_len, chunk):
+            s1 = min(s0 + chunk, t_len)
+            rows = (s1 - s0) * batch
+            # Forward cells read steps s0..s1-1, backward cells the mirrored
+            # steps T-1-s0 down to T-s1.
+            x_f = inp[..., s0:s1, :, :].reshape(*lead, rows, width)
+            x_b = inp[..., t_len - s1 : t_len - s0, :, :][..., ::-1, :, :].reshape(*lead, rows, width)
+            np.matmul(x_f, wx_t[:n], out=zx[:n, :rows])
+            np.matmul(x_b, wx_t[n:], out=zx[n:, :rows])
+            zx[:, :rows] += b
+            for j in range(s1 - s0):
+                t = s0 + j
+                np.matmul(h, wh_t, out=z)
+                z += zx[:, j * batch : (j + 1) * batch]
+                c, h = lstm_gates(z, c, gate, hdim)
+                out[:, t, :, :hdim] = h[:n]
+                out[:, t_len - 1 - t, :, hdim:] = h[n:]
+        return out
+
+
+def predict_models(models, x: np.ndarray) -> np.ndarray:
+    """Every model on the shared input x (T, B, n_in) -> (N, T, B, n_out).
+
+    Models of one architecture share a bank, so a mixed set runs one bank
+    per architecture. All models must have the same n_out.
+    """
+    models = list(models)
+    if not models:
+        raise ParameterError("no models to run")
+    if len({m.n_out for m in models}) != 1:
+        raise ShapeError("models must share n_out to be predicted together")
+    groups: dict[tuple, list[int]] = {}
+    for i, m in enumerate(models):
+        groups.setdefault(_architecture(m), []).append(i)
+    parts = [(idx, BiLstmBank([models[i] for i in idx]).forward(x)) for idx in groups.values()]
+    out = np.empty((len(models),) + parts[0][1].shape[1:])
+    for idx, y in parts:
+        out[idx] = y
+    return out
 
 
 def build_id_model(n_joints: int, spec: BiLstmSpec = DESK_SPEC, seed: int = 0) -> BiLstmModel:
@@ -172,11 +297,23 @@ def build_multi_model(n_joints: int, n_out: int, spec: BiLstmSpec, kind: str, se
     return BiLstmModel(n_joints, n_out, spec, kind=kind, seed=seed)
 
 
+def bilstm_param_count(n_in: int, n_out: int, n_layers: int, hidden: int) -> int:
+    """Parameters of a BiLstmModel, in closed form.
+
+    Each direction of a layer holds 4h*(w + h + 1) (Wx, Wh, b), with input
+    width w = n_in on the first layer and 2h after it; the head adds
+    2h*n_out + n_out.
+    """
+    h = hidden
+    lstm = 2 * 4 * h * (n_in + h + 1) + (n_layers - 1) * 2 * 4 * h * (2 * h + h + 1)
+    return lstm + 2 * h * n_out + n_out
+
+
 def hidden_for_budget(n_in: int, n_out: int, n_layers: int, target_params: int) -> int:
     """Per-direction width whose parameter count best matches target_params."""
     best_h, best_gap = 1, np.inf
     for h in range(1, 4096):
-        n = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, h)).n_params()
+        n = bilstm_param_count(n_in, n_out, n_layers, h)
         gap = abs(n - target_params)
         if gap < best_gap:
             best_h, best_gap = h, gap
@@ -365,8 +502,5 @@ def load_model(path) -> tuple[BiLstmModel, dict]:
         arch["n_in"], arch["n_out"], BiLstmSpec(arch["n_layers"], arch["hidden"]),
         kind=arch.get("kind"), seed=arch.get("seed", 0),
     )
-    for p, val in zip(model.params(), doc["params"]):
-        if p.shape != val.shape:
-            raise ShapeError(f"{path}: checkpoint shape mismatch")
-        p[...] = val
+    nncore.assign_params(model.params(), doc["params"], path)
     return model, doc["meta"]

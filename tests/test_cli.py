@@ -1,0 +1,112 @@
+import json
+import shutil
+
+import pytest
+
+from fatiguemotion import compartments as cc
+from fatiguemotion import nncore
+from fatiguemotion.cli import run
+
+TINY_DYN = ["--layers", "1", "--hidden", "4", "--epochs", "1", "--window", "20",
+            "--window-stride", "10", "--seed", "0"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """gen-data -> train-dyn on a tiny dataset; returns the work directory."""
+    d = tmp_path_factory.mktemp("chain")
+    assert run(["gen-data", "--out", str(d / "data"), "--trials", "4", "--frames", "40",
+                "--seed", "1"]) == 0
+    assert run(["train-dyn", "--data", str(d / "data"), "--out", str(d / "models"), *TINY_DYN]) == 0
+    cc.save_profiles([cc.FatigueProfile("elbow", F=0.5, R=0.01, lam=0.8)], d / "profiles.json")
+    return d
+
+
+def _apply(d, models, out, *extra):
+    return run(["apply-fatigue", "--motion", str(d / "data" / "trial000_angles.csv"),
+                "--profiles", str(d / "profiles.json"), "--models", str(models), "--out", str(out),
+                *extra])
+
+
+class TestChain:
+    def test_gen_data_manifest_keeps_dataset_keys(self, trained):
+        doc = json.loads((trained / "data" / "manifest.json").read_text())
+        assert {"arm_params", "trials", "command", "config_hash"} <= set(doc)
+        assert doc["command"] == "gen-data"
+
+    def test_apply_eval_export(self, trained, tmp_path):
+        assert _apply(trained, trained / "models", tmp_path / "apply") == 0
+        for name in ("fatigued.csv", "baseline.csv", "report.json", "manifest.json"):
+            assert (tmp_path / "apply" / name).is_file()
+        assert run(["eval", "--pred", str(tmp_path / "apply" / "fatigued.csv"),
+                    "--truth", str(tmp_path / "apply" / "baseline.csv"),
+                    "--out", str(tmp_path / "eval")]) == 0
+        assert (tmp_path / "eval" / "metrics.json").is_file()
+        assert run(["export-curves", "--baseline", str(tmp_path / "apply" / "baseline.csv"),
+                    "--run", f"tired={tmp_path / 'apply'}", "--out", str(tmp_path / "curves")]) == 0
+        assert (tmp_path / "curves" / "elbow_tired_compartments.csv").is_file()
+
+    def test_apply_rerun_byte_identical(self, trained, tmp_path):
+        for out in ("a", "b"):
+            assert _apply(trained, trained / "models", tmp_path / out) == 0
+        for name in ("fatigued.csv", "baseline.csv", "report.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_fixed_mode(self, trained, tmp_path):
+        assert _apply(trained, trained / "models", tmp_path / "fixed", "--mode", "fixed:70") == 0
+        assert _apply(trained, trained / "models", tmp_path / "bad", "--mode", "fixed:abc") == 2
+
+    def test_mixed_architectures_accepted(self, trained, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(trained / "models", models)
+        assert run(["train-dyn", "--data", str(trained / "data"), "--out", str(tmp_path / "wide"),
+                    "--kind", "id", "--joint", "elbow", *TINY_DYN[:2], "--hidden", "6",
+                    *TINY_DYN[4:]]) == 0
+        shutil.copy(tmp_path / "wide" / "id_elbow.json", models / "id_elbow.json")
+        assert _apply(trained, models, tmp_path / "apply") == 0
+
+
+class TestModelDirectoryChecks:
+    def _copy(self, trained, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(trained / "models", models)
+        return models
+
+    def test_normalization_disagreement(self, trained, tmp_path):
+        models = self._copy(trained, tmp_path)
+        path = models / "fd_elbow.json"
+        doc = json.loads(path.read_text())
+        doc["meta"]["input_norm"]["max"][0] += 1.0
+        path.write_text(json.dumps(doc))
+        assert _apply(trained, models, tmp_path / "out") == 2
+
+    def test_joint_set_disagreement(self, trained, tmp_path):
+        models = self._copy(trained, tmp_path)
+        (models / "fd_shoulder.json").unlink()
+        assert _apply(trained, models, tmp_path / "out") == 2
+
+    def test_truncated_checkpoint(self, trained, tmp_path):
+        models = self._copy(trained, tmp_path)
+        path = models / "id_shoulder.json"
+        doc = json.loads(path.read_text())
+        doc["params"] = nncore.encode_params(nncore.decode_params(doc["params"])[:-1])
+        path.write_text(json.dumps(doc))
+        assert _apply(trained, models, tmp_path / "out") == 2
+
+
+class TestUserErrors:
+    def test_non_numeric_load_csv(self, tmp_path, capsys):
+        (tmp_path / "tl.csv").write_text("tl\n10\nabc\n")
+        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "1",
+                    "--tl", f"csv:{tmp_path / 'tl.csv'}", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert ":3:" in capsys.readouterr().err
+
+    def test_non_numeric_constant_load(self, tmp_path):
+        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "1",
+                    "--tl", "const:abc", "--out", str(tmp_path / "out")])
+        assert code == 2
+
+    def test_train_pinn_single_frame(self, tmp_path):
+        code = run(["train-pinn", "--frames", "1", "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert code == 2

@@ -242,3 +242,14 @@ class TestProfilesAndExport:
         row = [float(v) for v in lines[-1].split(",")]
         assert row[1] + row[2] + row[3] == pytest.approx(100.0, abs=1e-9)
         assert row[5] == pytest.approx(100.0 - 0.5 * row[2], abs=1e-12)
+
+    def test_trajectory_csv_bytes(self, tmp_path):
+        traj = simulate(None, LoadProfile(np.array([40.0, 40.0, 0.0, 60.0]), 0.5), Cc3Params(0.2, 0.05))
+        trajectory_to_csv(traj, tmp_path / "traj.csv", lam=0.5)
+        assert (tmp_path / "traj.csv").read_text() == (
+            "t,M_A,M_F,M_R,RC,RC_lambda\n"
+            "0.0,0.0,0.0,100.0,100.0,100.0\n"
+            "0.5,38.975541954781896,3.124042597408732,57.90041544780939,96.87595740259127,98.43797870129563\n"
+            "1.0,39.21421570750521,6.915278586929233,53.870505705565556,93.08472141307077,96.54236070653539\n"
+            "1.5,0.24013531444593092,7.493424044998509,92.26644064055556,92.5065759550015,96.25328797750075\n"
+        )

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from fatiguemotion.compartments import Cc3Params, ELBOW, LoadProfile, simulate
-from fatiguemotion.errors import ParameterError
+from fatiguemotion.errors import ParameterError, ShapeError
 from fatiguemotion.fatigue_pinn import (
     N_DENSE_LAYERS,
     Pinn3ccModel,
@@ -20,7 +22,7 @@ from fatiguemotion.fatigue_pinn import (
     train_unsupervised,
     unsupervised_loss,
 )
-from fatiguemotion.nncore import TrainConfig
+from fatiguemotion.nncore import TrainConfig, encode_params
 from fatiguemotion.pipeline import nrmse
 
 
@@ -219,3 +221,21 @@ class TestCheckpoints:
         np.testing.assert_array_equal(
             np.stack(loaded.predict(t, m_a)), np.stack(model.predict(t, m_a))
         )
+
+    @pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
+    def test_mismatched_params_rejected(self, tmp_path, damage):
+        model = Pinn3ccModel(ELBOW, t_scale=50.0, spec=PinnSpec(8, "relu"), seed=1)
+        path = tmp_path / "pinn.json"
+        save_model(path, model)
+        params = [p.copy() for p in model.params()]
+        if damage == "missing":
+            params = params[:-1]
+        elif damage == "extra":
+            params.append(np.zeros(3))
+        else:
+            params[0] = params[0].T.copy()
+        doc = json.loads(path.read_text())
+        doc["params"] = encode_params(params)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ShapeError):
+            load_model(path)

@@ -1,0 +1,137 @@
+import numpy as np
+import pytest
+
+from fatiguemotion import compartments as cc
+from fatiguemotion.arm import ArmParams, generate_dataset
+from fatiguemotion.errors import ShapeError
+from fatiguemotion.pipeline import PipelineConfig, apply_fatigue
+from fatiguemotion.sequences import fit_normalizer, save_sequence, torque_to_activation
+from fatiguemotion.surrogates import (
+    BANK_CHUNK,
+    BiLstmBank,
+    BiLstmModel,
+    BiLstmSpec,
+    build_fd_model,
+    build_id_model,
+    predict_models,
+)
+
+
+def _models(n_models, n_layers, n_in=3, hidden=4, seed=0):
+    """Untrained models with non-zero biases, so every parameter matters."""
+    rng = np.random.default_rng(seed)
+    models = [BiLstmModel(n_in, 1, BiLstmSpec(n_layers, hidden), seed=seed + i) for i in range(n_models)]
+    for model in models:
+        for p in model.params():
+            if p.ndim == 1:
+                p[:] = rng.normal(scale=0.5, size=p.shape)
+    return models
+
+
+def _reference(models, x):
+    """Per-model training-path forward, stacked like the bank output."""
+    return np.stack([m.forward(x)[0] for m in models])
+
+
+class TestBank:
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("n_models", [1, 2, 3])
+    def test_matches_per_model_forward(self, n_models, batch, n_layers):
+        models = _models(n_models, n_layers)
+        bank = BiLstmBank(models)
+        rng = np.random.default_rng(n_models * 10 + batch)
+        for t_len in (1, BANK_CHUNK - 1, BANK_CHUNK, BANK_CHUNK + 1, 2000):
+            x = rng.normal(size=(t_len, batch, 3))
+            y = bank.forward(x)
+            assert y.shape == (n_models, t_len, batch, 1)
+            np.testing.assert_allclose(y, _reference(models, x), rtol=0, atol=1e-12)
+
+    def test_predict_sequence_is_the_single_model_bank(self):
+        (model,) = _models(1, 2)
+        frames = np.random.default_rng(1).normal(size=(50, 3))
+        expected = model.forward(frames[:, None, :])[0][:, 0, 0]
+        np.testing.assert_allclose(model.predict_sequence(frames), expected, rtol=0, atol=1e-12)
+
+    def test_mixed_architectures_run_one_bank_each(self):
+        models = _models(2, 1) + [BiLstmModel(3, 1, BiLstmSpec(2, 6), seed=9)] + _models(1, 1, seed=5)
+        x = np.random.default_rng(2).normal(size=(40, 2, 3))
+        np.testing.assert_allclose(predict_models(models, x), _reference(models, x), rtol=0, atol=1e-12)
+
+    def test_bank_rejects_mixed_architectures(self):
+        with pytest.raises(ShapeError):
+            BiLstmBank(_models(1, 1) + _models(1, 2))
+
+    def test_width_checked(self):
+        with pytest.raises(ShapeError):
+            BiLstmBank(_models(2, 1)).forward(np.zeros((5, 1, 2)))
+
+
+@pytest.fixture(scope="module")
+def chain():
+    """A two-joint motion and a config of untrained surrogates."""
+    trial = generate_dataset(ArmParams(), 1, 150, 0.05, seed=4)[0]
+    angle_norm = fit_normalizer([trial.motion])
+    torque_norm = fit_normalizer([trial.torque])
+    id_models = {name: build_id_model(2, BiLstmSpec(2, 5), seed=i) for i, name in enumerate(trial.motion.joint_names)}
+    fd_models = {name: build_fd_model(2, BiLstmSpec(2, 5), seed=10 + i) for i, name in enumerate(trial.motion.joint_names)}
+    profiles = {
+        "shoulder": cc.FatigueProfile("shoulder", F=0.3, R=0.02, lam=0.7),
+        "elbow": cc.FatigueProfile("elbow", F=0.5, R=0.01),
+    }
+    config = PipelineConfig(angle_norm, torque_norm, id_models, fd_models, profiles)
+    return trial.motion, config
+
+
+class TestApplyFatigue:
+    def test_rc_hat_matches_simulate(self, chain):
+        motion, config = chain
+        _, report = apply_fatigue(motion, config)
+        order = motion.joint_names
+        for name, profile in config.profiles.items():
+            act = torque_to_activation(report.torques[:, order.index(name)], config.tau_max[name])
+            # frame t is advanced under load act[t]; simulate stores the rested state first
+            traj = cc.simulate(None, cc.LoadProfile(np.append(act, act[-1]), motion.dt), profile.cc3)
+            expected = 100.0 - profile.lam * traj.M_F[1:]
+            np.testing.assert_allclose(report.traces[name].rc_hat, expected, rtol=0, atol=1e-9)
+            assert report.traces[name].rc_hat.min() < 99.0  # fatigue actually acted
+
+    def test_surrogate_passes_match_per_model_path(self, chain):
+        motion, config = chain
+        fatigued, report = apply_fatigue(motion, config)
+        order = motion.joint_names
+
+        def run(models, x):
+            return np.column_stack([models[n].forward(x[:, None, :])[0][:, 0, 0] for n in order])
+
+        tau_norm = run(config.id_models, config.angle_norm.apply(motion.frames))
+        np.testing.assert_allclose(report.torques, config.torque_norm.invert(tau_norm), rtol=0, atol=1e-9)
+        baseline = config.angle_norm.invert(run(config.fd_models, tau_norm))
+        np.testing.assert_allclose(report.baseline.frames, baseline, rtol=0, atol=1e-12)
+        modulated = config.angle_norm.invert(
+            run(config.fd_models, config.torque_norm.apply(report.modulated_torques)))
+        np.testing.assert_allclose(fatigued.frames, modulated, rtol=0, atol=1e-12)
+
+    def test_second_call_byte_identical(self, chain, tmp_path):
+        motion, config = chain
+        for run in ("a", "b"):
+            fatigued, report = apply_fatigue(motion, config)
+            (tmp_path / run).mkdir()
+            save_sequence(fatigued, tmp_path / run / "fatigued.csv")
+            report.save(tmp_path / run / "report.json")
+        for name in ("fatigued.csv", "report.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_fixed_mode_scales_torque(self, chain):
+        motion, dynamic = chain
+        config = PipelineConfig(dynamic.angle_norm, dynamic.torque_norm, dynamic.id_models,
+                                dynamic.fd_models, dynamic.profiles, mode="fixed", fixed_level=60.0)
+        _, report = apply_fatigue(motion, config)
+        np.testing.assert_allclose(report.modulated_torques, 0.6 * report.torques, rtol=1e-15)
+        assert (report.traces["elbow"].rc_hat == 60.0).all()
+
+    def test_model_width_checked(self, chain):
+        _, config = chain
+        fd_models = dict(config.fd_models, elbow=build_fd_model(3, BiLstmSpec(1, 4)))
+        with pytest.raises(ShapeError):
+            PipelineConfig(config.angle_norm, config.torque_norm, config.id_models, fd_models)

@@ -1,15 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 from fatiguemotion.arm import ArmParams, generate_dataset
 from fatiguemotion.errors import ParameterError, ShapeError, UnsupportedModeError
-from fatiguemotion.nncore import LstmCell, TrainConfig, mse
+from fatiguemotion.nncore import LstmCell, TrainConfig, encode_params, mse
 from fatiguemotion.sequences import fit_normalizer
 from fatiguemotion.surrogates import (
     BiLstmLayer,
     BiLstmModel,
     BiLstmSpec,
     DESK_SPEC,
+    bilstm_param_count,
     build_fd_model,
     build_id_model,
     build_multi_model,
@@ -108,6 +111,14 @@ class TestBuilders:
         h = hidden_for_budget(2, 2, 2, target)
         n = build_multi_model(2, 2, BiLstmSpec(2, h), kind="id").n_params()
         assert abs(n - target) / target < 0.1
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_closed_form_param_count(self, n_layers):
+        for n_in in (1, 2, 5):
+            for n_out in (1, 3):
+                for h in (1, 4, 7):
+                    model = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, h))
+                    assert bilstm_param_count(n_in, n_out, n_layers, h) == model.n_params()
 
 
 class TestModelForward:
@@ -222,3 +233,21 @@ class TestCheckpoints:
         assert meta["input_norm"]["joints"] == list(angle_norm.joints)
         x = np.random.default_rng(1).uniform(size=(10, 2))
         np.testing.assert_array_equal(loaded.predict_sequence(x), model.predict_sequence(x))
+
+    @pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
+    def test_mismatched_params_rejected(self, tmp_path, damage):
+        model = build_id_model(2, BiLstmSpec(2, 3), seed=1)
+        path = tmp_path / "id_elbow.json"
+        save_model(path, model, joint="elbow")
+        params = [p.copy() for p in model.params()]
+        if damage == "missing":
+            params = params[:-1]
+        elif damage == "extra":
+            params.append(np.zeros(3))
+        else:
+            params[1] = params[1].T.copy()  # first Wh, (4H, H) -> (H, 4H)
+        doc = json.loads(path.read_text())
+        doc["params"] = encode_params(params)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ShapeError):
+            load_model(path)
