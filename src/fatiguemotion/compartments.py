@@ -16,7 +16,9 @@ units fatigue at rate F and fatigued units recover at rate R:
 Residual capacity RC = 100 - M_F is the remaining torque-generating
 capacity; its attenuated variant RC_hat = 100 - lam*M_F scales how strongly
 fatigue reduces capacity per joint. This module is the deterministic
-reference oracle for the learned fatigue network.
+reference oracle for the learned fatigue network, and the one module that
+holds the 3CC equations: the pipeline runs :func:`simulate`, and the PINN
+residual uses :func:`controller_batch`.
 
 Everything is state-in/state-out; independent joints simulate in parallel
 safely.
@@ -24,11 +26,12 @@ safely.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DataFormatError, ParameterError
 
 # Internal RK4 sub-step ceiling: the controller's development/relaxation
 # rates (LD, LR ~ 10/s) bound the fastest time scale, and RK4 needs
@@ -49,8 +52,9 @@ class Cc3Params:
 
     def __post_init__(self):
         for name in ("F", "R", "LD", "LR"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
 
 
 # Elbow rates from the published joint-specific fatigue literature.
@@ -81,10 +85,6 @@ class CompartmentState:
     def as_array(self) -> np.ndarray:
         return np.array([self.M_A, self.M_F, self.M_R])
 
-    @classmethod
-    def from_array(cls, a) -> "CompartmentState":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -106,6 +106,10 @@ class LoadProfile:
 
     @classmethod
     def constant(cls, tl: float, duration: float, dt: float) -> "LoadProfile":
+        if not (math.isfinite(duration) and duration >= 0):
+            raise ParameterError(f"duration must be finite and >= 0, got {duration}")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ParameterError(f"dt must be finite and > 0, got {dt}")
         n = int(round(duration / dt)) + 1
         return cls(np.full(n, float(tl)), dt)
 
@@ -114,7 +118,8 @@ class LoadProfile:
         return np.arange(self.values.size) * self.dt
 
 
-def _controller(m_a: float, m_r: float, tl: float, p: Cc3Params) -> float:
+def controller(m_a: float, m_r: float, tl: float, p: Cc3Params) -> float:
+    """Flow C(t) from the resting to the active pool, %MVC/s."""
     if m_a < tl:
         if m_r > tl - m_a:
             return p.LD * (tl - m_a)
@@ -122,30 +127,28 @@ def _controller(m_a: float, m_r: float, tl: float, p: Cc3Params) -> float:
     return p.LR * (tl - m_a)
 
 
-def _derivs(s: np.ndarray, tl: float, p: Cc3Params) -> np.ndarray:
-    c = _controller(s[0], s[2], tl, p)
+def controller_batch(m_a, m_r, tl, p: Cc3Params):
+    """Elementwise :func:`controller` over arrays, plus its derivative dC/dM_R."""
+    below = m_a < tl
+    starved = m_r <= (tl - m_a)
+    c = np.where(below, np.where(starved, p.LD * m_r, p.LD * (tl - m_a)), p.LR * (tl - m_a))
+    dc_dmr = np.where(below & starved, p.LD, 0.0)
+    return c, dc_dmr
+
+
+def derivatives(s: np.ndarray, tl: float, p: Cc3Params) -> np.ndarray:
+    """(dM_A/dt, dM_F/dt, dM_R/dt) of the state (M_A, M_F, M_R); the three sum to 0 exactly."""
+    c = controller(s[0], s[2], tl, p)
     f_out = p.F * s[0]
     r_out = p.R * s[1]
     return np.array([c - f_out, f_out - r_out, -c + r_out])
 
 
-def controller(state: CompartmentState, tl: float, params: Cc3Params) -> float:
-    """Flow C(t) between resting and active pools, %MVC/s."""
-    if not 0 <= tl <= 100:
-        raise ParameterError(f"target load must be in [0,100], got {tl}")
-    return _controller(state.M_A, state.M_R, tl, params)
-
-
-def derivatives(state: CompartmentState, tl: float, params: Cc3Params) -> np.ndarray:
-    """(dM_A/dt, dM_F/dt, dM_R/dt) in state order; the three sum to 0 exactly."""
-    return _derivs(state.as_array(), tl, params)
-
-
 def _rk4(s: np.ndarray, tl: float, p: Cc3Params, dt: float) -> np.ndarray:
-    k1 = _derivs(s, tl, p)
-    k2 = _derivs(s + 0.5 * dt * k1, tl, p)
-    k3 = _derivs(s + 0.5 * dt * k2, tl, p)
-    k4 = _derivs(s + dt * k3, tl, p)
+    k1 = derivatives(s, tl, p)
+    k2 = derivatives(s + 0.5 * dt * k1, tl, p)
+    k3 = derivatives(s + 0.5 * dt * k2, tl, p)
+    k4 = derivatives(s + dt * k3, tl, p)
     out = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     # Guard: pools stay non-negative and conserve the 100% total.
     out = np.maximum(out, 0.0)
@@ -153,15 +156,6 @@ def _rk4(s: np.ndarray, tl: float, p: Cc3Params, dt: float) -> np.ndarray:
     if abs(total - 100.0) > _CONSERVATION_GUARD:
         out *= 100.0 / total
     return out
-
-
-def step_rk4(state: CompartmentState, tl: float, params: Cc3Params, dt: float) -> CompartmentState:
-    """One classical RK4 step (no sub-stepping; see :func:`simulate` for that)."""
-    if not 0 < dt <= 0.5:
-        raise ParameterError(f"dt must be in (0, 0.5], got {dt}")
-    if not 0 <= tl <= 100:
-        raise ParameterError(f"target load must be in [0,100], got {tl}")
-    return CompartmentState.from_array(_rk4(state.as_array(), tl, params, dt))
 
 
 @dataclass(frozen=True)
@@ -191,9 +185,6 @@ class Cc3Trajectory:
         if not 0 <= lam <= 1:
             raise ParameterError(f"lambda must be in [0,1], got {lam}")
         return 100.0 - lam * self.M_F
-
-    def state_at(self, i: int) -> CompartmentState:
-        return CompartmentState.from_array(self.states[i])
 
     def conservation_error(self) -> float:
         return float(np.abs(self.states.sum(axis=1) - 100.0).max())
@@ -230,18 +221,6 @@ def simulate(
     return Cc3Trajectory(times=np.arange(n) * dt, states=states)
 
 
-def residual_capacity(state: CompartmentState) -> float:
-    """Remaining capacity RC = 100 - M_F = M_A + M_R, in %."""
-    return 100.0 - state.M_F
-
-
-def residual_capacity_lambda(m_f, lam: float):
-    """Attenuated capacity RC_hat = 100 - lam * M_F; lam in [0,1]."""
-    if not 0 <= lam <= 1:
-        raise ParameterError(f"lambda must be in [0,1], got {lam}")
-    return 100.0 - lam * np.asarray(m_f, dtype=float)
-
-
 def modulate_torque(tau, rc_hat):
     """Scale torque by capacity: (RC_hat / 100) * tau. Sign is preserved."""
     rc_hat = np.asarray(rc_hat, dtype=float)
@@ -264,6 +243,7 @@ class FatigueProfile:
     def __post_init__(self):
         if not 0 <= self.lam <= 1:
             raise ParameterError(f"lambda must be in [0,1], got {self.lam}")
+        Cc3Params(self.F, self.R, self.LD, self.LR)  # validates the rates
 
     @property
     def cc3(self) -> Cc3Params:
@@ -288,13 +268,42 @@ def save_profiles(profiles, path) -> None:
         fh.write("\n")
 
 
+_PROFILE_KEYS = {"joint", "F", "R", "LD", "LR", "lambda"}
+_REQUIRED_PROFILE_KEYS = {"joint", "F", "R", "lambda"}
+
+
 def load_profiles(path) -> dict[str, FatigueProfile]:
+    """Profiles by joint from a JSON object or array of objects as :func:`save_profiles` writes.
+
+    A malformed entry, an unknown or missing key, or a second profile for one
+    joint raises DataFormatError naming the entry.
+    """
     with open(path) as fh:
         raw = json.load(fh)
     if isinstance(raw, dict):
         raw = [raw]
-    profiles = [FatigueProfile.from_dict(d) for d in raw]
-    return {p.joint: p for p in profiles}
+    if not isinstance(raw, list):
+        raise DataFormatError(f"{path}: expected a profile object or an array of them")
+    profiles = {}
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"{path}: entry {i} is not an object")
+        unknown = entry.keys() - _PROFILE_KEYS
+        missing = _REQUIRED_PROFILE_KEYS - entry.keys()
+        if unknown:
+            raise DataFormatError(f"{path}: entry {i}: unknown keys {sorted(unknown)}")
+        if missing:
+            raise DataFormatError(f"{path}: entry {i}: missing keys {sorted(missing)}")
+        try:
+            profile = FatigueProfile.from_dict(entry)
+        except TypeError as exc:  # a rate or lambda that is not a number
+            raise DataFormatError(f"{path}: entry {i}: {exc}") from None
+        if not isinstance(profile.joint, str):
+            raise DataFormatError(f"{path}: entry {i}: joint must be a string")
+        if profile.joint in profiles:
+            raise DataFormatError(f"{path}: second profile for joint {profile.joint!r}")
+        profiles[profile.joint] = profile
+    return profiles
 
 
 def trajectory_to_csv(traj: Cc3Trajectory, path, lam: float = 1.0) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .compartments import Cc3Params, Cc3Trajectory, LoadProfile
+from .compartments import Cc3Params, Cc3Trajectory, LoadProfile, controller_batch
 from .errors import ParameterError
 from .nncore import Mlp, TrainConfig
 
@@ -92,40 +92,18 @@ class Pinn3ccModel:
         m, mdot, _ = self._forward_time_tangent(t, m_a)
         m_a_arr = np.broadcast_to(np.atleast_1d(np.asarray(m_a, dtype=float)), m[:, 0].shape)
         tl_arr = np.broadcast_to(np.atleast_1d(np.asarray(tl, dtype=float)), m[:, 0].shape)
-        rho_f, rho_r, _ = _residuals(self.cc3, m_a_arr, tl_arr, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1])
+        rho_f, rho_r, _ = ode_residuals(self.cc3, m_a_arr, tl_arr, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1])
         if np.ndim(t) == 0 and np.ndim(m_a) == 0:
             return float(rho_f[0]), float(rho_r[0])
         return rho_f, rho_r
 
 
-def _controller_batch(p: Cc3Params, m_a, m_r, tl):
-    """Vectorized controller plus its derivative with respect to M_R."""
-    below = m_a < tl
-    starved = m_r <= (tl - m_a)
-    c = np.where(below, np.where(starved, p.LD * m_r, p.LD * (tl - m_a)), p.LR * (tl - m_a))
-    dc_dmr = np.where(below & starved, p.LD, 0.0)
-    return c, dc_dmr
-
-
-def _residuals(p: Cc3Params, m_a, tl, m_f, m_r, mdot_f, mdot_r):
-    c, dc_dmr = _controller_batch(p, m_a, m_r, tl)
+def ode_residuals(p: Cc3Params, m_a, tl, m_f, m_r, mdot_f, mdot_r):
+    """(rho_F, rho_R, dC/dM_R) of the compartment ODEs over arrays of samples."""
+    c, dc_dmr = controller_batch(m_a, m_r, tl, p)
     rho_f = mdot_f - p.F * m_a + p.R * m_f
     rho_r = mdot_r + c - p.R * m_f
     return rho_f, rho_r, dc_dmr
-
-
-def residuals_from_values(p: Cc3Params, m_a, tl, m_f, m_r, mdot_f, mdot_r):
-    """ODE residuals for externally supplied values (oracle-substitution check)."""
-    rho_f, rho_r, _ = _residuals(
-        p,
-        np.asarray(m_a, dtype=float),
-        np.asarray(tl, dtype=float),
-        np.asarray(m_f, dtype=float),
-        np.asarray(m_r, dtype=float),
-        np.asarray(mdot_f, dtype=float),
-        np.asarray(mdot_r, dtype=float),
-    )
-    return rho_f, rho_r
 
 
 @dataclass
@@ -205,7 +183,7 @@ class PinnLossBreakdown:
 def _physics_loss_and_grads(model: Pinn3ccModel, batch: PinnData):
     """L_PB over the batch plus output/tangent gradient contributions."""
     m, mdot, cache = model._forward_time_tangent(batch.t, batch.m_a)
-    rho_f, rho_r, dc_dmr = _residuals(
+    rho_f, rho_r, dc_dmr = ode_residuals(
         model.cc3, batch.m_a, batch.tl, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1]
     )
     n = batch.t.size

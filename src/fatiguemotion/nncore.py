@@ -13,7 +13,6 @@ model is immutable for inference and safe to share.
 from __future__ import annotations
 
 import base64
-import copy
 import json
 from dataclasses import dataclass
 
@@ -442,7 +441,3 @@ def load_checkpoint(path) -> dict:
         raise ParameterError(f"{path}: unsupported checkpoint version {doc.get('version')}")
     doc["params"] = decode_params(doc["params"])
     return doc
-
-
-def clone_model(model):
-    return copy.deepcopy(model)

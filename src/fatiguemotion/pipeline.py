@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compartments import CompartmentState, FatigueProfile, advance, modulate_torque
+from .compartments import FatigueProfile, LoadProfile, modulate_torque, simulate
 from .errors import DegenerateChannelError, ParameterError, ShapeError
 from .sequences import MotionSequence, NormalizationParams, torque_to_activation
 from .surrogates import BiLstmModel, predict_models
@@ -181,23 +181,18 @@ def apply_fatigue(motion: MotionSequence, config: PipelineConfig):
     for name, profile in config.profiles.items():
         j = order.index(name)
         if config.mode == "fixed":
-            rc_hat = np.full(t_len, float(config.fixed_level))
-            tau_mod[:, j] = modulate_torque(tau_raw[:, j], rc_hat)
-            traces[name] = JointFatigueTrace(rc_hat=rc_hat)
+            trace = JointFatigueTrace(rc_hat=np.full(t_len, float(config.fixed_level)))
         else:
-            cc3 = profile.cc3
-            state = CompartmentState.rested().as_array()
-            m_hist = np.empty((t_len, 3))
-            rc_hat = np.empty(t_len)
-            for t in range(t_len):
-                act = torque_to_activation(tau_raw[t, j], config.tau_max[name])
-                state = advance(state, act, cc3, motion.dt)
-                m_hist[t] = state
-                rc_hat[t] = 100.0 - profile.lam * state[1]
-            tau_mod[:, j] = modulate_torque(tau_raw[:, j], rc_hat)
-            traces[name] = JointFatigueTrace(
-                rc_hat=rc_hat, m_a=m_hist[:, 0], m_f=m_hist[:, 1], m_r=m_hist[:, 2]
+            act = torque_to_activation(tau_raw[:, j], config.tau_max[name])
+            # simulate returns the rested state first and then state i advanced
+            # under load i - 1, so state t + 1 is frame t under act[t]; the
+            # repeated last sample is never applied, it only yields that state.
+            traj = simulate(None, LoadProfile(np.append(act, act[-1]), motion.dt), profile.cc3)
+            trace = JointFatigueTrace(
+                rc_hat=traj.rc_lambda(profile.lam)[1:], m_a=traj.M_A[1:], m_f=traj.M_F[1:], m_r=traj.M_R[1:]
             )
+        tau_mod[:, j] = modulate_torque(tau_raw[:, j], trace.rc_hat)
+        traces[name] = trace
 
     # Batch entry 0 is the unmodulated round trip, entry 1 the fatigued motion.
     fd_in = np.stack([tau_norm, config.torque_norm.apply(tau_mod)], axis=1)

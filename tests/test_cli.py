@@ -22,10 +22,10 @@ def trained(tmp_path_factory):
     return d
 
 
-def _apply(d, models, out, *extra):
+def _apply(d, models, out, *extra, profiles=None):
     return run(["apply-fatigue", "--motion", str(d / "data" / "trial000_angles.csv"),
-                "--profiles", str(d / "profiles.json"), "--models", str(models), "--out", str(out),
-                *extra])
+                "--profiles", str(profiles or d / "profiles.json"), "--models", str(models),
+                "--out", str(out), *extra])
 
 
 class TestChain:
@@ -94,6 +94,33 @@ class TestModelDirectoryChecks:
         assert _apply(trained, models, tmp_path / "out") == 2
 
 
+ELBOW_ENTRY = {"joint": "elbow", "F": 0.5, "R": 0.01, "LD": 10.0, "LR": 10.0, "lambda": 0.8}
+
+
+class TestProfileFiles:
+    @pytest.mark.parametrize("doc", [
+        [{k: v for k, v in ELBOW_ENTRY.items() if k != "lambda"}],
+        [{**ELBOW_ENTRY, "lam": 0.8}],
+        [ELBOW_ENTRY, 3],
+        [ELBOW_ENTRY, {**ELBOW_ENTRY, "lambda": 0.5}],
+        [{**ELBOW_ENTRY, "F": "fast"}],
+        [{**ELBOW_ENTRY, "joint": ["elbow"]}],
+        "elbow",
+    ], ids=["missing-lambda", "unknown-key", "non-object-entry", "repeated-joint",
+            "non-numeric-rate", "non-string-joint", "not-a-list"])
+    def test_malformed_file(self, trained, tmp_path, capsys, doc):
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(doc))
+        assert _apply(trained, trained / "models", tmp_path / "out", profiles=path) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_negative_rate_in_fixed_mode(self, trained, tmp_path):
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([{**ELBOW_ENTRY, "F": -0.5}]))
+        assert _apply(trained, trained / "models", tmp_path / "out", "--mode", "fixed:70",
+                      profiles=path) == 2
+
+
 class TestUserErrors:
     def test_non_numeric_load_csv(self, tmp_path, capsys):
         (tmp_path / "tl.csv").write_text("tl\n10\nabc\n")
@@ -109,4 +136,19 @@ class TestUserErrors:
 
     def test_train_pinn_single_frame(self, tmp_path):
         code = run(["train-pinn", "--frames", "1", "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+
+    @pytest.mark.parametrize("t, dt", [("-1", "0.05"), ("nan", "0.05"), ("1", "0")],
+                             ids=["negative-duration", "nan-duration", "zero-dt"])
+    def test_sim_3cc_bad_duration(self, tmp_path, t, dt):
+        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", t, "--dt", dt,
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+
+    def test_sim_3cc_nan_rate(self, tmp_path):
+        code = run(["sim-3cc", "--F", "nan", "--R", "0.001", "--t", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+
+    def test_train_pinn_zero_duration(self, tmp_path):
+        code = run(["train-pinn", "--t", "0", "--epochs", "1", "--out", str(tmp_path / "out")])
         assert code == 2

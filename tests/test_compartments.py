@@ -2,58 +2,88 @@ import numpy as np
 import pytest
 
 from fatiguemotion.compartments import (
+    MAX_STEP,
     Cc3Params,
+    Cc3Trajectory,
     CompartmentState,
     ELBOW,
     FatigueProfile,
     LoadProfile,
     advance,
     controller,
+    controller_batch,
     derivatives,
     load_profiles,
     modulate_torque,
-    residual_capacity,
-    residual_capacity_lambda,
     save_profiles,
     simulate,
-    step_rk4,
     trajectory_to_csv,
 )
 from fatiguemotion.errors import ParameterError
 
 FAST = Cc3Params(F=0.01, R=0.001)
-
-
-def state(m_a, m_f, m_r):
-    return CompartmentState(m_a, m_f, m_r)
+RESTED = np.array([0.0, 0.0, 100.0])
 
 
 class TestController:
     def test_case_developing(self):
-        assert controller(state(10, 0, 90), 50, Cc3Params(0, 0)) == 10 * 40
+        assert controller(10, 90, 50, Cc3Params(0, 0)) == 10 * 40
 
     def test_case_rest_starved(self):
-        assert controller(state(10, 60, 30), 50, Cc3Params(0, 0)) == 10 * 30
+        assert controller(10, 30, 50, Cc3Params(0, 0)) == 10 * 30
 
     def test_case_relaxing(self):
-        assert controller(state(60, 0, 40), 50, Cc3Params(0, 0)) == 10 * (50 - 60)
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            controller(state(10, 0, 90), 120, FAST)
+        assert controller(60, 40, 50, Cc3Params(0, 0)) == 10 * (50 - 60)
 
     def test_continuity_at_case_boundaries(self):
         p = Cc3Params(F=0.02, R=0.002, LD=10, LR=10)
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            # boundary M_A = TL: developing and relaxing branches both vanish
             tl = rng.uniform(0, 100)
-            assert abs(p.LD * (tl - tl)) <= 1e-12
-            assert abs(p.LR * (tl - tl)) <= 1e-12
-            # boundary M_R = TL - M_A: both developing branches agree
             m_a = rng.uniform(0, tl)
-            m_r = tl - m_a
-            assert abs(p.LD * (tl - m_a) - p.LD * m_r) <= 1e-12
+            eps = 1e-9
+            # boundary M_A = TL: the flow vanishes from both sides
+            assert controller(tl, 50.0, tl, p) == 0.0
+            assert abs(controller(tl - eps, 100.0, tl, p)) <= 1e-6
+            assert abs(controller(tl + eps, 0.0, tl, p)) <= 1e-6
+            # boundary M_R = TL - M_A: both developing branches agree
+            gap = tl - m_a
+            assert controller(m_a, gap, tl, p) == pytest.approx(p.LD * gap, abs=1e-12)
+            assert controller(m_a, gap + eps, tl, p) == pytest.approx(p.LD * gap, abs=1e-6)
+
+    def test_batch_agrees_with_scalar(self):
+        p = Cc3Params(F=0.02, R=0.002, LD=7.0, LR=13.0)
+        rng = np.random.default_rng(3)
+        tl = rng.uniform(1, 100, size=300)
+        m_a = rng.uniform(0, 100, size=300)
+        m_r = rng.uniform(0, 100, size=300)
+        # the two tie boundaries, exactly, and both at once
+        m_a[:50] = tl[:50]
+        m_r[:5] = 0.0
+        below = m_a < tl
+        tie = np.flatnonzero(below)[-50:]
+        m_r[tie] = tl[tie] - m_a[tie]
+        c, dc_dmr = controller_batch(m_a, m_r, tl, p)
+        scalar = [controller(a, r, t, p) for a, r, t in zip(m_a, m_r, tl)]
+        np.testing.assert_array_equal(c, scalar)
+        regimes = {
+            "develop": below & (m_r > tl - m_a),
+            "starved": below & (m_r <= tl - m_a),
+            "relax": ~below,
+        }
+        assert all(mask.sum() >= 20 for mask in regimes.values()), {k: v.sum() for k, v in regimes.items()}
+        np.testing.assert_array_equal(dc_dmr[regimes["starved"]], p.LD)
+        np.testing.assert_array_equal(dc_dmr[~regimes["starved"]], 0.0)
+        # dC/dM_R against a central difference of the scalar controller,
+        # where M_R is not within h of the M_R = TL - M_A boundary
+        h = 1e-4
+        away = np.abs(m_r - (tl - m_a)) > 10 * h
+        assert away.sum() >= 200
+        fd = [
+            (controller(a, r + h, t, p) - controller(a, r - h, t, p)) / (2 * h)
+            for a, r, t in zip(m_a[away], m_r[away], tl[away])
+        ]
+        np.testing.assert_allclose(dc_dmr[away], fd, rtol=0, atol=1e-6)
 
 
 class TestDerivatives:
@@ -62,12 +92,12 @@ class TestDerivatives:
         for _ in range(200):
             m = rng.uniform(0, 100, size=3)
             m = 100 * m / m.sum()
-            d = derivatives(state(*m), rng.uniform(0, 100), FAST)
+            d = derivatives(m, rng.uniform(0, 100), FAST)
             assert d.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_full_activation(self):
         # M_A = TL = 100: controller flow is zero, fatigue outflow is F*M_A
-        d = derivatives(state(100, 0, 0), 100, FAST)
+        d = derivatives(np.array([100.0, 0.0, 0.0]), 100, FAST)
         assert d[1] == pytest.approx(FAST.F * 100, abs=1e-15)
         assert d[0] == pytest.approx(-FAST.F * 100, abs=1e-15)
 
@@ -76,29 +106,26 @@ class TestDerivatives:
         p = Cc3Params(F=0.001, R=0.01)
         m_a, m_f = 40.0, 4.0
         tl = m_a  # relaxing branch with TL = M_A gives C = 0
-        d = derivatives(state(m_a, m_f, 100 - m_a - m_f), tl, p)
+        d = derivatives(np.array([m_a, m_f, 100 - m_a - m_f]), tl, p)
         assert d[1] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestStepRk4:
-    def test_rest_fixed_point(self):
-        s = step_rk4(CompartmentState.rested(), 0.0, ELBOW, 0.05)
-        assert (s.M_A, s.M_F, s.M_R) == (0.0, 0.0, 100.0)
+    """``advance`` over an interval dt <= MAX_STEP takes exactly one RK4 step."""
 
-    def test_dt_domain(self):
-        with pytest.raises(ParameterError):
-            step_rk4(CompartmentState.rested(), 50.0, ELBOW, 0.0)
-        with pytest.raises(ParameterError):
-            step_rk4(CompartmentState.rested(), 50.0, ELBOW, 0.6)
+    def test_rest_fixed_point(self):
+        s = advance(RESTED, 0.0, ELBOW, MAX_STEP)
+        assert tuple(s) == (0.0, 0.0, 100.0)
 
     def test_order_four_convergence(self):
         # TL=100 keeps the controller on one branch, so the dynamics are
         # smooth; Richardson ratios over [0, 0.4] s should sit near 2^4.
         def integrate(dt, t_end=0.4):
-            s = CompartmentState.rested()
+            assert dt <= MAX_STEP
+            s = RESTED
             for _ in range(int(round(t_end / dt))):
-                s = step_rk4(s, 100.0, ELBOW, dt)
-            return s.as_array()
+                s = advance(s, 100.0, ELBOW, dt)
+            return s
 
         ref = integrate(0.4 / 2048)
         errs = [np.abs(integrate(dt) - ref).max() for dt in (0.04, 0.02, 0.01)]
@@ -118,7 +145,7 @@ class TestStepRk4:
             m_a, m_f, m_r = s
             c = p.LD * m_r if (m_a < 100 and m_r <= 100 - m_a) else p.LD * (100 - m_a)
             s = s + dt * np.array([c - p.F * m_a, p.F * m_a - p.R * m_f, -c + p.R * m_f])
-        state_arr = np.array([0.0, 0.0, 100.0])
+        state_arr = RESTED
         for _ in range(1200):
             state_arr = advance(state_arr, 100.0, p, 0.05)
         rel = np.abs(state_arr - s) / np.maximum(np.abs(s), 1e-9)
@@ -165,6 +192,18 @@ class TestSimulate:
         with pytest.raises(ParameterError):
             LoadProfile(np.array([]), 0.05)
 
+    def test_load_outside_domain_rejected(self):
+        for tl in (120.0, -5.0):
+            with pytest.raises(ParameterError):
+                LoadProfile(np.array([50.0, tl]), 0.05)
+
+    def test_constant_duration_domain(self):
+        for duration, dt in ((-1.0, 0.05), (float("nan"), 0.05), (float("inf"), 0.05),
+                             (1.0, 0.0), (1.0, -0.05), (1.0, float("nan"))):
+            with pytest.raises(ParameterError):
+                LoadProfile.constant(50.0, duration, dt)
+        assert LoadProfile.constant(50.0, 0.0, 0.05).values.size == 1
+
     def test_determinism(self):
         load = LoadProfile.constant(70.0, 20.0, 0.05)
         a = simulate(None, load, FAST)
@@ -172,22 +211,27 @@ class TestSimulate:
         np.testing.assert_array_equal(a.states, b.states)
 
 
+def one_state(m_a, m_f, m_r):
+    return Cc3Trajectory(times=np.zeros(1), states=np.array([[m_a, m_f, m_r]]))
+
+
 class TestResidualCapacity:
     def test_paper_worked_example(self):
-        assert residual_capacity_lambda(20.0, 0.6) == pytest.approx(88.0, abs=1e-12)
+        assert one_state(30, 20, 50).rc_lambda(0.6)[0] == pytest.approx(88.0, abs=1e-12)
 
     def test_lambda_one_is_rc(self):
-        s = state(30, 25, 45)
-        assert residual_capacity_lambda(s.M_F, 1.0) == residual_capacity(s)
+        traj = one_state(30, 25, 45)
+        assert traj.rc_lambda(1.0)[0] == traj.rc[0] == 75.0
 
     def test_lambda_zero_disables(self):
-        assert residual_capacity_lambda(95.0, 0.0) == 100.0
+        assert one_state(0, 95, 5).rc_lambda(0.0)[0] == 100.0
 
     def test_lambda_domain(self):
+        traj = one_state(30, 20, 50)
         with pytest.raises(ParameterError):
-            residual_capacity_lambda(20.0, 1.5)
+            traj.rc_lambda(1.5)
         with pytest.raises(ParameterError):
-            residual_capacity_lambda(20.0, -0.1)
+            traj.rc_lambda(-0.1)
 
 
 class TestModulateTorque:
@@ -231,6 +275,13 @@ class TestProfilesAndExport:
     def test_lambda_validated(self):
         with pytest.raises(ParameterError):
             FatigueProfile("elbow", F=0.01, R=0.001, lam=1.2)
+
+    def test_rates_validated(self):
+        for rates in ({"F": -0.01, "R": 0.001}, {"F": 0.01, "R": -0.001},
+                      {"F": 0.01, "R": 0.001, "LD": -1.0}, {"F": 0.01, "R": 0.001, "LR": -1.0},
+                      {"F": float("nan"), "R": 0.001}, {"F": 0.01, "R": float("inf")}):
+            with pytest.raises(ParameterError):
+                FatigueProfile("elbow", **rates)
 
     def test_trajectory_csv(self, tmp_path):
         load = LoadProfile.constant(50.0, 1.0, 0.05)

@@ -15,7 +15,7 @@ from fatiguemotion.fatigue_pinn import (
     training_indices,
     evaluate_breakdown,
     load_model,
-    residuals_from_values,
+    ode_residuals,
     save_model,
     supervised_loss,
     train_supervised,
@@ -98,7 +98,7 @@ class TestPhysicsResiduals:
         sl = slice(5000, 59000)
         dmf = np.gradient(traj.M_F, 0.001)[sl]
         dmr = np.gradient(traj.M_R, 0.001)[sl]
-        rho_f, rho_r = residuals_from_values(
+        rho_f, rho_r, _ = ode_residuals(
             ELBOW, traj.M_A[sl], load.values[sl], traj.M_F[sl], traj.M_R[sl], dmf, dmr
         )
         assert np.abs(rho_f).max() < 1e-6
