@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DataFormatError, ParameterError
 from .sequences import (
     MotionSequence,
     TorqueSequence,
@@ -236,11 +236,18 @@ def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict |
 
 def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
     datadir = Path(datadir)
-    with open(datadir / "manifest.json") as fh:
+    path = datadir / "manifest.json"
+    with open(path) as fh:
         manifest = json.load(fh)
-    params = ArmParams.from_dict(manifest["arm_params"])
+    try:
+        params = ArmParams.from_dict(manifest["arm_params"])
+        stems = list(manifest["trials"])
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: dataset manifest lacks {exc}") from None
+    except TypeError as exc:
+        raise DataFormatError(f"{path}: malformed dataset manifest: {exc}") from None
     trials = []
-    for stem in manifest["trials"]:
+    for stem in stems:
         motion = load_sequence(datadir / f"{stem}_angles.csv", kind="angle")
         torque = load_sequence(datadir / f"{stem}_torques.csv", kind="torque")
         qdot = load_sequence(datadir / f"{stem}_qdot.csv", kind="angle").frames

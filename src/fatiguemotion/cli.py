@@ -155,6 +155,10 @@ def _cmd_train_pinn(args, argv) -> int:
     return 0
 
 
+# train-dyn seeds model j of a kind with seed * 100 + offset + j.
+_SEED_OFFSET = {"id": 10, "fd": 20}
+
+
 def _cmd_train_dyn(args, argv) -> int:
     trials, arm_params, manifest = armdyn.load_dataset(args.data)
     train_trials, _ = sq.split_train_test(trials, args.train_fraction, args.seed)
@@ -174,35 +178,28 @@ def _cmd_train_dyn(args, argv) -> int:
             raise ParameterError(f"joint {joint!r} not in dataset ({joint_names})")
         j = joint_names.index(joint)
         for kind in kinds:
-            if kind == "id":
-                samples = sg.make_id_samples(train_trials, j, angle_norm, torque_norm)
-                model = sg.build_id_model(n, spec, seed=args.seed * 100 + 10 + j)
-                input_norm, target_norm = angle_norm, torque_norm
-            else:
-                samples = sg.make_fd_samples(train_trials, j, angle_norm, torque_norm)
-                model = sg.build_fd_model(n, spec, seed=args.seed * 100 + 20 + j)
-                input_norm, target_norm = torque_norm, angle_norm
+            samples = sg.make_samples(train_trials, kind, j, angle_norm, torque_norm)
+            model = sg.BiLstmModel(n, 1, spec, kind=kind, seed=args.seed * 100 + _SEED_OFFSET[kind] + j)
             cfg = sg.desk_train_config(seed=args.seed * 10 + j, epochs=args.epochs)
             cfg.lr = args.lr
             physics = arm_params if (args.physics and kind == "id") else None
             model, history = sg.train_dyn(
-                model, samples, None, cfg, physics=physics,
+                model, samples, cfg, physics=physics,
                 window=args.window, window_stride=args.window_stride,
             )
             stem = f"{kind}_{joint}"
+            input_norm, target_norm = sg.model_io(kind, angle_norm, torque_norm)
             tau_max = float(max(abs(torque_norm.lo[j]), abs(torque_norm.hi[j])))
             sg.save_model(
                 outdir / f"{stem}.json", model, joint=joint,
                 input_norm=input_norm, target_norm=target_norm, tau_max=tau_max,
             )
             with open(outdir / f"{stem}_log.csv", "w") as fh:
-                cols = "epoch,train_mse,val_mse" + (",physics_residual" if physics else "")
-                fh.write(cols + "\n")
+                fh.write("epoch,train_mse" + (",physics_residual" if physics else "") + "\n")
                 for e in history:
-                    cells = [str(e["epoch"]), repr(float(e.get("train_mse", e["train_loss"])))]
-                    cells.append(repr(float(e["val_loss"])) if "val_loss" in e else "")
+                    cells = [str(e["epoch"]), repr(e["train_mse"])]
                     if physics:
-                        cells.append(repr(float(e["physics_residual"])) if "physics_residual" in e else "")
+                        cells.append(repr(e["physics_residual"]))
                     fh.write(",".join(cells) + "\n")
             print(f"trained {stem}: {len(history) - 1} epochs")
     config = {
@@ -319,23 +316,7 @@ def _cmd_export_curves(args, argv) -> int:
         label, rundir = spec.split("=", 1)
         rundir = Path(rundir)
         fatigued = sq.load_sequence(rundir / "fatigued.csv", kind="angle")
-        with open(rundir / "report.json") as fh:
-            doc = json.load(fh)
-        traces = {
-            name: pl.JointFatigueTrace(
-                rc_hat=np.array(tr["rc_hat"]),
-                m_a=np.array(tr["m_a"]) if "m_a" in tr else None,
-                m_f=np.array(tr["m_f"]) if "m_f" in tr else None,
-                m_r=np.array(tr["m_r"]) if "m_r" in tr else None,
-            )
-            for name, tr in doc["traces"].items()
-        }
-        report = pl.FatigueReport(
-            baseline=baseline, torques=np.zeros_like(baseline.frames),
-            modulated_torques=np.zeros_like(baseline.frames), traces=traces,
-            nrmse=doc["nrmse"], r2=doc["r2"], metadata=doc["metadata"],
-        )
-        runs.append((label, fatigued, report))
+        runs.append((label, fatigued, pl.load_traces(rundir / "report.json")))
     outdir = Path(args.out)
     written = pl.export_curves(baseline, runs, outdir)
     _write_manifest(outdir, "export-curves", argv, args.seed,

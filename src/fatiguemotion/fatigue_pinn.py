@@ -292,9 +292,8 @@ def load_model(path) -> tuple[Pinn3ccModel, dict]:
     arch = doc["architecture"]
     if arch.get("model") != "pinn3cc":
         raise ParameterError(f"{path}: not a pinn3cc checkpoint")
-    cc3 = Cc3Params(**arch["cc3"])
-    model = Pinn3ccModel(
-        cc3, arch["t_scale"], PinnSpec(arch["hidden"], arch["activation"]), seed=arch.get("seed", 0)
-    )
+    cc3, t_scale, hidden, activation = nncore.architecture_fields(
+        path, arch, ("cc3", "t_scale", "hidden", "activation"))
+    model = Pinn3ccModel(Cc3Params(**cc3), t_scale, PinnSpec(hidden, activation), seed=arch.get("seed", 0))
     nncore.assign_params(model.params(), doc["params"], path)
     return model, doc["meta"]

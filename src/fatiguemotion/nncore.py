@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import DataFormatError, NumericError, ParameterError, ShapeError
 
 CHECKPOINT_FORMAT = "fatiguemotion-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -321,14 +321,15 @@ class TrainConfig:
     decay_patience: int = 0
 
 
-def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, val_fn=None, epoch_log_fn=None):
+def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, epoch_log_fn=None):
     """Seeded mini-batch Adam with early stopping and best-weight restore.
 
     ``loss_fn(model, idx)`` returns (loss, grads aligned with model.params())
-    for the sample indices ``idx``. ``val_fn(model)`` supplies the early-stop
-    metric (training loss is used when absent). ``epoch_log_fn(model)`` may
-    add extra fields to each history entry. Returns (model, history); history
-    has one entry per epoch, plus entry 0 for the untrained model.
+    for the sample indices ``idx``. Early stopping, the plateau decay and the
+    restored best weights all follow the epoch's mean training loss.
+    ``epoch_log_fn(model)`` may add extra fields to each history entry.
+    Returns (model, history); history has one entry per epoch, plus entry 0
+    for the untrained model.
     """
     if n_samples < 1:
         raise ParameterError("empty dataset")
@@ -337,15 +338,10 @@ def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, val_fn=None,
     rng = np.random.default_rng(config.seed)
 
     def evaluate() -> dict:
-        entry = {}
-        if val_fn is not None:
-            entry["val_loss"] = float(val_fn(model))
-        if epoch_log_fn is not None:
-            entry.update(epoch_log_fn(model))
-        return entry
+        return epoch_log_fn(model) if epoch_log_fn is not None else {}
 
     history = [{"epoch": 0, "train_loss": float(loss_fn(model, np.arange(n_samples))[0]), **evaluate()}]
-    best_metric = np.inf
+    best_loss = np.inf
     best_params = None
     stall = 0
     for epoch in range(1, config.epochs + 1):
@@ -360,9 +356,8 @@ def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, val_fn=None,
             batch_losses.append(loss)
         entry = {"epoch": epoch, "train_loss": float(np.mean(batch_losses)), **evaluate()}
         history.append(entry)
-        metric = entry.get("val_loss", entry["train_loss"])
-        if metric < best_metric - config.min_delta:
-            best_metric = metric
+        if entry["train_loss"] < best_loss - config.min_delta:
+            best_loss = entry["train_loss"]
             best_params = [p.copy() for p in params]
             stall = 0
         else:
@@ -439,5 +434,17 @@ def load_checkpoint(path) -> dict:
         raise ParameterError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ParameterError(f"{path}: unsupported checkpoint version {doc.get('version')}")
+    missing = [k for k in ("architecture", "meta", "params") if k not in doc]
+    if missing:
+        raise DataFormatError(f"{path}: checkpoint lacks {', '.join(missing)}")
     doc["params"] = decode_params(doc["params"])
     return doc
+
+
+def architecture_fields(path, arch: dict, keys) -> list:
+    """Values of ``keys`` in a checkpoint's architecture, in order; a missing
+    key raises DataFormatError naming ``path``."""
+    missing = [k for k in keys if k not in arch]
+    if missing:
+        raise DataFormatError(f"{path}: checkpoint architecture lacks {', '.join(missing)}")
+    return [arch[k] for k in keys]

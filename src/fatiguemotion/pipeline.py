@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .compartments import FatigueProfile, LoadProfile, modulate_torque, simulate
-from .errors import DegenerateChannelError, ParameterError, ShapeError
+from .errors import DataFormatError, DegenerateChannelError, ParameterError, ShapeError
 from .sequences import MotionSequence, NormalizationParams, torque_to_activation
 from .surrogates import BiLstmModel, predict_models
 
@@ -160,14 +160,30 @@ class FatigueReport:
             fh.write("\n")
 
 
+def load_traces(path) -> dict[str, JointFatigueTrace]:
+    """The per-joint traces of a saved report: RC_hat, plus all three pools
+    or none (fixed mode); anything else raises DataFormatError naming the file."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("traces"), dict):
+        raise DataFormatError(f"{path}: report has no 'traces' object")
+    traces = {}
+    for name, tr in doc["traces"].items():
+        if not isinstance(tr, dict) or "rc_hat" not in tr:
+            raise DataFormatError(f"{path}: trace {name!r} lacks 'rc_hat'")
+        pools = [k for k in ("m_a", "m_f", "m_r") if k in tr]
+        if pools and len(pools) != 3:
+            raise DataFormatError(f"{path}: trace {name!r} has {pools}, needs all of m_a, m_f, m_r or none")
+        traces[name] = JointFatigueTrace(np.array(tr["rc_hat"]), *(np.array(tr[k]) for k in pools))
+    return traces
+
+
 def apply_fatigue(motion: MotionSequence, config: PipelineConfig):
     """Run the full chain on one motion; returns (fatigued motion, report)."""
     if motion.joint_names != config.angle_norm.joints:
         raise ShapeError(
             f"motion joints {motion.joint_names} do not match pipeline {config.angle_norm.joints}"
         )
-    if motion.normalized:
-        raise ParameterError("apply_fatigue expects a denormalized motion")
     order = motion.joint_names
     t_len = motion.n_frames
 
@@ -239,18 +255,22 @@ def export_curves(baseline: MotionSequence, runs, outdir) -> list[str]:
     """Per-joint baseline-vs-fatigued angle curves (scaled to [0,1] jointly) and
     compartment/capacity traces, one file set per run.
 
-    ``runs`` is a list of (label, fatigued MotionSequence, FatigueReport).
-    Returns the written file names; re-export is byte-identical.
+    ``runs`` is a list of (label, fatigued MotionSequence, {joint:
+    JointFatigueTrace}). Returns the written file names; re-export is
+    byte-identical.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     times = baseline.times
-    for label, fatigued, report in runs:
+    for label, fatigued, traces in runs:
         if fatigued.joint_names != baseline.joint_names:
             raise ShapeError("run joint set differs from baseline")
         if fatigued.n_frames != baseline.n_frames:
             raise ShapeError("run length differs from baseline")
+        for name, tr in traces.items():
+            if any(v is not None and v.shape != times.shape for v in (tr.rc_hat, tr.m_a, tr.m_f, tr.m_r)):
+                raise ShapeError(f"run {label!r}: trace {name!r} length differs from baseline")
         for i, name in enumerate(baseline.joint_names):
             base = baseline.frames[:, i]
             fat = fatigued.frames[:, i]
@@ -261,7 +281,7 @@ def export_curves(baseline: MotionSequence, runs, outdir) -> list[str]:
                 for t, b, f in zip(times, (base - lo) / (hi - lo), (fat - lo) / (hi - lo)):
                     fh.write(f"{float(t)!r},{float(b)!r},{float(f)!r}\n")
             written.append(fname)
-        for name, tr in report.traces.items():
+        for name, tr in traces.items():
             if tr.m_a is not None:
                 fname = f"{name}_{label}_compartments.csv"
                 with open(outdir / fname, "w") as fh:

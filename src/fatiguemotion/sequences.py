@@ -28,8 +28,6 @@ from .errors import (
     SplitError,
 )
 
-_NORM_TOL = 1e-9  # slack on the [0,1] invariant for normalized frames
-
 
 @dataclass(frozen=True)
 class JointId:
@@ -45,12 +43,12 @@ class JointId:
 
 @dataclass(frozen=True)
 class MotionSequence:
-    """Time-indexed per-joint angle traces (radians, or unitless if normalized)."""
+    """Time-indexed per-joint angle traces in rad (the dataset stores its
+    rad/s and rad/s^2 traces in the same layout)."""
 
     joints: tuple[JointId, ...]
     dt: float
     frames: np.ndarray  # (T, N) float64
-    normalized: bool = False
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=float)
@@ -73,8 +71,6 @@ class MotionSequence:
                 raise ParameterError(f"joint {j.name!r} has index {j.index}, expected {pos}")
         if not np.isfinite(frames).all():
             raise DataFormatError("frames contain non-finite values")
-        if self.normalized and ((frames < -_NORM_TOL).any() or (frames > 1 + _NORM_TOL).any()):
-            raise ParameterError("normalized sequence has values outside [0,1]")
         frames.setflags(write=False)
 
     @property
@@ -93,22 +89,14 @@ class MotionSequence:
     def times(self) -> np.ndarray:
         return np.arange(self.n_frames) * self.dt
 
-    def column(self, name: str) -> np.ndarray:
-        """Trace of one joint by name."""
-        for j in self.joints:
-            if j.name == name:
-                return self.frames[:, j.index]
-        raise ParameterError(f"no joint named {name!r}")
-
-    def with_frames(self, frames: np.ndarray, normalized: bool | None = None):
+    def with_frames(self, frames: np.ndarray):
         """Same joints/dt with replaced frame data."""
-        norm = self.normalized if normalized is None else normalized
-        return type(self)(self.joints, self.dt, frames, norm)
+        return type(self)(self.joints, self.dt, frames)
 
 
 @dataclass(frozen=True)
 class TorqueSequence(MotionSequence):
-    """Same layout as MotionSequence; values are joint torques (N*m or unitless)."""
+    """Same layout as MotionSequence; values are joint torques in N*m."""
 
 
 def joints_from_names(names) -> tuple[JointId, ...]:
@@ -234,23 +222,6 @@ def fit_normalizer(seqs) -> NormalizationParams:
     return NormalizationParams(names, stacked.min(axis=0), stacked.max(axis=0))
 
 
-def _check_joints_match(seq: MotionSequence, params: NormalizationParams) -> None:
-    if seq.joint_names != params.joints:
-        raise ShapeError(f"joint sets differ: {seq.joint_names} vs {params.joints}")
-
-
-def normalize(seq: MotionSequence, params: NormalizationParams) -> MotionSequence:
-    """Map each joint's [min, max] to [0, 1] linearly."""
-    _check_joints_match(seq, params)
-    return seq.with_frames(params.apply(seq.frames), normalized=True)
-
-
-def denormalize(seq: MotionSequence, params: NormalizationParams) -> MotionSequence:
-    """Inverse of :func:`normalize`; exact to float round-off."""
-    _check_joints_match(seq, params)
-    return seq.with_frames(params.invert(seq.frames), normalized=False)
-
-
 def torque_to_activation(tau, tau_max):
     """Torque demand as %MVC: clamp(|tau| / tau_max * 100, 0, 100).
 
@@ -258,7 +229,7 @@ def torque_to_activation(tau, tau_max):
     fatigue stage re-applies the sign when modulating.
     """
     tau_max = float(tau_max)
-    if tau_max <= 0:
+    if not tau_max > 0:
         raise ParameterError(f"tau_max must be > 0, got {tau_max}")
     act = np.clip(np.abs(np.asarray(tau, dtype=float)) / tau_max * 100.0, 0.0, 100.0)
     return float(act) if act.ndim == 0 else act

@@ -2,7 +2,9 @@
 
 The inverse-dynamics (ID) model reads all joint-angle channels and predicts
 one joint's torque per frame; the forward-dynamics (FD) model reads all
-torque channels and predicts one joint's angle. Both use the same stack:
+torque channels and predicts one joint's angle. Both kinds are one
+:class:`BiLstmModel` with a single output, built, fed (:func:`make_samples`)
+and trained (:func:`train_dyn`) the same way. Both use the same stack:
 bidirectional LSTM layers whose per-frame output is the concatenation of the
 forward and backward hidden states (linear on the first layer, relu on the
 rest), closed by a linear dense head.
@@ -19,12 +21,12 @@ the N = 1 case.
 
 Inputs and targets are min-max normalized to [0,1]. The optional physics
 term for ID training penalizes the squared equation-of-motion residual of
-the denormalized prediction, using exact analytic velocities/accelerations
-from the trajectory generator.
+the prediction mapped back to N*m, using exact analytic
+velocities/accelerations from the trajectory generator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,6 +108,8 @@ class BiLstmModel:
     """Stacked bidirectional layers plus a per-frame linear head."""
 
     def __init__(self, n_in: int, n_out: int, spec: BiLstmSpec, kind: str | None = None, seed: int = 0):
+        if n_in < 1 or n_out < 1:
+            raise ParameterError(f"n_in and n_out must be >= 1, got {n_in} and {n_out}")
         rng = np.random.default_rng(seed)
         self.n_in = n_in
         self.n_out = n_out
@@ -278,117 +282,57 @@ def predict_models(models, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_id_model(n_joints: int, spec: BiLstmSpec = DESK_SPEC, seed: int = 0) -> BiLstmModel:
-    """All joint angles in, one joint torque out."""
-    if n_joints < 1:
-        raise ParameterError("n_joints must be >= 1")
-    return BiLstmModel(n_joints, 1, spec, kind="id", seed=seed)
-
-
-def build_fd_model(n_joints: int, spec: BiLstmSpec = DESK_SPEC, seed: int = 0) -> BiLstmModel:
-    """All joint torques in, one joint angle out."""
-    if n_joints < 1:
-        raise ParameterError("n_joints must be >= 1")
-    return BiLstmModel(n_joints, 1, spec, kind="fd", seed=seed)
-
-
-def build_multi_model(n_joints: int, n_out: int, spec: BiLstmSpec, kind: str, seed: int = 0) -> BiLstmModel:
-    """Multi-output variant used for budget-matched comparisons."""
-    return BiLstmModel(n_joints, n_out, spec, kind=kind, seed=seed)
-
-
-def bilstm_param_count(n_in: int, n_out: int, n_layers: int, hidden: int) -> int:
-    """Parameters of a BiLstmModel, in closed form.
-
-    Each direction of a layer holds 4h*(w + h + 1) (Wx, Wh, b), with input
-    width w = n_in on the first layer and 2h after it; the head adds
-    2h*n_out + n_out.
-    """
-    h = hidden
-    lstm = 2 * 4 * h * (n_in + h + 1) + (n_layers - 1) * 2 * 4 * h * (2 * h + h + 1)
-    return lstm + 2 * h * n_out + n_out
-
-
-def hidden_for_budget(n_in: int, n_out: int, n_layers: int, target_params: int) -> int:
-    """Per-direction width whose parameter count best matches target_params."""
-    best_h, best_gap = 1, np.inf
-    for h in range(1, 4096):
-        n = bilstm_param_count(n_in, n_out, n_layers, h)
-        gap = abs(n - target_params)
-        if gap < best_gap:
-            best_h, best_gap = h, gap
-        if n > 2 * target_params:
-            break
-    return best_h
-
-
 # --- training ---------------------------------------------------------------
 
 @dataclass
 class SurrogateSample:
-    """One trial: normalized input/target plus raw kinematics for the physics term."""
+    """One trial for one joint-specific model: normalized input and target,
+    raw kinematics and the target's denormalization for the physics term."""
 
-    x: np.ndarray  # (T, n_in) normalized
-    y: np.ndarray  # (T, n_out) normalized
-    q: np.ndarray | None = None     # (T, 2) rad
-    qdot: np.ndarray | None = None  # (T, 2) rad/s
-    qddot: np.ndarray | None = None  # (T, 2) rad/s^2
-    target_joints: tuple[int, ...] = (0,)  # joint index per output channel
-    target_span: np.ndarray | None = None  # denormalization scale per output
-    target_lo: np.ndarray | None = None
+    x: np.ndarray      # (T, n_joints) normalized input
+    y: np.ndarray      # (T, 1) normalized target channel
+    q: np.ndarray      # (T, 2) rad
+    qdot: np.ndarray   # (T, 2) rad/s
+    qddot: np.ndarray  # (T, 2) rad/s^2
+    joint: int         # index of the target joint
+    target_span: float
+    target_lo: float
 
 
-def make_id_samples(trials, joint_index: int, angle_norm: NormalizationParams,
-                    torque_norm: NormalizationParams, n_out: int = 1) -> list[SurrogateSample]:
-    """ID training samples: normalized angles -> normalized torque channel(s)."""
-    cols = list(range(n_out)) if n_out > 1 else [joint_index]
+def model_io(kind: str, angles, torques):
+    """(input, target) of a surrogate kind: angles -> torques for ID, the reverse for FD."""
+    if kind == "id":
+        return angles, torques
+    if kind == "fd":
+        return torques, angles
+    raise ParameterError(f"kind must be 'id' or 'fd', got {kind!r}")
+
+
+def make_samples(trials, kind: str, joint_index: int, angle_norm: NormalizationParams,
+                 torque_norm: NormalizationParams) -> list[SurrogateSample]:
+    """Training samples of the ``kind`` model for one joint: every channel in,
+    the joint's channel out, both normalized."""
+    input_norm, target_norm = model_io(kind, angle_norm, torque_norm)
+    j = joint_index
     samples = []
     for tr in trials:
-        x = angle_norm.apply(tr.motion.frames)
-        y_full = torque_norm.apply(tr.torque.frames)
+        x, y = model_io(kind, tr.motion, tr.torque)
         samples.append(
             SurrogateSample(
-                x=x,
-                y=y_full[:, cols],
+                x=input_norm.apply(x.frames),
+                y=target_norm.apply(y.frames)[:, [j]],
                 q=tr.motion.frames,
                 qdot=tr.qdot,
                 qddot=tr.qddot,
-                target_joints=tuple(cols),
-                target_span=torque_norm.span[cols],
-                target_lo=torque_norm.lo[cols],
+                joint=j,
+                target_span=target_norm.span[j],
+                target_lo=target_norm.lo[j],
             )
         )
     return samples
 
 
-def make_fd_samples(trials, joint_index: int, angle_norm: NormalizationParams,
-                    torque_norm: NormalizationParams, n_out: int = 1) -> list[SurrogateSample]:
-    """FD training samples: normalized torques -> normalized angle channel(s)."""
-    cols = list(range(n_out)) if n_out > 1 else [joint_index]
-    samples = []
-    for tr in trials:
-        x = torque_norm.apply(tr.torque.frames)
-        y_full = angle_norm.apply(tr.motion.frames)
-        samples.append(SurrogateSample(x=x, y=y_full[:, cols], target_joints=tuple(cols)))
-    return samples
-
-
-def _stack(samples) -> tuple[np.ndarray, np.ndarray]:
-    t_len = samples[0].x.shape[0]
-    if any(s.x.shape[0] != t_len for s in samples):
-        raise ShapeError("all trials in a batch must share the same length")
-    x = np.stack([s.x for s in samples], axis=1)
-    y = np.stack([s.y for s in samples], axis=1)
-    return x, y
-
-
-def _batch_mse(model: BiLstmModel, samples) -> float:
-    x, y = _stack(samples)
-    pred, _ = model.forward(x)
-    return float(np.mean((pred - y) ** 2))
-
-
-def train_dyn(model: BiLstmModel, train_samples, val_samples, config: TrainConfig,
+def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
               physics: armdyn.ArmParams | None = None,
               window: int | None = None, window_stride: int = 1):
     """Minimize per-frame MSE (plus the optional equation-of-motion term for ID).
@@ -396,19 +340,18 @@ def train_dyn(model: BiLstmModel, train_samples, val_samples, config: TrainConfi
     With ``window`` set, training samples are fixed-length slices taken every
     ``window_stride`` frames of every trial (inference still runs whole
     sequences); this is the small-data regime's guard against whole-trial
-    memorization. Returns (model, history); history entries carry
-    train_mse/val_mse and, with physics on, the mean squared residual in
-    (N*m)^2.
+    memorization. Early stopping and best-weight restore follow the training
+    loss. Returns (model, history); history entries carry train_loss,
+    train_mse and, with physics on, the mean squared residual in (N*m)^2.
     """
     if physics is not None and model.kind != "id":
         raise UnsupportedModeError("physics loss applies to inverse-dynamics models only")
     if not train_samples:
         raise ParameterError("empty dataset")
     train_samples = list(train_samples)
+    if any(s.x.shape[0] != train_samples[0].x.shape[0] for s in train_samples):
+        raise ShapeError("all training trials must share the same length")
     if physics is not None:
-        for s in train_samples:
-            if s.q is None or s.qdot is None or s.qddot is None or s.target_span is None:
-                raise ParameterError("physics loss needs q, qdot, qddot and target scaling")
         eom = [armdyn.inverse_dynamics(s.q, s.qdot, s.qddot, physics) for s in train_samples]
 
     t_len = train_samples[0].x.shape[0]
@@ -438,9 +381,9 @@ def train_dyn(model: BiLstmModel, train_samples, val_samples, config: TrainConfi
         if physics is not None:
             span = train_samples[0].target_span
             lo = train_samples[0].target_lo
-            cols = list(train_samples[0].target_joints)
+            j = train_samples[0].joint
             tau_pred = pred * span + lo
-            tau_eom = np.stack([eom[i][off : off + window, cols] for i, off in rows], axis=1)
+            tau_eom = np.stack([eom[i][off : off + window, [j]] for i, off in rows], axis=1)
             resid = tau_eom - tau_pred
             split["physics"].append(float(np.mean(resid**2)))
             # Equal-weighted mean of the data term and the residual rescaled
@@ -452,8 +395,6 @@ def train_dyn(model: BiLstmModel, train_samples, val_samples, config: TrainConfi
         grads, _ = m.backward(cache, dy)
         return loss, grads
 
-    val_fn = (lambda m: _batch_mse(m, val_samples)) if val_samples else None
-
     def epoch_log(_m):
         entry = {"train_mse": float(np.mean(split["mse"]))}
         if physics is not None:
@@ -462,8 +403,7 @@ def train_dyn(model: BiLstmModel, train_samples, val_samples, config: TrainConfi
         split["physics"].clear()
         return entry
 
-    return nncore.train_loop(model, len(table), loss_fn, config, val_fn=val_fn,
-                             epoch_log_fn=epoch_log)
+    return nncore.train_loop(model, len(table), loss_fn, config, epoch_log_fn=epoch_log)
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -498,9 +438,9 @@ def load_model(path) -> tuple[BiLstmModel, dict]:
     arch = doc["architecture"]
     if arch.get("model") != "bilstm":
         raise ParameterError(f"{path}: not a bilstm checkpoint")
-    model = BiLstmModel(
-        arch["n_in"], arch["n_out"], BiLstmSpec(arch["n_layers"], arch["hidden"]),
-        kind=arch.get("kind"), seed=arch.get("seed", 0),
-    )
+    n_in, n_out, n_layers, hidden = nncore.architecture_fields(
+        path, arch, ("n_in", "n_out", "n_layers", "hidden"))
+    model = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, hidden),
+                        kind=arch.get("kind"), seed=arch.get("seed", 0))
     nncore.assign_params(model.params(), doc["params"], path)
     return model, doc["meta"]

@@ -152,3 +152,53 @@ class TestUserErrors:
     def test_train_pinn_zero_duration(self, tmp_path):
         code = run(["train-pinn", "--t", "0", "--epochs", "1", "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+class TestMalformedArtefacts:
+    """A file of the wrong schema exits 2 with a message naming it."""
+
+    def _edit_json(self, path, edit):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    def test_dataset_manifest_without_arm_params(self, trained, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(trained / "data", data)
+        self._edit_json(data / "manifest.json", lambda doc: doc.pop("arm_params"))
+        code = run(["train-dyn", "--data", str(data), "--out", str(tmp_path / "models"), *TINY_DYN])
+        assert code == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["architecture"].pop("n_in"),
+        lambda doc: doc.pop("meta"),
+    ], ids=["architecture-without-n_in", "no-meta"])
+    def test_malformed_checkpoint(self, trained, tmp_path, capsys, edit):
+        models = tmp_path / "models"
+        shutil.copytree(trained / "models", models)
+        self._edit_json(models / "id_elbow.json", edit)
+        assert _apply(trained, models, tmp_path / "out") == 2
+        assert "id_elbow.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("traces"),
+        lambda doc: doc["traces"]["elbow"].pop("rc_hat"),
+        lambda doc: [doc["traces"]["elbow"].pop(k) for k in ("m_f", "m_r")],
+    ], ids=["no-traces", "no-rc-hat", "m_a-without-m_f-m_r"])
+    def test_malformed_report(self, trained, tmp_path, capsys, edit):
+        assert _apply(trained, trained / "models", tmp_path / "apply") == 0
+        self._edit_json(tmp_path / "apply" / "report.json", edit)
+        code = run(["export-curves", "--baseline", str(tmp_path / "apply" / "baseline.csv"),
+                    "--run", f"tired={tmp_path / 'apply'}", "--out", str(tmp_path / "curves")])
+        assert code == 2
+        assert "report.json" in capsys.readouterr().err
+
+    def test_report_trace_shorter_than_motion(self, trained, tmp_path, capsys):
+        assert _apply(trained, trained / "models", tmp_path / "apply") == 0
+        self._edit_json(tmp_path / "apply" / "report.json",
+                        lambda doc: doc["traces"]["elbow"]["rc_hat"].pop())
+        code = run(["export-curves", "--baseline", str(tmp_path / "apply" / "baseline.csv"),
+                    "--run", f"tired={tmp_path / 'apply'}", "--out", str(tmp_path / "curves")])
+        assert code == 2
+        assert "run 'tired'" in capsys.readouterr().err

@@ -272,23 +272,19 @@ class TestTrainLoop:
             train_loop(_QuadraticModel(), 4, bad_loss, TrainConfig(epochs=2))
 
     def test_restores_best_weights(self):
-        calls = {"n": 0}
+        # one batch per epoch; the loss is lowest in epoch 2, after which
+        # patience runs out and the weights of epoch 2 come back
+        losses = iter([1.0, 0.5, 0.1, 0.9, 0.9, 0.9, 0.9])
 
-        def worsening_loss(model, idx):
-            calls["n"] += 1
-            # explicit validation metric controls best-weight tracking
-            return 1.0, [np.array([1.0])]
+        def loss_fn(model, idx):
+            return next(losses, 0.9), [np.array([1.0])]
 
         model = _QuadraticModel()
-        vals = iter([0.5, 0.1, 0.9, 0.9, 0.9, 0.9])
-
-        def val_fn(m):
-            return next(vals, 0.9)
-
-        cfg = TrainConfig(batch_size=8, lr=0.1, epochs=5, patience=3, seed=0)
-        train_loop(model, 8, worsening_loss, cfg, val_fn=val_fn)
-        # best val was after epoch 1 (0.1): one optimizer step from 2.0
-        assert model.w[0] == pytest.approx(2.0 - 0.1, abs=1e-7)
+        cfg = TrainConfig(batch_size=8, lr=0.1, epochs=6, patience=3, seed=0)
+        _, history = train_loop(model, 8, loss_fn, cfg)
+        assert [h["train_loss"] for h in history] == [1.0, 0.5, 0.1, 0.9, 0.9, 0.9]
+        # best epoch was 2 (0.1): two optimizer steps of lr from 2.0
+        assert model.w[0] == pytest.approx(2.0 - 2 * 0.1, abs=1e-7)
 
 
 class TestCheckpoints:

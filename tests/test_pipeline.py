@@ -5,14 +5,18 @@ from fatiguemotion import compartments as cc
 from fatiguemotion.arm import ArmParams, generate_dataset
 from fatiguemotion.errors import ShapeError
 from fatiguemotion.pipeline import PipelineConfig, apply_fatigue
-from fatiguemotion.sequences import fit_normalizer, save_sequence, torque_to_activation
+from fatiguemotion.sequences import (
+    MotionSequence,
+    fit_normalizer,
+    joints_from_names,
+    save_sequence,
+    torque_to_activation,
+)
 from fatiguemotion.surrogates import (
     BANK_CHUNK,
     BiLstmBank,
     BiLstmModel,
     BiLstmSpec,
-    build_fd_model,
-    build_id_model,
     predict_models,
 )
 
@@ -73,8 +77,8 @@ def chain():
     trial = generate_dataset(ArmParams(), 1, 150, 0.05, seed=4)[0]
     angle_norm = fit_normalizer([trial.motion])
     torque_norm = fit_normalizer([trial.torque])
-    id_models = {name: build_id_model(2, BiLstmSpec(2, 5), seed=i) for i, name in enumerate(trial.motion.joint_names)}
-    fd_models = {name: build_fd_model(2, BiLstmSpec(2, 5), seed=10 + i) for i, name in enumerate(trial.motion.joint_names)}
+    id_models = {name: BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=i) for i, name in enumerate(trial.motion.joint_names)}
+    fd_models = {name: BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="fd", seed=10 + i) for i, name in enumerate(trial.motion.joint_names)}
     profiles = {
         "shoulder": cc.FatigueProfile("shoulder", F=0.3, R=0.02, lam=0.7),
         "elbow": cc.FatigueProfile("elbow", F=0.5, R=0.01),
@@ -132,6 +136,12 @@ class TestApplyFatigue:
 
     def test_model_width_checked(self, chain):
         _, config = chain
-        fd_models = dict(config.fd_models, elbow=build_fd_model(3, BiLstmSpec(1, 4)))
+        fd_models = dict(config.fd_models, elbow=BiLstmModel(3, 1, BiLstmSpec(1, 4), kind="fd"))
         with pytest.raises(ShapeError):
             PipelineConfig(config.angle_norm, config.torque_norm, config.id_models, fd_models)
+
+    def test_motion_joints_checked(self, chain):
+        motion, config = chain
+        renamed = MotionSequence(joints_from_names(["hip", "knee"]), motion.dt, motion.frames)
+        with pytest.raises(ShapeError):
+            apply_fatigue(renamed, config)

@@ -13,11 +13,9 @@ from fatiguemotion.sequences import (
     MotionSequence,
     NormalizationParams,
     TorqueSequence,
-    denormalize,
     fit_normalizer,
     joints_from_names,
     load_sequence,
-    normalize,
     save_sequence,
     split_train_test,
     torque_to_activation,
@@ -32,8 +30,8 @@ def write(path, text):
 WELL_FORMED = "# dt=0.01\nshoulder,elbow\n0.1,0.2\n0.3,0.4\n0.5,0.6\n"
 
 
-def make_seq(frames, names=("a", "b"), dt=0.01, **kw):
-    return MotionSequence(joints_from_names(names), dt, np.asarray(frames, dtype=float), **kw)
+def make_seq(frames, names=("a", "b"), dt=0.01):
+    return MotionSequence(joints_from_names(names), dt, np.asarray(frames, dtype=float))
 
 
 class TestLoadSave:
@@ -101,10 +99,6 @@ class TestSequenceInvariants:
         with pytest.raises(ParameterError):
             MotionSequence((JointId("a", 1), JointId("b", 0)), 0.1, np.zeros((2, 2)))
 
-    def test_normalized_range_enforced(self):
-        with pytest.raises(ParameterError):
-            make_seq([[0.0, 0.5], [1.5, 1.0]], normalized=True)
-
     def test_frames_read_only(self):
         seq = make_seq([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
@@ -115,28 +109,22 @@ class TestNormalization:
     def test_linear_map(self):
         seq = make_seq([[2.0, 1.0], [4.0, 2.0], [6.0, 3.0]])
         params = fit_normalizer(seq)
-        normed = normalize(seq, params)
-        np.testing.assert_allclose(normed.frames[:, 0], [0.0, 0.5, 1.0])
-        assert normed.normalized
+        normed = params.apply(seq.frames)
+        np.testing.assert_allclose(normed[:, 0], [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(normed[:, 1], [0.0, 0.5, 1.0])
 
     def test_inverse_pair(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             seq = make_seq(rng.normal(scale=rng.uniform(0.1, 50), size=(12, 2)))
             params = fit_normalizer(seq)
-            back = denormalize(normalize(seq, params), params)
-            np.testing.assert_allclose(back.frames, seq.frames, rtol=1e-12, atol=0)
+            back = params.invert(params.apply(seq.frames))
+            np.testing.assert_allclose(back, seq.frames, rtol=1e-12, atol=0)
 
     def test_degenerate_channel(self):
         seq = make_seq([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
         with pytest.raises(DegenerateChannelError, match="'a'"):
             fit_normalizer(seq)
-
-    def test_joint_mismatch(self):
-        seq = make_seq([[1, 2], [3, 4]])
-        params = NormalizationParams(("x", "y"), np.zeros(2), np.ones(2))
-        with pytest.raises(ShapeError):
-            normalize(seq, params)
 
     def test_fit_over_multiple_sequences(self):
         a = make_seq([[0.0, 0.0], [1.0, 1.0]])

@@ -12,14 +12,8 @@ from fatiguemotion.surrogates import (
     BiLstmModel,
     BiLstmSpec,
     DESK_SPEC,
-    bilstm_param_count,
-    build_fd_model,
-    build_id_model,
-    build_multi_model,
-    hidden_for_budget,
     load_model,
-    make_fd_samples,
-    make_id_samples,
+    make_samples,
     save_model,
     train_dyn,
 )
@@ -76,7 +70,7 @@ class TestBiLstmLayer:
 
 class TestBuilders:
     def test_default_architecture(self):
-        model = build_id_model(32, BiLstmSpec())
+        model = BiLstmModel(32, 1, BiLstmSpec(), kind="id")
         assert len(model.layers) == 5
         assert model.layers[0].fwd.n_hidden == 128
         assert model.layers[0].activation == "linear"
@@ -85,18 +79,18 @@ class TestBuilders:
         assert model.kind == "id"
 
     def test_desk_config(self):
-        model = build_fd_model(2, DESK_SPEC)
+        model = BiLstmModel(2, 1, DESK_SPEC, kind="fd")
         assert len(model.layers) == 2
         assert model.layers[0].fwd.n_hidden == 32
         assert model.kind == "fd"
 
     def test_id_fd_symmetric(self):
-        a = build_id_model(4, DESK_SPEC, seed=1)
-        b = build_fd_model(4, DESK_SPEC, seed=1)
+        a = BiLstmModel(4, 1, DESK_SPEC, kind="id", seed=1)
+        b = BiLstmModel(4, 1, DESK_SPEC, kind="fd", seed=1)
         assert [p.shape for p in a.params()] == [p.shape for p in b.params()]
 
     def test_disjoint_direction_parameters(self):
-        model = build_id_model(2, DESK_SPEC)
+        model = BiLstmModel(2, 1, DESK_SPEC, kind="id")
         for layer in model.layers:
             assert not any(pf is pb for pf in layer.fwd.params() for pb in layer.bwd.params())
 
@@ -104,21 +98,21 @@ class TestBuilders:
         with pytest.raises(ParameterError):
             BiLstmSpec(n_layers=0, hidden=8)
         with pytest.raises(ParameterError):
-            build_id_model(0)
-
-    def test_budget_matching(self):
-        target = 2 * build_id_model(2, DESK_SPEC).n_params()
-        h = hidden_for_budget(2, 2, 2, target)
-        n = build_multi_model(2, 2, BiLstmSpec(2, h), kind="id").n_params()
-        assert abs(n - target) / target < 0.1
+            BiLstmModel(0, 1, DESK_SPEC, kind="id")
+        with pytest.raises(ParameterError):
+            BiLstmModel(2, 0, DESK_SPEC, kind="id")
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_closed_form_param_count(self, n_layers):
+        # each direction of a layer holds Wx, Wh and b: 4h*(w + h + 1), with
+        # input width w = n_in on the first layer and 2h after it; the head
+        # adds 2h*n_out + n_out
         for n_in in (1, 2, 5):
             for n_out in (1, 3):
                 for h in (1, 4, 7):
                     model = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, h))
-                    assert bilstm_param_count(n_in, n_out, n_layers, h) == model.n_params()
+                    lstm = 8 * h * (n_in + h + 1) + (n_layers - 1) * 8 * h * (3 * h + 1)
+                    assert model.n_params() == lstm + 2 * h * n_out + n_out
 
 
 class TestModelForward:
@@ -137,76 +131,104 @@ class TestModelForward:
         fd_gradcheck(model.params(), loss_fn)
 
     def test_predict_deterministic(self):
-        model = build_id_model(2, DESK_SPEC, seed=2)
+        model = BiLstmModel(2, 1, DESK_SPEC, kind="id", seed=2)
         x = np.random.default_rng(0).uniform(size=(20, 2))
         np.testing.assert_array_equal(model.predict_sequence(x), model.predict_sequence(x))
 
     def test_constant_input_finite(self):
-        model = build_fd_model(2, DESK_SPEC, seed=3)
+        model = BiLstmModel(2, 1, DESK_SPEC, kind="fd", seed=3)
         out = model.predict_sequence(np.full((16, 2), 0.5))
         assert np.isfinite(out).all() and out.shape == (16,)
 
     def test_width_mismatch(self):
-        model = build_id_model(3, DESK_SPEC)
+        model = BiLstmModel(3, 1, DESK_SPEC, kind="id")
         with pytest.raises(ShapeError):
             model.predict_sequence(np.zeros((10, 2)))
 
     def test_empty_sequence(self):
-        model = build_id_model(2, DESK_SPEC)
+        model = BiLstmModel(2, 1, DESK_SPEC, kind="id")
         with pytest.raises(ShapeError):
             model.forward(np.zeros((0, 1, 2)))
+
+
+class TestSamples:
+    def test_kinds_mirror_each_other(self, tiny_dataset):
+        _, trials, angle_norm, torque_norm = tiny_dataset
+        id_s = make_samples(trials[:2], "id", 1, angle_norm, torque_norm)
+        fd_s = make_samples(trials[:2], "fd", 1, angle_norm, torque_norm)
+        for a, b, tr in zip(id_s, fd_s, trials):
+            np.testing.assert_array_equal(a.x, angle_norm.apply(tr.motion.frames))
+            np.testing.assert_array_equal(b.x, torque_norm.apply(tr.torque.frames))
+            np.testing.assert_array_equal(a.y, b.x[:, [1]])
+            np.testing.assert_array_equal(b.y, a.x[:, [1]])
+            assert a.y.shape == (tr.motion.n_frames, 1)
+
+    def test_both_kinds_carry_kinematics_and_target_scaling(self, tiny_dataset):
+        _, trials, angle_norm, torque_norm = tiny_dataset
+        for kind, target_norm in (("id", torque_norm), ("fd", angle_norm)):
+            s = make_samples(trials[:1], kind, 0, angle_norm, torque_norm)[0]
+            assert s.joint == 0
+            np.testing.assert_array_equal(s.q, trials[0].motion.frames)
+            np.testing.assert_array_equal(s.qddot, trials[0].qddot)
+            assert (s.target_span, s.target_lo) == (target_norm.span[0], target_norm.lo[0])
+            np.testing.assert_allclose(s.y[:, 0] * s.target_span + s.target_lo,
+                                       (trials[0].torque if kind == "id" else trials[0].motion).frames[:, 0])
+
+    def test_unknown_kind(self, tiny_dataset):
+        _, trials, angle_norm, torque_norm = tiny_dataset
+        with pytest.raises(ParameterError):
+            make_samples(trials[:1], "multi", 0, angle_norm, torque_norm)
 
 
 class TestTraining:
     def test_loss_decreases(self, tiny_dataset):
         _, trials, angle_norm, torque_norm = tiny_dataset
-        samples = make_id_samples(trials[:4], 0, angle_norm, torque_norm)
-        model = build_id_model(2, BiLstmSpec(1, 8), seed=0)
+        samples = make_samples(trials[:4], "id", 0, angle_norm, torque_norm)
+        model = BiLstmModel(2, 1, BiLstmSpec(1, 8), kind="id", seed=0)
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=20, patience=50, seed=0)
-        model, history = train_dyn(model, samples, None, cfg)
+        model, history = train_dyn(model, samples, cfg)
         assert history[-1]["train_mse"] < 0.5 * history[1]["train_mse"]
 
-    def test_history_fields_with_validation(self, tiny_dataset):
+    def test_history_fields(self, tiny_dataset):
         _, trials, angle_norm, torque_norm = tiny_dataset
-        samples = make_fd_samples(trials[:4], 1, angle_norm, torque_norm)
-        val = make_fd_samples(trials[4:], 1, angle_norm, torque_norm)
-        model = build_fd_model(2, BiLstmSpec(1, 6), seed=0)
+        samples = make_samples(trials[:4], "fd", 1, angle_norm, torque_norm)
+        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="fd", seed=0)
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=5, patience=50, seed=0)
-        model, history = train_dyn(model, samples, val, cfg)
-        for entry in history[1:]:
-            assert {"epoch", "train_loss", "train_mse", "val_loss"} <= set(entry)
+        model, history = train_dyn(model, samples, cfg)
+        for entry in history:
+            assert set(entry) == {"epoch", "train_loss", "train_mse"}
 
     def test_physics_requires_id(self, tiny_dataset):
         params, trials, angle_norm, torque_norm = tiny_dataset
-        samples = make_fd_samples(trials[:4], 0, angle_norm, torque_norm)
-        model = build_fd_model(2, BiLstmSpec(1, 6), seed=0)
+        samples = make_samples(trials[:4], "fd", 0, angle_norm, torque_norm)
+        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="fd", seed=0)
         with pytest.raises(UnsupportedModeError):
-            train_dyn(model, samples, None, TrainConfig(epochs=1), physics=params)
+            train_dyn(model, samples, TrainConfig(epochs=1), physics=params)
 
     def test_physics_residual_logged(self, tiny_dataset):
         params, trials, angle_norm, torque_norm = tiny_dataset
-        samples = make_id_samples(trials[:4], 0, angle_norm, torque_norm)
-        model = build_id_model(2, BiLstmSpec(1, 6), seed=0)
+        samples = make_samples(trials[:4], "id", 0, angle_norm, torque_norm)
+        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=0)
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=3, patience=50, seed=0)
-        model, history = train_dyn(model, samples, None, cfg, physics=params)
+        model, history = train_dyn(model, samples, cfg, physics=params)
         assert all("physics_residual" in e for e in history[1:])
 
     def test_windowed_training_runs(self, tiny_dataset):
         _, trials, angle_norm, torque_norm = tiny_dataset
-        samples = make_id_samples(trials[:4], 0, angle_norm, torque_norm)
-        model = build_id_model(2, BiLstmSpec(1, 6), seed=0)
+        samples = make_samples(trials[:4], "id", 0, angle_norm, torque_norm)
+        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=0)
         cfg = TrainConfig(batch_size=8, lr=0.01, epochs=3, patience=50, seed=0)
-        model, history = train_dyn(model, samples, None, cfg, window=12, window_stride=3)
+        model, history = train_dyn(model, samples, cfg, window=12, window_stride=3)
         assert len(history) == 4
 
     def test_seeded_training_reproducible(self, tiny_dataset):
         _, trials, angle_norm, torque_norm = tiny_dataset
-        samples = make_id_samples(trials[:3], 0, angle_norm, torque_norm)
+        samples = make_samples(trials[:3], "id", 0, angle_norm, torque_norm)
 
         def run():
-            model = build_id_model(2, BiLstmSpec(1, 6), seed=4)
+            model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=4)
             cfg = TrainConfig(batch_size=2, lr=0.01, epochs=6, patience=50, seed=9)
-            return train_dyn(model, samples, None, cfg)
+            return train_dyn(model, samples, cfg)
 
         m1, h1 = run()
         m2, h2 = run()
@@ -214,16 +236,24 @@ class TestTraining:
         for p1, p2 in zip(m1.params(), m2.params()):
             np.testing.assert_array_equal(p1, p2)
 
+    def test_ragged_trials_rejected(self, tiny_dataset):
+        _, trials, angle_norm, torque_norm = tiny_dataset
+        samples = make_samples(trials[:2], "id", 0, angle_norm, torque_norm)
+        samples[1].x = samples[1].x[:-1]
+        model = BiLstmModel(2, 1, BiLstmSpec(1, 4), kind="id")
+        with pytest.raises(ShapeError):
+            train_dyn(model, samples, TrainConfig(epochs=1))
+
     def test_empty_dataset(self):
-        model = build_id_model(2, BiLstmSpec(1, 4))
+        model = BiLstmModel(2, 1, BiLstmSpec(1, 4), kind="id")
         with pytest.raises(ParameterError):
-            train_dyn(model, [], None, TrainConfig())
+            train_dyn(model, [], TrainConfig())
 
 
 class TestCheckpoints:
     def test_round_trip_with_metadata(self, tiny_dataset, tmp_path):
         _, trials, angle_norm, torque_norm = tiny_dataset
-        model = build_id_model(2, BiLstmSpec(1, 6), seed=11)
+        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=11)
         path = tmp_path / "id_elbow.json"
         save_model(path, model, joint="elbow", input_norm=angle_norm,
                    target_norm=torque_norm, tau_max=3.5)
@@ -236,7 +266,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
     def test_mismatched_params_rejected(self, tmp_path, damage):
-        model = build_id_model(2, BiLstmSpec(2, 3), seed=1)
+        model = BiLstmModel(2, 1, BiLstmSpec(2, 3), kind="id", seed=1)
         path = tmp_path / "id_elbow.json"
         save_model(path, model, joint="elbow")
         params = [p.copy() for p in model.params()]
