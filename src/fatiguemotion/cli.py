@@ -8,6 +8,7 @@ reproduced. Exit codes: 0 success, 1 usage, 2 data error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -168,6 +169,8 @@ def _cmd_train_dyn(args, argv) -> int:
     joints = list(joint_names) if args.joint == "all" else [args.joint]
     kinds = ["id", "fd"] if args.kind == "both" else [args.kind]
     spec = sg.BiLstmSpec(args.layers, args.hidden)
+    # Checked before anything is written; each model gets its own seed.
+    base_cfg = dataclasses.replace(sg.desk_train_config(epochs=args.epochs), lr=args.lr)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     angle_norm.save(outdir / "angle_norm.json")
@@ -180,8 +183,7 @@ def _cmd_train_dyn(args, argv) -> int:
         for kind in kinds:
             samples = sg.make_samples(train_trials, kind, j, angle_norm, torque_norm)
             model = sg.BiLstmModel(n, 1, spec, kind=kind, seed=args.seed * 100 + _SEED_OFFSET[kind] + j)
-            cfg = sg.desk_train_config(seed=args.seed * 10 + j, epochs=args.epochs)
-            cfg.lr = args.lr
+            cfg = dataclasses.replace(base_cfg, seed=args.seed * 10 + j)
             physics = arm_params if (args.physics and kind == "id") else None
             model, history = sg.train_dyn(
                 model, samples, cfg, physics=physics,

@@ -38,6 +38,10 @@ class PinnSpec:
     hidden: int = 64
     activation: str = "relu"
 
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ParameterError(f"hidden must be >= 1, got {self.hidden}")
+
 
 class Pinn3ccModel:
     """Five fully connected layers, input (t, M_A), output (M_F, M_R) in %MVC."""
@@ -199,8 +203,9 @@ def _physics_loss_and_grads(model: Pinn3ccModel, batch: PinnData):
     return loss, m, cache, gy, gydot
 
 
-def supervised_loss(model: Pinn3ccModel, batch: PinnData):
-    """L = L_NN + L_PB and gradients for all stack parameters."""
+def supervised_loss(model: Pinn3ccModel, batch: PinnData, grad: bool = True):
+    """L = L_NN + L_PB and gradients for all stack parameters (None when
+    ``grad`` is False: a forward-only pass, no backward)."""
     if batch.m_f is None or batch.m_r is None:
         raise ParameterError("supervised training needs M_F and M_R targets")
     l_pb, m, cache, gy, gydot = _physics_loss_and_grads(model, batch)
@@ -208,45 +213,61 @@ def supervised_loss(model: Pinn3ccModel, batch: PinnData):
     err_f = m[:, 0] - batch.m_f
     err_r = m[:, 1] - batch.m_r
     l_nn = float(np.mean(err_f**2) + np.mean(err_r**2))
+    breakdown = PinnLossBreakdown(l_nn + l_pb, l_nn, l_pb)
+    if not grad:
+        return breakdown, None
     gy[:, 0] += (2.0 / n) * err_f
     gy[:, 1] += (2.0 / n) * err_r
     grads = model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
-    return PinnLossBreakdown(l_nn + l_pb, l_nn, l_pb), grads
+    return breakdown, grads
 
 
-def unsupervised_loss(model: Pinn3ccModel, batch: PinnData, bc: tuple[float, float], t0: float, m_a0: float):
-    """L = L_BC + L_PB; the boundary term pins (M_F, M_R) at t=t0."""
+def unsupervised_loss(model: Pinn3ccModel, batch: PinnData, bc: tuple[float, float], t0: float, m_a0: float,
+                      grad: bool = True):
+    """L = L_BC + L_PB; the boundary term pins (M_F, M_R) at t=t0. Gradients
+    are None when ``grad`` is False (forward-only, no backward)."""
     l_pb, _, cache, gy, gydot = _physics_loss_and_grads(model, batch)
-    grads = model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
     y0, bc_cache = model.mlp.forward(model._inputs(t0, m_a0))
     m0 = model.out_scale * y0
     err = np.array([[m0[0, 0] - bc[0], m0[0, 1] - bc[1]]])
     l_bc = float(np.sum(err**2))
+    breakdown = PinnLossBreakdown(l_bc + l_pb, l_bc, l_pb)
+    if not grad:
+        return breakdown, None
+    grads = model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
     bc_grads, _ = model.mlp.backward(bc_cache, 2.0 * err * model.out_scale)
     grads = [g + bg for g, bg in zip(grads, bc_grads)]
-    return PinnLossBreakdown(l_bc + l_pb, l_bc, l_pb), grads
+    return breakdown, grads
 
 
 def evaluate_breakdown(model: Pinn3ccModel, data: PinnData, mode: str = "supervised",
                        bc: tuple[float, float] | None = None, t0: float = 0.0,
                        m_a0: float = 0.0) -> PinnLossBreakdown:
+    """The loss breakdown over all of ``data`` at the current weights, from
+    the forward-only mode of :func:`supervised_loss` or
+    :func:`unsupervised_loss`: no gradients are computed."""
     if mode == "supervised":
-        breakdown, _ = supervised_loss(model, data)
+        breakdown, _ = supervised_loss(model, data, grad=False)
     else:
-        breakdown, _ = unsupervised_loss(model, data, bc, t0, m_a0)
+        breakdown, _ = unsupervised_loss(model, data, bc, t0, m_a0, grad=False)
     return breakdown
 
 
 def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig):
-    """Adam on L_NN + L_PB; history logs both components per epoch (entry 0 =
-    untrained model)."""
+    """Adam on L_NN + L_PB; history logs both components over all of ``data``
+    after each epoch, forward-only. Entry 0 (untrained model) reuses the
+    breakdown of train_loop's forward-only entry-0 pass, so the untrained
+    model is evaluated once."""
+    initial = []  # breakdown of train_loop's forward-only entry-0 call
 
-    def loss_fn(m, idx):
-        breakdown, grads = supervised_loss(m, data.subset(idx))
+    def loss_fn(m, idx, grad=True):
+        breakdown, grads = supervised_loss(m, data.subset(idx), grad)
+        if not grad:
+            initial.append(breakdown)
         return breakdown.total, grads
 
     def epoch_log(m):
-        b = evaluate_breakdown(m, data, "supervised")
+        b = initial.pop() if initial else evaluate_breakdown(m, data, "supervised")
         return {"L_total": b.total, "L_NN": b.data, "L_PB": b.physics}
 
     return nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)
@@ -255,19 +276,23 @@ def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig):
 def train_unsupervised(model: Pinn3ccModel, load: LoadProfile, config: TrainConfig,
                        bc: tuple[float, float] | None = None):
     """Forward-problem training: residuals at collocation points plus the t=0
-    boundary term. Default boundary: M_F(0)=0, M_R(0)=100-M_A(0)."""
+    boundary term. Default boundary: M_F(0)=0, M_R(0)=100-M_A(0). The history
+    is logged as in :func:`train_supervised`."""
     data = collocation_from_load(load, model.cc3)
     m_a0 = float(data.m_a[0])
     if bc is None:
         bc = (0.0, 100.0 - m_a0)
     t0 = float(data.t[0])
+    initial = []
 
-    def loss_fn(m, idx):
-        breakdown, grads = unsupervised_loss(m, data.subset(idx), bc, t0, m_a0)
+    def loss_fn(m, idx, grad=True):
+        breakdown, grads = unsupervised_loss(m, data.subset(idx), bc, t0, m_a0, grad)
+        if not grad:
+            initial.append(breakdown)
         return breakdown.total, grads
 
     def epoch_log(m):
-        b = evaluate_breakdown(m, data, "unsupervised", bc, t0, m_a0)
+        b = initial.pop() if initial else evaluate_breakdown(m, data, "unsupervised", bc, t0, m_a0)
         return {"L_total": b.total, "L_BC": b.data, "L_PB": b.physics}
 
     return nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)

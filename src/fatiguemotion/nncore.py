@@ -307,8 +307,10 @@ class Adam:
 
 # --- training loop --------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked once at construction (ParameterError)."""
+
     batch_size: int = 32
     lr: float = 0.001
     epochs: int = 1000
@@ -320,16 +322,31 @@ class TrainConfig:
     lr_decay: float = 1.0
     decay_patience: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
+            raise ParameterError(
+                f"epochs, batch_size and patience must be >= 1, got {self.epochs}, "
+                f"{self.batch_size} and {self.patience}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ParameterError(f"learning rate must be finite and > 0, got {self.lr}")
+        if not 0 < self.lr_decay <= 1:
+            raise ParameterError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if self.decay_patience < 0:
+            raise ParameterError(f"decay_patience must be >= 0, got {self.decay_patience}")
+
 
 def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, epoch_log_fn=None):
     """Seeded mini-batch Adam with early stopping and best-weight restore.
 
-    ``loss_fn(model, idx)`` returns (loss, grads aligned with model.params())
-    for the sample indices ``idx``. Early stopping, the plateau decay and the
-    restored best weights all follow the epoch's mean training loss.
-    ``epoch_log_fn(model)`` may add extra fields to each history entry.
-    Returns (model, history); history has one entry per epoch, plus entry 0
-    for the untrained model.
+    ``loss_fn(model, idx, grad=True)`` returns (loss, grads aligned with
+    model.params()) for the sample indices ``idx``; with ``grad=False`` it
+    returns (loss, None) from a forward-only pass, which runs no backward and
+    keeps no more in memory than a training batch needs. Early stopping, the
+    plateau decay and the restored best weights all follow the epoch's mean
+    training loss. ``epoch_log_fn(model)`` may add extra fields to each
+    history entry. Returns (model, history); history has one entry per epoch,
+    plus entry 0: the loss over all ``n_samples`` at the initial weights,
+    computed forward-only (no gradients).
     """
     if n_samples < 1:
         raise ParameterError("empty dataset")
@@ -340,7 +357,8 @@ def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, epoch_log_fn
     def evaluate() -> dict:
         return epoch_log_fn(model) if epoch_log_fn is not None else {}
 
-    history = [{"epoch": 0, "train_loss": float(loss_fn(model, np.arange(n_samples))[0]), **evaluate()}]
+    initial_loss, _ = loss_fn(model, np.arange(n_samples), grad=False)
+    history = [{"epoch": 0, "train_loss": float(initial_loss), **evaluate()}]
     best_loss = np.inf
     best_params = None
     stall = 0

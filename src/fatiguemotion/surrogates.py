@@ -343,6 +343,9 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
     memorization. Early stopping and best-weight restore follow the training
     loss. Returns (model, history); history entries carry train_loss,
     train_mse and, with physics on, the mean squared residual in (N*m)^2.
+    Entry 0 holds them for the untrained model over every window: a
+    forward-only pass, run through :meth:`BiLstmModel.forward` in chunks of
+    ``config.batch_size`` windows and reduced once, with no BPTT.
     """
     if physics is not None and model.kind != "id":
         raise UnsupportedModeError("physics loss applies to inverse-dynamics models only")
@@ -371,11 +374,18 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
 
     split = {"mse": [], "physics": []}  # per-batch components for the history log
 
-    def loss_fn(m, idx):
+    def loss_fn(m, idx, grad=True):
         rows = [table[k] for k in idx]
         x = np.stack([xs[i, off : off + window] for i, off in rows], axis=1)
         y = np.stack([ys[i, off : off + window] for i, off in rows], axis=1)
-        pred, cache = m.forward(x)
+        if grad:
+            pred, cache = m.forward(x)
+        else:
+            # Batch-sized chunks bound the forward caches; the loss below is
+            # still reduced once over every window.
+            step = config.batch_size
+            pred = np.concatenate(
+                [m.forward(x[:, s : s + step])[0] for s in range(0, len(rows), step)], axis=1)
         loss, dy = nncore.mse(pred, y)
         split["mse"].append(loss)
         if physics is not None:
@@ -392,6 +402,8 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
             # off. The logged residual stays in (N*m)^2.
             loss = 0.5 * (loss + float(np.mean((resid / span) ** 2)))
             dy = 0.5 * (dy + (2.0 / resid.size) * (-resid / span))
+        if not grad:
+            return loss, None
         grads, _ = m.backward(cache, dy)
         return loss, grads
 

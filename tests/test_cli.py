@@ -202,3 +202,51 @@ class TestMalformedArtefacts:
                     "--run", f"tired={tmp_path / 'apply'}", "--out", str(tmp_path / "curves")])
         assert code == 2
         assert "run 'tired'" in capsys.readouterr().err
+
+
+TINY_PINN = ["--frames", "12", "--hidden", "4", "--t", "20", "--seed", "2"]
+
+
+class TestTrainingSettings:
+    """Settings that cannot train exit 2 before anything is written."""
+
+    @pytest.mark.parametrize("extra", [
+        ["--epochs", "0"], ["--epochs", "-3"], ["--lr", "-1"], ["--lr", "nan"],
+    ], ids=["zero-epochs", "negative-epochs", "negative-lr", "nan-lr"])
+    def test_train_dyn(self, trained, tmp_path, capsys, extra):
+        code = run(["train-dyn", "--data", str(trained / "data"), "--out", str(tmp_path / "out"),
+                    *TINY_DYN, *extra])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--epochs", "0"], ["--lr", "-1"], ["--patience", "0"], ["--hidden", "0"],
+    ], ids=["zero-epochs", "negative-lr", "zero-patience", "zero-hidden"])
+    def test_train_pinn(self, tmp_path, capsys, extra):
+        code = run(["train-pinn", *TINY_PINN, "--epochs", "2", "--out", str(tmp_path / "out"), *extra])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestModelCommands:
+    @pytest.mark.parametrize("extra", [[], ["--unsupervised"]], ids=["supervised", "unsupervised"])
+    def test_train_pinn(self, tmp_path, extra):
+        for out in ("a", "b"):
+            assert run(["train-pinn", *TINY_PINN, "--epochs", "4", "--patience", "10",
+                        "--out", str(tmp_path / out), *extra]) == 0
+        log = (tmp_path / "a" / "training_log.csv").read_text().splitlines()
+        assert log[0] == "epoch,L_total,L_NN_or_BC,L_PB"
+        assert [row.split(",")[0] for row in log[1:]] == ["0", "1", "2", "3", "4"]
+        for name in ("pinn_elbow.json", "training_log.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_sim_3cc(self, tmp_path):
+        for out in ("a", "b"):
+            assert run(["sim-3cc", "--F", "0.02", "--R", "0.002", "--tl", "const:60", "--t", "30",
+                        "--out", str(tmp_path / out)]) == 0
+        rows = (tmp_path / "a" / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 1 + 601  # header plus t = 0, 0.05, ..., 30
+        assert (tmp_path / "a" / "trajectory.csv").read_bytes() == \
+            (tmp_path / "b" / "trajectory.csv").read_bytes()

@@ -22,7 +22,8 @@ from fatiguemotion.fatigue_pinn import (
     train_unsupervised,
     unsupervised_loss,
 )
-from fatiguemotion.nncore import TrainConfig, encode_params
+from fatiguemotion import fatigue_pinn
+from fatiguemotion.nncore import Mlp, TrainConfig, encode_params
 from fatiguemotion.pipeline import nrmse
 
 
@@ -34,6 +35,10 @@ def zero_model(spec=PinnSpec(8, "relu")):
 
 
 class TestArchitecture:
+    def test_hidden_width_validated(self):
+        with pytest.raises(ParameterError):
+            PinnSpec(0)
+
     def test_exactly_five_dense_layers(self):
         model = Pinn3ccModel(ELBOW, t_scale=50.0)
         assert len(model.mlp.layers) == N_DENSE_LAYERS == 5
@@ -128,6 +133,44 @@ class TestLossBookkeeping:
         model = Pinn3ccModel(ELBOW, t_scale=120.0, seed=2)
         b = evaluate_breakdown(model, data, "supervised")
         assert b.total == pytest.approx(b.data + b.physics, rel=1e-12)
+
+    def test_breakdown_is_forward_only(self, monkeypatch):
+        data, load = self.make_data()
+        model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(8, "tanh"), seed=5)
+        colloc = collocation_from_load(load, ELBOW)
+        bc = (0.0, 60.0)
+        supervised, _ = supervised_loss(model, data)
+        unsupervised, _ = unsupervised_loss(model, colloc, bc, 0.0, 40.0)
+
+        def no_backward(*args):
+            raise AssertionError("backward pass during a forward-only evaluation")
+
+        monkeypatch.setattr(Mlp, "backward_tangent", no_backward)
+        monkeypatch.setattr(Mlp, "backward", no_backward)
+        assert evaluate_breakdown(model, data, "supervised") == supervised
+        assert evaluate_breakdown(model, colloc, "unsupervised", bc, 0.0, 40.0) == unsupervised
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_untrained_model_evaluated_once(self, monkeypatch, mode):
+        data, load = self.make_data()
+        n = len(data) if mode == "supervised" else len(collocation_from_load(load, ELBOW))
+        full_data_calls = []
+        loss = supervised_loss if mode == "supervised" else unsupervised_loss
+
+        def spy(model, batch, *args, **kwargs):
+            if len(batch) == n:
+                full_data_calls.append(batch)
+            return loss(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(fatigue_pinn, f"{mode}_loss", spy)
+        model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(8, "relu"), seed=6)
+        cfg = TrainConfig(batch_size=8, lr=1e-3, epochs=3, patience=50, seed=0)
+        if mode == "supervised":
+            _, history = train_supervised(model, data, cfg)
+        else:
+            _, history = train_unsupervised(model, load, cfg)
+        assert len(full_data_calls) == 3 + 1  # one per epoch plus entry 0
+        assert history[0]["train_loss"] == history[0]["L_total"]
 
     def test_bc_zero_when_exact(self):
         model = zero_model()

@@ -218,10 +218,10 @@ class _QuadraticModel:
         return [self.w]
 
 
-def _plateau_loss(model, idx):
+def _plateau_loss(model, idx, grad=True):
     # loss improves until it hits a floor; gradient keeps shrinking
     loss = max(float((model.w[0] - 1.0) ** 2), 0.25)
-    return loss, [np.array([2 * (model.w[0] - 1.0)])]
+    return loss, [np.array([2 * (model.w[0] - 1.0)])] if grad else None
 
 
 class TestTrainLoop:
@@ -245,11 +245,10 @@ class TestTrainLoop:
             x = rng.normal(size=(16, 2))
             y = rng.normal(size=(16, 1))
 
-            def loss_fn(m, idx):
+            def loss_fn(m, idx, grad=True):
                 pred, cache = m.forward(x[idx])
                 loss, gy = mse(pred, y[idx])
-                grads, _ = m.backward(cache, gy)
-                return loss, grads
+                return loss, m.backward(cache, gy)[0] if grad else None
 
             cfg = TrainConfig(batch_size=4, lr=0.01, epochs=20, patience=50, seed=3)
             return train_loop(mlp, 16, loss_fn, cfg)
@@ -260,12 +259,43 @@ class TestTrainLoop:
         for p1, p2 in zip(m1.params(), m2.params()):
             np.testing.assert_array_equal(p1, p2)
 
+    def test_entry_zero_is_forward_only(self):
+        class CountingMlp(Mlp):
+            backward_calls = 0
+
+            def backward(self, caches, gy):
+                self.backward_calls += 1
+                return super().backward(caches, gy)
+
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(10, 3))
+        y = rng.normal(size=(10, 1))
+        mlp = CountingMlp([3, 6, 1], ["tanh", "linear"], np.random.default_rng(2))
+        initial_loss = float(np.mean((mlp.forward(x)[0] - y) ** 2))
+
+        def loss_fn(m, idx, grad=True):
+            pred, cache = m.forward(x[idx])
+            loss, gy = mse(pred, y[idx])
+            return loss, m.backward(cache, gy)[0] if grad else None
+
+        cfg = TrainConfig(batch_size=4, lr=0.01, epochs=3, patience=50, seed=0)
+        _, history = train_loop(mlp, 10, loss_fn, cfg)
+        assert history[0]["train_loss"] == initial_loss
+        assert mlp.backward_calls == 3 * 3  # 3 epochs x 3 batches, none for entry 0
+
+    def test_config_validated(self):
+        for bad in ({"epochs": 0}, {"batch_size": 0}, {"patience": 0}, {"lr": 0.0},
+                    {"lr": float("nan")}, {"lr": float("inf")}, {"lr_decay": 0.0},
+                    {"lr_decay": 1.5}, {"decay_patience": -1}):
+            with pytest.raises(ParameterError):
+                TrainConfig(**bad)
+
     def test_empty_dataset(self):
         with pytest.raises(ParameterError):
             train_loop(_QuadraticModel(), 0, _plateau_loss, TrainConfig())
 
     def test_non_finite_loss_aborts(self):
-        def bad_loss(model, idx):
+        def bad_loss(model, idx, grad=True):
             return float("nan"), [np.zeros(1)]
 
         with pytest.raises(NumericError):
@@ -276,7 +306,7 @@ class TestTrainLoop:
         # patience runs out and the weights of epoch 2 come back
         losses = iter([1.0, 0.5, 0.1, 0.9, 0.9, 0.9, 0.9])
 
-        def loss_fn(model, idx):
+        def loss_fn(model, idx, grad=True):
             return next(losses, 0.9), [np.array([1.0])]
 
         model = _QuadraticModel()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fatiguemotion.arm import ArmParams, generate_dataset
+from fatiguemotion.arm import ArmParams, generate_dataset, inverse_dynamics
 from fatiguemotion.errors import ParameterError, ShapeError, UnsupportedModeError
 from fatiguemotion.nncore import LstmCell, TrainConfig, encode_params, mse
 from fatiguemotion.sequences import fit_normalizer
@@ -235,6 +235,40 @@ class TestTraining:
         assert [e["train_loss"] for e in h1] == [e["train_loss"] for e in h2]
         for p1, p2 in zip(m1.params(), m2.params()):
             np.testing.assert_array_equal(p1, p2)
+
+    @pytest.mark.parametrize("physics", [False, True], ids=["data", "physics"])
+    def test_entry_zero_is_forward_only_in_batches(self, tiny_dataset, monkeypatch, physics):
+        params, trials, angle_norm, torque_norm = tiny_dataset
+        samples = make_samples(trials[:5], "id", 1, angle_norm, torque_norm)
+        model = BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=6)
+        window, stride = 10, 2
+        # the full-data loss at the initial weights, all 40 windows at once
+        x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
+        y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
+        pred = model.forward(x)[0]
+        initial_mse = float(np.mean((pred - y) ** 2))
+        if physics:
+            eom = [inverse_dynamics(s.q, s.qdot, s.qddot, params)[:, [1]] for s in samples]
+            tau_eom = np.stack([e[o : o + window] for e in eom for o in range(0, 15, stride)], axis=1)
+            resid = tau_eom - (pred * samples[0].target_span + samples[0].target_lo)
+            initial_residual = float(np.mean(resid**2))
+
+        seen, backward_calls = [], []
+        forward, backward = BiLstmModel.forward, BiLstmModel.backward
+        monkeypatch.setattr(BiLstmModel, "forward",
+                            lambda m, x: seen.append(x.shape[1]) or forward(m, x))
+        monkeypatch.setattr(BiLstmModel, "backward",
+                            lambda m, c, dy: backward_calls.append(1) or backward(m, c, dy))
+        cfg = TrainConfig(batch_size=8, lr=0.01, epochs=2, patience=50, seed=0)
+        _, history = train_dyn(model, samples, cfg, physics=params if physics else None,
+                               window=window, window_stride=stride)
+        assert max(seen) <= cfg.batch_size
+        assert len(backward_calls) == 2 * 5  # 2 epochs x 40/8 batches, none for entry 0
+        assert history[0]["train_mse"] == initial_mse
+        if physics:
+            assert history[0]["physics_residual"] == initial_residual
+        else:
+            assert history[0]["train_loss"] == initial_mse
 
     def test_ragged_trials_rejected(self, tiny_dataset):
         _, trials, angle_norm, torque_norm = tiny_dataset
