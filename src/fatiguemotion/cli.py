@@ -168,42 +168,43 @@ def _cmd_train_dyn(args, argv) -> int:
     joint_names = trials[0].motion.joint_names
     joints = list(joint_names) if args.joint == "all" else [args.joint]
     kinds = ["id", "fd"] if args.kind == "both" else [args.kind]
+    # Everything is checked before anything is written; each model gets its own seed.
+    for joint in joints:
+        if joint not in joint_names:
+            raise ParameterError(f"joint {joint!r} not in dataset ({joint_names})")
+    jobs = [(joint, joint_names.index(joint), kind) for joint in joints for kind in kinds]
+    sg.window_offsets(train_trials[0].motion.n_frames, args.window, args.window_stride)
     spec = sg.BiLstmSpec(args.layers, args.hidden)
-    # Checked before anything is written; each model gets its own seed.
     base_cfg = dataclasses.replace(sg.desk_train_config(epochs=args.epochs), lr=args.lr)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     angle_norm.save(outdir / "angle_norm.json")
     torque_norm.save(outdir / "torque_norm.json")
     n = len(joint_names)
-    for joint in joints:
-        if joint not in joint_names:
-            raise ParameterError(f"joint {joint!r} not in dataset ({joint_names})")
-        j = joint_names.index(joint)
-        for kind in kinds:
-            samples = sg.make_samples(train_trials, kind, j, angle_norm, torque_norm)
-            model = sg.BiLstmModel(n, 1, spec, kind=kind, seed=args.seed * 100 + _SEED_OFFSET[kind] + j)
-            cfg = dataclasses.replace(base_cfg, seed=args.seed * 10 + j)
-            physics = arm_params if (args.physics and kind == "id") else None
-            model, history = sg.train_dyn(
-                model, samples, cfg, physics=physics,
-                window=args.window, window_stride=args.window_stride,
-            )
-            stem = f"{kind}_{joint}"
-            input_norm, target_norm = sg.model_io(kind, angle_norm, torque_norm)
-            tau_max = float(max(abs(torque_norm.lo[j]), abs(torque_norm.hi[j])))
-            sg.save_model(
-                outdir / f"{stem}.json", model, joint=joint,
-                input_norm=input_norm, target_norm=target_norm, tau_max=tau_max,
-            )
-            with open(outdir / f"{stem}_log.csv", "w") as fh:
-                fh.write("epoch,train_mse" + (",physics_residual" if physics else "") + "\n")
-                for e in history:
-                    cells = [str(e["epoch"]), repr(e["train_mse"])]
-                    if physics:
-                        cells.append(repr(e["physics_residual"]))
-                    fh.write(",".join(cells) + "\n")
-            print(f"trained {stem}: {len(history) - 1} epochs")
+    for joint, j, kind in jobs:
+        samples = sg.make_samples(train_trials, kind, j, angle_norm, torque_norm)
+        model = sg.BiLstmModel(n, 1, spec, kind=kind, seed=args.seed * 100 + _SEED_OFFSET[kind] + j)
+        cfg = dataclasses.replace(base_cfg, seed=args.seed * 10 + j)
+        physics = arm_params if (args.physics and kind == "id") else None
+        model, history = sg.train_dyn(
+            model, samples, cfg, physics=physics,
+            window=args.window, window_stride=args.window_stride,
+        )
+        stem = f"{kind}_{joint}"
+        input_norm, target_norm = sg.model_io(kind, angle_norm, torque_norm)
+        tau_max = float(max(abs(torque_norm.lo[j]), abs(torque_norm.hi[j])))
+        sg.save_model(
+            outdir / f"{stem}.json", model, joint=joint,
+            input_norm=input_norm, target_norm=target_norm, tau_max=tau_max,
+        )
+        with open(outdir / f"{stem}_log.csv", "w") as fh:
+            fh.write("epoch,train_mse" + (",physics_residual" if physics else "") + "\n")
+            for e in history:
+                cells = [str(e["epoch"]), repr(e["train_mse"])]
+                if physics:
+                    cells.append(repr(e["physics_residual"]))
+                fh.write(",".join(cells) + "\n")
+        print(f"trained {stem}: {len(history) - 1} epochs")
     config = {
         "data": str(args.data), "kind": args.kind, "joints": joints,
         "layers": args.layers, "hidden": args.hidden, "epochs": args.epochs, "lr": args.lr,

@@ -20,6 +20,11 @@ reference oracle for the learned fatigue network, and the one module that
 holds the 3CC equations: the pipeline runs :func:`simulate`, and the PINN
 residual uses :func:`controller_batch`.
 
+The integrator (:func:`derivatives`, the RK4 step and :func:`advance`) works
+on Python floats, not numpy arrays: a frame is about 60 flops on three
+pools, and numpy's per-call overhead on 3-element arrays costs several times
+more than that arithmetic.
+
 Everything is state-in/state-out; independent joints simulate in parallel
 safely.
 """
@@ -39,6 +44,9 @@ from .errors import DataFormatError, ParameterError
 MAX_STEP = 0.05
 
 _CONSERVATION_GUARD = 1e-9
+
+# Rows per formatting chunk of trajectory_to_csv.
+_CSV_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -136,26 +144,36 @@ def controller_batch(m_a, m_r, tl, p: Cc3Params):
     return c, dc_dmr
 
 
-def derivatives(s: np.ndarray, tl: float, p: Cc3Params) -> np.ndarray:
-    """(dM_A/dt, dM_F/dt, dM_R/dt) of the state (M_A, M_F, M_R); the three sum to 0 exactly."""
-    c = controller(s[0], s[2], tl, p)
-    f_out = p.F * s[0]
-    r_out = p.R * s[1]
-    return np.array([c - f_out, f_out - r_out, -c + r_out])
+def derivatives(m_a: float, m_f: float, m_r: float, tl: float,
+                p: Cc3Params) -> tuple[float, float, float]:
+    """(dM_A/dt, dM_F/dt, dM_R/dt) of the pools (M_A, M_F, M_R); the three sum to 0 up to rounding."""
+    c = controller(m_a, m_r, tl, p)
+    f_out = p.F * m_a
+    r_out = p.R * m_f
+    return c - f_out, f_out - r_out, -c + r_out
 
 
-def _rk4(s: np.ndarray, tl: float, p: Cc3Params, dt: float) -> np.ndarray:
-    k1 = derivatives(s, tl, p)
-    k2 = derivatives(s + 0.5 * dt * k1, tl, p)
-    k3 = derivatives(s + 0.5 * dt * k2, tl, p)
-    k4 = derivatives(s + dt * k3, tl, p)
-    out = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    # Guard: pools stay non-negative and conserve the 100% total.
-    out = np.maximum(out, 0.0)
-    total = out.sum()
+def _rk4(m_a: float, m_f: float, m_r: float, tl: float, p: Cc3Params,
+         dt: float) -> tuple[float, float, float]:
+    h = 0.5 * dt
+    a1, f1, r1 = derivatives(m_a, m_f, m_r, tl, p)
+    a2, f2, r2 = derivatives(m_a + h * a1, m_f + h * f1, m_r + h * r1, tl, p)
+    a3, f3, r3 = derivatives(m_a + h * a2, m_f + h * f2, m_r + h * r2, tl, p)
+    a4, f4, r4 = derivatives(m_a + dt * a3, m_f + dt * f3, m_r + dt * r3, tl, p)
+    w = dt / 6.0
+    m_a = m_a + w * (a1 + 2 * a2 + 2 * a3 + a4)
+    m_f = m_f + w * (f1 + 2 * f2 + 2 * f3 + f4)
+    m_r = m_r + w * (r1 + 2 * r2 + 2 * r3 + r4)
+    # Guard: pools stay non-negative and conserve the 100% total. The clamp
+    # maps -0.0 to +0.0; max(x, 0.0) would keep -0.0 and change CSV bytes.
+    m_a = m_a if m_a > 0.0 else 0.0
+    m_f = m_f if m_f > 0.0 else 0.0
+    m_r = m_r if m_r > 0.0 else 0.0
+    total = m_a + m_f + m_r
     if abs(total - 100.0) > _CONSERVATION_GUARD:
-        out *= 100.0 / total
-    return out
+        scale = 100.0 / total
+        return m_a * scale, m_f * scale, m_r * scale
+    return m_a, m_f, m_r
 
 
 @dataclass(frozen=True)
@@ -190,14 +208,19 @@ class Cc3Trajectory:
         return float(np.abs(self.states.sum(axis=1) - 100.0).max())
 
 
-def advance(state_arr: np.ndarray, tl: float, params: Cc3Params, dt: float) -> np.ndarray:
-    """Advance one frame interval, sub-stepping so each RK4 step is <= MAX_STEP."""
-    n_sub = max(1, int(np.ceil(dt / MAX_STEP)))
+def advance(state, tl: float, params: Cc3Params, dt: float) -> tuple[float, float, float]:
+    """Advance the pools (M_A, M_F, M_R), any 3-sequence, over one frame interval.
+
+    Sub-steps so that each RK4 step is <= MAX_STEP and returns the new pools
+    as a tuple of floats. The step is scalar float arithmetic because numpy's
+    per-call overhead on 3-element arrays outweighs the ~60 flops of a step.
+    """
+    n_sub = max(1, math.ceil(dt / MAX_STEP))
     h = dt / n_sub
-    s = state_arr
+    m_a, m_f, m_r = state
     for _ in range(n_sub):
-        s = _rk4(s, tl, params, h)
-    return s
+        m_a, m_f, m_r = _rk4(m_a, m_f, m_r, tl, params, h)
+    return m_a, m_f, m_r
 
 
 def simulate(
@@ -206,7 +229,9 @@ def simulate(
     """Integrate the compartments along a load profile, one state per sample.
 
     The target load is held constant across each sample interval. The first
-    state is the initial state itself (all units rested by default).
+    state is the initial state itself (all units rested by default). Each
+    frame is one :func:`advance` on Python floats (see the module notes),
+    written into the preallocated (n, 3) state array.
     """
     if initial is None:
         initial = CompartmentState.rested()
@@ -216,8 +241,9 @@ def simulate(
     n = load.values.size
     states = np.empty((n, 3))
     states[0] = initial.as_array()
-    for i in range(1, n):
-        states[i] = advance(states[i - 1], float(load.values[i - 1]), params, dt)
+    state = states[0].tolist()
+    for i, tl in enumerate(map(float, load.values[:-1]), start=1):
+        state = states[i] = advance(state, tl, params, dt)
     return Cc3Trajectory(times=np.arange(n) * dt, states=states)
 
 
@@ -307,11 +333,14 @@ def load_profiles(path) -> dict[str, FatigueProfile]:
 
 
 def trajectory_to_csv(traj: Cc3Trajectory, path, lam: float = 1.0) -> None:
-    """Trajectory export: t, M_A, M_F, M_R, RC, RC_lambda."""
-    rc = traj.rc
-    rc_l = traj.rc_lambda(lam)
+    """Trajectory export: t, M_A, M_F, M_R, RC, RC_lambda.
+
+    Rows are formatted from float lists a chunk of _CSV_CHUNK rows at a time,
+    so no full-length list of rows is held.
+    """
+    table = (traj.times, traj.states, traj.rc, traj.rc_lambda(lam))
     with open(path, "w") as fh:
         fh.write("t,M_A,M_F,M_R,RC,RC_lambda\n")
-        for i in range(traj.times.size):
-            cells = (traj.times[i], *traj.states[i], rc[i], rc_l[i])
-            fh.write(",".join(repr(float(c)) for c in cells) + "\n")
+        for start in range(0, traj.times.size, _CSV_CHUNK):
+            rows = np.column_stack([col[start : start + _CSV_CHUNK] for col in table]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)

@@ -332,6 +332,16 @@ def make_samples(trials, kind: str, joint_index: int, angle_norm: NormalizationP
     return samples
 
 
+def window_offsets(t_len: int, window: int | None, window_stride: int) -> tuple[int, list[int]]:
+    """(window length, start offsets) of the training slices of one t_len-frame
+    trial; no window, or one at least t_len long, is the whole trial."""
+    if window is None or window >= t_len:
+        return t_len, [0]
+    if window < 2 or window_stride < 1:
+        raise ParameterError("window must be >= 2 and stride >= 1")
+    return window, list(range(0, t_len - window + 1, window_stride))
+
+
 def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
               physics: armdyn.ArmParams | None = None,
               window: int | None = None, window_stride: int = 1):
@@ -357,18 +367,8 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
     if physics is not None:
         eom = [armdyn.inverse_dynamics(s.q, s.qdot, s.qddot, physics) for s in train_samples]
 
-    t_len = train_samples[0].x.shape[0]
-    if window is None or window >= t_len:
-        table = [(i, 0) for i in range(len(train_samples))]
-        window = t_len
-    else:
-        if window < 2 or window_stride < 1:
-            raise ParameterError("window must be >= 2 and stride >= 1")
-        table = [
-            (i, off)
-            for i in range(len(train_samples))
-            for off in range(0, t_len - window + 1, window_stride)
-        ]
+    window, offsets = window_offsets(train_samples[0].x.shape[0], window, window_stride)
+    table = [(i, off) for i in range(len(train_samples)) for off in offsets]
     xs = np.stack([s.x for s in train_samples], axis=0)
     ys = np.stack([s.y for s in train_samples], axis=0)
 

@@ -212,7 +212,8 @@ class TestTrainingSettings:
 
     @pytest.mark.parametrize("extra", [
         ["--epochs", "0"], ["--epochs", "-3"], ["--lr", "-1"], ["--lr", "nan"],
-    ], ids=["zero-epochs", "negative-epochs", "negative-lr", "nan-lr"])
+        ["--joint", "knee"], ["--window", "20", "--window-stride", "0"],
+    ], ids=["zero-epochs", "negative-epochs", "negative-lr", "nan-lr", "unknown-joint", "zero-stride"])
     def test_train_dyn(self, trained, tmp_path, capsys, extra):
         code = run(["train-dyn", "--data", str(trained / "data"), "--out", str(tmp_path / "out"),
                     *TINY_DYN, *extra])

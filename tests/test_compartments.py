@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,12 +94,12 @@ class TestDerivatives:
         for _ in range(200):
             m = rng.uniform(0, 100, size=3)
             m = 100 * m / m.sum()
-            d = derivatives(m, rng.uniform(0, 100), FAST)
+            d = np.asarray(derivatives(*m, rng.uniform(0, 100), FAST))
             assert d.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_full_activation(self):
         # M_A = TL = 100: controller flow is zero, fatigue outflow is F*M_A
-        d = derivatives(np.array([100.0, 0.0, 0.0]), 100, FAST)
+        d = derivatives(100.0, 0.0, 0.0, 100, FAST)
         assert d[1] == pytest.approx(FAST.F * 100, abs=1e-15)
         assert d[0] == pytest.approx(-FAST.F * 100, abs=1e-15)
 
@@ -106,7 +108,7 @@ class TestDerivatives:
         p = Cc3Params(F=0.001, R=0.01)
         m_a, m_f = 40.0, 4.0
         tl = m_a  # relaxing branch with TL = M_A gives C = 0
-        d = derivatives(np.array([m_a, m_f, 100 - m_a - m_f]), tl, p)
+        d = derivatives(m_a, m_f, 100 - m_a - m_f, tl, p)
         assert d[1] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -128,7 +130,7 @@ class TestStepRk4:
             return s
 
         ref = integrate(0.4 / 2048)
-        errs = [np.abs(integrate(dt) - ref).max() for dt in (0.04, 0.02, 0.01)]
+        errs = [np.abs(np.asarray(integrate(dt)) - ref).max() for dt in (0.04, 0.02, 0.01)]
         r1 = errs[0] / errs[1]
         r2 = errs[1] / errs[2]
         assert 12 < r1 < 20, (errs, r1)
@@ -209,6 +211,44 @@ class TestSimulate:
         a = simulate(None, load, FAST)
         b = simulate(None, load, FAST)
         np.testing.assert_array_equal(a.states, b.states)
+
+
+def noisy_duty_load(dt, seconds=60.0, seed=5):
+    """3 s bouts near 90 %MVC and 1 s rests, with seeded Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(round(seconds / dt)) + 1) * dt
+    level = np.where((t % 4.0) < 3.0, 90.0, 0.0) + rng.normal(0.0, 4.0, t.size)
+    return LoadProfile(np.clip(level, 0.0, 100.0), dt)
+
+
+class TestGolden:
+    """``simulate`` pinned bit for bit to digests of its (n, 3) state array."""
+
+    @pytest.mark.parametrize("dt, digest", [
+        (0.05, "30911486057399704845b0148ee720398f60370eb708971b8ec0535641cc7598"),
+        (0.2, "f1100e7411cfb2d94917e56a98d9afa44b859167fcbe750a15738efab108abc7"),
+    ], ids=["one-step", "four-substeps"])
+    def test_noisy_load(self, dt, digest):
+        load = noisy_duty_load(dt)
+        traj = simulate(None, load, Cc3Params(F=0.1, R=0.02))
+        m_a, m_r, tl = traj.M_A[:-1], traj.M_R[:-1], load.values[:-1]
+        below = m_a < tl
+        starved = m_r <= tl - m_a
+        regimes = {"develop": below & ~starved, "starved": below & starved, "relax": ~below}
+        assert all(mask.sum() >= 10 for mask in regimes.values()), {k: v.sum() for k, v in regimes.items()}
+        assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
+
+    def test_clamp(self):
+        # LR*dt = 5 is outside RK4's accuracy range: the first relaxation step
+        # overshoots M_A below zero, so the guard clamps it to +0.0 and
+        # renormalises the rest to 100.
+        load = LoadProfile(np.array([50.0] * 10 + [0.0] * 5), 0.05)
+        traj = simulate(None, load, Cc3Params(F=0.0, R=0.0, LD=10.0, LR=100.0))
+        assert traj.states[11].tolist() == [0.0, 0.0, 100.0]
+        assert not np.signbit(traj.states).any()
+        assert hashlib.sha256(traj.states.tobytes()).hexdigest() == (
+            "6d0fb4f76740ec2c42159d92491d75d4d12f905decb8d6ae193f111b73a4e5f9"
+        )
 
 
 def one_state(m_a, m_f, m_r):
