@@ -19,8 +19,6 @@ import numpy as np
 from .errors import DataFormatError, ParameterError
 from .sequences import (
     MotionSequence,
-    TorqueSequence,
-    joints_from_names,
     load_sequence,
     save_sequence,
 )
@@ -148,8 +146,8 @@ def _quintic_rest_to_rest(q0, q1, duration, t):
 class ArmTrial:
     """One generated trial: paired angle/torque sequences plus exact derivatives."""
 
-    motion: MotionSequence
-    torque: TorqueSequence
+    motion: MotionSequence  # angles, rad
+    torque: MotionSequence  # torques, N*m
     qdot: np.ndarray
     qddot: np.ndarray
 
@@ -189,15 +187,14 @@ def generate_dataset(
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
     rng = np.random.default_rng(seed)
-    joints = joints_from_names(JOINT_NAMES)
     trials = []
     for _ in range(n_trials):
         q, qd, qdd = generate_trajectory(params, n_frames, dt, rng, n_segments)
         tau = inverse_dynamics(q, qd, qdd, params)
         trials.append(
             ArmTrial(
-                motion=MotionSequence(joints, dt, q),
-                torque=TorqueSequence(joints, dt, tau),
+                motion=MotionSequence(JOINT_NAMES, dt, q),
+                torque=MotionSequence(JOINT_NAMES, dt, tau),
                 qdot=qd,
                 qddot=qdd,
             )
@@ -248,9 +245,9 @@ def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
         raise DataFormatError(f"{path}: malformed dataset manifest: {exc}") from None
     trials = []
     for stem in stems:
-        motion = load_sequence(datadir / f"{stem}_angles.csv", kind="angle")
-        torque = load_sequence(datadir / f"{stem}_torques.csv", kind="torque")
-        qdot = load_sequence(datadir / f"{stem}_qdot.csv", kind="angle").frames
-        qddot = load_sequence(datadir / f"{stem}_qddot.csv", kind="angle").frames
+        motion = load_sequence(datadir / f"{stem}_angles.csv")
+        torque = load_sequence(datadir / f"{stem}_torques.csv")
+        qdot = load_sequence(datadir / f"{stem}_qdot.csv").frames
+        qddot = load_sequence(datadir / f"{stem}_qddot.csv").frames
         trials.append(ArmTrial(motion, torque, qdot, qddot))
     return trials, params, manifest

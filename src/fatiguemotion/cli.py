@@ -223,7 +223,6 @@ def _load_model_dir(modeldir: Path):
     cover the same joints, once each; otherwise DataFormatError.
     """
     models = {"id": {}, "fd": {}}
-    tau_max = {}
     reference = None  # (first checkpoint path, its (angle, torque) normalization)
     for kind in ("id", "fd"):
         for path in sorted(modeldir.glob(f"{kind}_*.json")):
@@ -241,8 +240,6 @@ def _load_model_dir(modeldir: Path):
             elif norms != reference[1]:
                 raise DataFormatError(f"{path}: normalization differs from {reference[0].name}")
             models[kind][joint] = model
-            if kind == "id":
-                tau_max[joint] = meta.get("tau_max")
     id_models, fd_models = models["id"], models["fd"]
     if not id_models or not fd_models:
         raise DataFormatError(f"{modeldir}: no id_*/fd_* checkpoints found")
@@ -251,13 +248,13 @@ def _load_model_dir(modeldir: Path):
             f"{modeldir}: ID joints {sorted(id_models)} differ from FD joints {sorted(fd_models)}"
         )
     angle_norm, torque_norm = (sq.NormalizationParams.from_dict(d) for d in reference[1])
-    return id_models, fd_models, angle_norm, torque_norm, tau_max
+    return id_models, fd_models, angle_norm, torque_norm
 
 
 def _cmd_apply_fatigue(args, argv) -> int:
-    motion = sq.load_sequence(args.motion, kind="angle")
+    motion = sq.load_sequence(args.motion)
     profiles = cc.load_profiles(args.profiles)
-    id_models, fd_models, angle_norm, torque_norm, tau_max = _load_model_dir(Path(args.models))
+    id_models, fd_models, angle_norm, torque_norm = _load_model_dir(Path(args.models))
     if args.mode == "dynamic":
         mode, level = "dynamic", None
     elif args.mode.startswith("fixed:"):
@@ -269,9 +266,7 @@ def _cmd_apply_fatigue(args, argv) -> int:
         raise ParameterError(f"mode must be 'dynamic' or 'fixed:<level>', got {args.mode!r}")
     config = pl.PipelineConfig(
         angle_norm, torque_norm, id_models, fd_models, profiles,
-        mode=mode, fixed_level=level,
-        tau_max={k: v for k, v in tau_max.items() if v is not None} or None,
-        seed=args.seed,
+        mode=mode, fixed_level=level, seed=args.seed,
     )
     fatigued, report = pl.apply_fatigue(motion, config)
     outdir = Path(args.out)
@@ -288,8 +283,8 @@ def _cmd_apply_fatigue(args, argv) -> int:
 
 
 def _cmd_eval(args, argv) -> int:
-    pred = sq.load_sequence(args.pred, kind="angle")
-    truth = sq.load_sequence(args.truth, kind="angle")
+    pred = sq.load_sequence(args.pred)
+    truth = sq.load_sequence(args.truth)
     if pred.joint_names != truth.joint_names:
         raise DataFormatError("joint sets differ between pred and truth")
     metrics = {}
@@ -311,14 +306,14 @@ def _cmd_eval(args, argv) -> int:
 
 
 def _cmd_export_curves(args, argv) -> int:
-    baseline = sq.load_sequence(args.baseline, kind="angle")
+    baseline = sq.load_sequence(args.baseline)
     runs = []
     for spec in args.run:
         if "=" not in spec:
             raise ParameterError(f"--run wants label=apply-fatigue-dir, got {spec!r}")
         label, rundir = spec.split("=", 1)
         rundir = Path(rundir)
-        fatigued = sq.load_sequence(rundir / "fatigued.csv", kind="angle")
+        fatigued = sq.load_sequence(rundir / "fatigued.csv")
         runs.append((label, fatigued, pl.load_traces(rundir / "report.json")))
     outdir = Path(args.out)
     written = pl.export_curves(baseline, runs, outdir)

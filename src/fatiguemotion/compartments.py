@@ -37,6 +37,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DataFormatError, ParameterError
+from .sequences import write_table
 
 # Internal RK4 sub-step ceiling: the controller's development/relaxation
 # rates (LD, LR ~ 10/s) bound the fastest time scale, and RK4 needs
@@ -44,9 +45,6 @@ from .errors import DataFormatError, ParameterError
 MAX_STEP = 0.05
 
 _CONSERVATION_GUARD = 1e-9
-
-# Rows per formatting chunk of trajectory_to_csv.
-_CSV_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,8 @@ class LoadProfile:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if self.dt <= 0:
-            raise ParameterError("dt must be > 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ParameterError(f"dt must be finite and > 0, got {self.dt}")
         if v.ndim != 1 or v.size == 0:
             raise ParameterError("profile must be a non-empty 1-D trace")
         if (v < 0).any() or (v > 100).any():
@@ -223,21 +221,18 @@ def advance(state, tl: float, params: Cc3Params, dt: float) -> tuple[float, floa
     return m_a, m_f, m_r
 
 
-def simulate(
-    initial: CompartmentState | None, load: LoadProfile, params: Cc3Params, dt: float | None = None
-) -> Cc3Trajectory:
+def simulate(initial: CompartmentState | None, load: LoadProfile, params: Cc3Params) -> Cc3Trajectory:
     """Integrate the compartments along a load profile, one state per sample.
 
-    The target load is held constant across each sample interval. The first
-    state is the initial state itself (all units rested by default). Each
-    frame is one :func:`advance` on Python floats (see the module notes),
-    written into the preallocated (n, 3) state array.
+    Samples are ``load.dt`` apart (finite and > 0, as :class:`LoadProfile`
+    guarantees), and the target load is held constant across each sample
+    interval. The first state is the initial state itself (all units rested
+    by default). Each frame is one :func:`advance` on Python floats (see the
+    module notes), written into the preallocated (n, 3) state array.
     """
     if initial is None:
         initial = CompartmentState.rested()
-    dt = load.dt if dt is None else dt
-    if dt <= 0:
-        raise ParameterError("dt must be > 0")
+    dt = load.dt
     n = load.values.size
     states = np.empty((n, 3))
     states[0] = initial.as_array()
@@ -333,14 +328,5 @@ def load_profiles(path) -> dict[str, FatigueProfile]:
 
 
 def trajectory_to_csv(traj: Cc3Trajectory, path, lam: float = 1.0) -> None:
-    """Trajectory export: t, M_A, M_F, M_R, RC, RC_lambda.
-
-    Rows are formatted from float lists a chunk of _CSV_CHUNK rows at a time,
-    so no full-length list of rows is held.
-    """
-    table = (traj.times, traj.states, traj.rc, traj.rc_lambda(lam))
-    with open(path, "w") as fh:
-        fh.write("t,M_A,M_F,M_R,RC,RC_lambda\n")
-        for start in range(0, traj.times.size, _CSV_CHUNK):
-            rows = np.column_stack([col[start : start + _CSV_CHUNK] for col in table]).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    """Trajectory export: t, M_A, M_F, M_R, RC, RC_lambda."""
+    write_table(path, "t,M_A,M_F,M_R,RC,RC_lambda", (traj.times, traj.states, traj.rc, traj.rc_lambda(lam)))

@@ -84,23 +84,6 @@ class Pinn3ccModel:
         y, ydot, cache = self.mlp.forward_tangent(u, v)
         return self.out_scale * y, self.out_scale * ydot, cache
 
-    def time_derivatives(self, t, m_a):
-        """(dM_F/dt, dM_R/dt) by reverse-mode differentiation through the stack."""
-        _, mdot, _ = self._forward_time_tangent(t, m_a)
-        if np.ndim(t) == 0 and np.ndim(m_a) == 0:
-            return float(mdot[0, 0]), float(mdot[0, 1])
-        return mdot[:, 0], mdot[:, 1]
-
-    def physics_residuals(self, t, m_a, tl):
-        """(rho_F, rho_R) of the compartment ODEs at the given samples."""
-        m, mdot, _ = self._forward_time_tangent(t, m_a)
-        m_a_arr = np.broadcast_to(np.atleast_1d(np.asarray(m_a, dtype=float)), m[:, 0].shape)
-        tl_arr = np.broadcast_to(np.atleast_1d(np.asarray(tl, dtype=float)), m[:, 0].shape)
-        rho_f, rho_r, _ = ode_residuals(self.cc3, m_a_arr, tl_arr, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1])
-        if np.ndim(t) == 0 and np.ndim(m_a) == 0:
-            return float(rho_f[0]), float(rho_r[0])
-        return rho_f, rho_r
-
 
 def ode_residuals(p: Cc3Params, m_a, tl, m_f, m_r, mdot_f, mdot_r):
     """(rho_F, rho_R, dC/dM_R) of the compartment ODEs over arrays of samples."""
@@ -320,5 +303,5 @@ def load_model(path) -> tuple[Pinn3ccModel, dict]:
     cc3, t_scale, hidden, activation = nncore.architecture_fields(
         path, arch, ("cc3", "t_scale", "hidden", "activation"))
     model = Pinn3ccModel(Cc3Params(**cc3), t_scale, PinnSpec(hidden, activation), seed=arch.get("seed", 0))
-    nncore.assign_params(model.params(), doc["params"], path)
+    nncore.copy_params(model.params(), doc["params"], path)
     return model, doc["meta"]

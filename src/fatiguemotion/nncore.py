@@ -414,7 +414,7 @@ def decode_params(enc: dict):
     return out
 
 
-def assign_params(params, values, source) -> None:
+def copy_params(params, values, source) -> None:
     """Copy checkpoint arrays into a model's parameters, in place.
 
     The checkpoint must hold exactly one array per parameter, each of the

@@ -26,7 +26,7 @@ import numpy as np
 
 from .compartments import FatigueProfile, LoadProfile, modulate_torque, simulate
 from .errors import DataFormatError, DegenerateChannelError, ParameterError, ShapeError
-from .sequences import MotionSequence, NormalizationParams, torque_to_activation
+from .sequences import MotionSequence, NormalizationParams, torque_to_activation, write_table
 from .surrogates import BiLstmModel, predict_models
 
 
@@ -64,8 +64,8 @@ class PipelineConfig:
 
     ``profiles`` lists the modulated joints; every joint of the motion needs
     ID/FD models so the full torque vector can be assembled. ``tau_max`` (the
-    %MVC scaling) defaults to the largest absolute torque seen in training,
-    taken from the torque normalization bounds.
+    %MVC scaling) is derived, not passed: per joint, the largest absolute
+    torque seen in training, taken from the torque normalization bounds.
     """
 
     angle_norm: NormalizationParams
@@ -75,8 +75,8 @@ class PipelineConfig:
     profiles: dict[str, FatigueProfile] = field(default_factory=dict)
     mode: str = "dynamic"
     fixed_level: float | None = None
-    tau_max: dict[str, float] | None = None
     seed: int = 0
+    tau_max: dict[str, float] = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("dynamic", "fixed"):
@@ -99,11 +99,10 @@ class PipelineConfig:
         for name in self.profiles:
             if name not in self.angle_norm.joints:
                 raise ParameterError(f"profile for unknown joint {name!r}")
-        if self.tau_max is None:
-            self.tau_max = {
-                name: float(max(abs(self.torque_norm.lo[i]), abs(self.torque_norm.hi[i])))
-                for i, name in enumerate(self.torque_norm.joints)
-            }
+        self.tau_max = {
+            name: float(max(abs(self.torque_norm.lo[i]), abs(self.torque_norm.hi[i])))
+            for i, name in enumerate(self.torque_norm.joints)
+        }
 
     def config_hash(self) -> str:
         doc = {
@@ -213,8 +212,8 @@ def apply_fatigue(motion: MotionSequence, config: PipelineConfig):
     # Batch entry 0 is the unmodulated round trip, entry 1 the fatigued motion.
     fd_in = np.stack([tau_norm, config.torque_norm.apply(tau_mod)], axis=1)
     angles_norm = predict_models([config.fd_models[n] for n in order], fd_in)[:, :, :, 0]
-    baseline = MotionSequence(motion.joints, motion.dt, config.angle_norm.invert(angles_norm[:, :, 0].T))
-    fatigued = MotionSequence(motion.joints, motion.dt, config.angle_norm.invert(angles_norm[:, :, 1].T))
+    baseline = motion.with_frames(config.angle_norm.invert(angles_norm[:, :, 0].T))
+    fatigued = motion.with_frames(config.angle_norm.invert(angles_norm[:, :, 1].T))
 
     dev_nrmse = {}
     dev_r2 = {}
@@ -276,24 +275,16 @@ def export_curves(baseline: MotionSequence, runs, outdir) -> list[str]:
             fat = fatigued.frames[:, i]
             lo, hi = _unit_scale(base, fat)
             fname = f"{name}_{label}_angles.csv"
-            with open(outdir / fname, "w") as fh:
-                fh.write("t,baseline,fatigued\n")
-                for t, b, f in zip(times, (base - lo) / (hi - lo), (fat - lo) / (hi - lo)):
-                    fh.write(f"{float(t)!r},{float(b)!r},{float(f)!r}\n")
+            write_table(outdir / fname, "t,baseline,fatigued",
+                        (times, (base - lo) / (hi - lo), (fat - lo) / (hi - lo)))
             written.append(fname)
         for name, tr in traces.items():
             if tr.m_a is not None:
                 fname = f"{name}_{label}_compartments.csv"
-                with open(outdir / fname, "w") as fh:
-                    fh.write("t,M_A,M_F,M_R,RC,RC_hat\n")
-                    for k in range(times.size):
-                        cells = (times[k], tr.m_a[k], tr.m_f[k], tr.m_r[k], 100.0 - tr.m_f[k], tr.rc_hat[k])
-                        fh.write(",".join(repr(float(c)) for c in cells) + "\n")
+                write_table(outdir / fname, "t,M_A,M_F,M_R,RC,RC_hat",
+                            (times, tr.m_a, tr.m_f, tr.m_r, 100.0 - tr.m_f, tr.rc_hat))
             else:
                 fname = f"{name}_{label}_capacity.csv"
-                with open(outdir / fname, "w") as fh:
-                    fh.write("t,RC_hat\n")
-                    for k in range(times.size):
-                        fh.write(f"{float(times[k])!r},{float(tr.rc_hat[k])!r}\n")
+                write_table(outdir / fname, "t,RC_hat", (times, tr.rc_hat))
             written.append(fname)
     return written

@@ -1,4 +1,8 @@
-"""Joint-angle / joint-torque sequence data model, CSV I/O and normalization.
+"""Per-joint sequence data model, CSV I/O and normalization.
+
+Joint angles (rad), joint torques (N*m) and the dataset's rad/s and rad/s^2
+traces share one layout: a :class:`MotionSequence` of (T, joints) frames
+whose columns are named by ``joint_names``.
 
 File schema
 -----------
@@ -6,7 +10,9 @@ Line 1:  ``# dt=<seconds>``
 Line 2:  comma-separated joint names (column order is preserved exactly)
 Line 3+: one frame per row, decimal floats, one column per joint
 
-Normalization parameters are persisted as JSON::
+Every float CSV of the package (sequences, 3CC trajectories, exported
+curves) is written by :func:`write_table`. Normalization parameters are
+persisted as JSON::
 
     { "joints": [...], "min": [...], "max": [...] }
 
@@ -16,6 +22,7 @@ is pure, so sequences are safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,47 +35,34 @@ from .errors import (
     SplitError,
 )
 
-
-@dataclass(frozen=True)
-class JointId:
-    """A named joint and its column position in the sequence."""
-
-    name: str
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ParameterError(f"joint {self.name!r}: index must be >= 0")
+# Rows per formatting chunk of write_table.
+_CSV_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class MotionSequence:
-    """Time-indexed per-joint angle traces in rad (the dataset stores its
-    rad/s and rad/s^2 traces in the same layout)."""
+    """Time-indexed per-joint traces: column j of ``frames`` is joint ``joint_names[j]``."""
 
-    joints: tuple[JointId, ...]
+    joint_names: tuple[str, ...]
     dt: float
     frames: np.ndarray  # (T, N) float64
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=float)
+        names = tuple(self.joint_names)
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "joints", tuple(self.joints))
-        if self.dt <= 0:
-            raise ParameterError(f"dt must be > 0, got {self.dt}")
+        object.__setattr__(self, "joint_names", names)
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ParameterError(f"dt must be finite and > 0, got {self.dt}")
         if frames.ndim != 2:
             raise ShapeError(f"frames must be 2-D (T, N), got shape {frames.shape}")
         t, n = frames.shape
         if t < 2:
             raise ShapeError(f"need at least 2 frames, got {t}")
-        if n != len(self.joints):
-            raise ShapeError(f"{len(self.joints)} joints but {n} columns")
-        names = [j.name for j in self.joints]
+        if n != len(names):
+            raise ShapeError(f"{len(names)} joints but {n} columns")
         if len(set(names)) != len(names):
-            raise ParameterError(f"duplicate joint names: {names}")
-        for pos, j in enumerate(self.joints):
-            if j.index != pos:
-                raise ParameterError(f"joint {j.name!r} has index {j.index}, expected {pos}")
+            raise ParameterError(f"duplicate joint names: {list(names)}")
         if not np.isfinite(frames).all():
             raise DataFormatError("frames contain non-finite values")
         frames.setflags(write=False)
@@ -78,35 +72,16 @@ class MotionSequence:
         return self.frames.shape[0]
 
     @property
-    def n_joints(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def joint_names(self) -> tuple[str, ...]:
-        return tuple(j.name for j in self.joints)
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_frames) * self.dt
 
-    def with_frames(self, frames: np.ndarray):
+    def with_frames(self, frames: np.ndarray) -> "MotionSequence":
         """Same joints/dt with replaced frame data."""
-        return type(self)(self.joints, self.dt, frames)
+        return MotionSequence(self.joint_names, self.dt, frames)
 
 
-@dataclass(frozen=True)
-class TorqueSequence(MotionSequence):
-    """Same layout as MotionSequence; values are joint torques in N*m."""
-
-
-def joints_from_names(names) -> tuple[JointId, ...]:
-    return tuple(JointId(name, i) for i, name in enumerate(names))
-
-
-def load_sequence(path, kind: str = "angle") -> MotionSequence:
-    """Parse a motion/torque CSV. ``kind`` selects the returned type."""
-    if kind not in ("angle", "torque"):
-        raise ParameterError(f"kind must be 'angle' or 'torque', got {kind!r}")
+def load_sequence(path) -> MotionSequence:
+    """Parse a sequence CSV; a malformed file raises DataFormatError naming it."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if len(lines) < 2 or not lines[0].startswith("# dt="):
@@ -115,8 +90,8 @@ def load_sequence(path, kind: str = "angle") -> MotionSequence:
         dt = float(lines[0][len("# dt="):])
     except ValueError:
         raise DataFormatError(f"{path}: line 1: cannot parse dt value") from None
-    if dt <= 0:
-        raise DataFormatError(f"{path}: line 1: dt must be > 0, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DataFormatError(f"{path}: line 1: dt must be finite and > 0, got {dt}")
     names = [s.strip() for s in lines[1].split(",")]
     if any(not s for s in names) or len(set(names)) != len(names):
         raise DataFormatError(f"{path}: line 2: joint names must be non-empty and unique")
@@ -139,17 +114,27 @@ def load_sequence(path, kind: str = "angle") -> MotionSequence:
         rows.append(row)
     if len(rows) < 2:
         raise DataFormatError(f"{path}: need at least 2 frame rows, got {len(rows)}")
-    cls = MotionSequence if kind == "angle" else TorqueSequence
-    return cls(joints_from_names(names), dt, np.array(rows))
+    return MotionSequence(names, dt, np.array(rows))
+
+
+def write_table(path, header: str, columns) -> None:
+    """Write ``header`` and then one CSV row per frame of ``columns``.
+
+    ``columns`` are equal-length float arrays, 1-D or (T, k) blocks; each
+    value is written by repr, which round-trips. Rows are formatted from
+    float lists a chunk of _CSV_CHUNK rows at a time, so no full-length list
+    of rows is held.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            rows = np.column_stack([col[start : start + _CSV_CHUNK] for col in columns]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def save_sequence(seq: MotionSequence, path) -> None:
-    """Write a sequence in the CSV schema (floats via repr, which round-trips)."""
-    with open(path, "w") as fh:
-        fh.write(f"# dt={float(seq.dt)!r}\n")
-        fh.write(",".join(seq.joint_names) + "\n")
-        for row in seq.frames:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    """Write a sequence in the CSV schema."""
+    write_table(path, f"# dt={float(seq.dt)!r}\n" + ",".join(seq.joint_names), (seq.frames,))
 
 
 @dataclass(frozen=True)

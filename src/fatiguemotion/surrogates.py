@@ -62,14 +62,13 @@ DESK_WINDOW_STRIDE = 2
 BANK_CHUNK = 128
 
 
-def desk_train_config(seed: int = 0, epochs: int = 30) -> TrainConfig:
+def desk_train_config(epochs: int = 30) -> TrainConfig:
     return TrainConfig(
         batch_size=32,
         lr=2e-3,
         epochs=epochs,
         patience=8,
         min_delta=1e-7,
-        seed=seed,
         lr_decay=0.6,
         decay_patience=3,
     )
@@ -131,9 +130,6 @@ class BiLstmModel:
             out.extend(layer.params())
         out.extend(self.head.params())
         return out
-
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params())
 
     def forward(self, x: np.ndarray):
         """x: (T, B, n_in) -> (T, B, n_out) with cache for backprop."""
@@ -423,8 +419,8 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
 def save_model(path, model: BiLstmModel, joint: str | None = None,
                input_norm: NormalizationParams | None = None,
                target_norm: NormalizationParams | None = None,
-               tau_max: float | None = None, extra_meta: dict | None = None) -> None:
-    meta = dict(extra_meta or {})
+               tau_max: float | None = None) -> None:
+    meta = {}
     if joint is not None:
         meta["joint"] = joint
     if input_norm is not None:
@@ -454,5 +450,5 @@ def load_model(path) -> tuple[BiLstmModel, dict]:
         path, arch, ("n_in", "n_out", "n_layers", "hidden"))
     model = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, hidden),
                         kind=arch.get("kind"), seed=arch.get("seed", 0))
-    nncore.assign_params(model.params(), doc["params"], path)
+    nncore.copy_params(model.params(), doc["params"], path)
     return model, doc["meta"]

@@ -22,8 +22,8 @@ def trained(tmp_path_factory):
     return d
 
 
-def _apply(d, models, out, *extra, profiles=None):
-    return run(["apply-fatigue", "--motion", str(d / "data" / "trial000_angles.csv"),
+def _apply(d, models, out, *extra, profiles=None, motion=None):
+    return run(["apply-fatigue", "--motion", str(motion or d / "data" / "trial000_angles.csv"),
                 "--profiles", str(profiles or d / "profiles.json"), "--models", str(models),
                 "--out", str(out), *extra])
 
@@ -145,6 +145,24 @@ class TestUserErrors:
                     "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_sim_3cc_non_finite_dt(self, tmp_path, dt):
+        (tmp_path / "tl.csv").write_text("tl\n10\n20\n")
+        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "1", "--dt", dt,
+                    "--tl", f"csv:{tmp_path / 'tl.csv'}", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["dynamic", "fixed:70"])
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_apply_fatigue_non_finite_dt(self, trained, tmp_path, capsys, dt, mode):
+        rows = (trained / "data" / "trial000_angles.csv").read_text().split("\n", 1)[1]
+        motion = tmp_path / "motion.csv"
+        motion.write_text(f"# dt={dt}\n{rows}")
+        assert _apply(trained, trained / "models", tmp_path / "out", "--mode", mode, motion=motion) == 2
+        assert "motion.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sim_3cc_nan_rate(self, tmp_path):
         code = run(["sim-3cc", "--F", "nan", "--R", "0.001", "--t", "1", "--out", str(tmp_path / "out")])
         assert code == 2
@@ -193,6 +211,17 @@ class TestMalformedArtefacts:
                     "--run", f"tired={tmp_path / 'apply'}", "--out", str(tmp_path / "curves")])
         assert code == 2
         assert "report.json" in capsys.readouterr().err
+
+    def test_checkpoint_without_tau_max(self, trained, tmp_path):
+        # tau_max is derived from the torque normalization, which every
+        # checkpoint carries; the value train-dyn writes is not read.
+        models = tmp_path / "models"
+        shutil.copytree(trained / "models", models)
+        self._edit_json(models / "id_elbow.json", lambda doc: doc["meta"].pop("tau_max"))
+        assert _apply(trained, trained / "models", tmp_path / "intact") == 0
+        assert _apply(trained, models, tmp_path / "edited") == 0
+        for name in ("fatigued.csv", "baseline.csv", "report.json"):
+            assert (tmp_path / "edited" / name).read_bytes() == (tmp_path / "intact" / name).read_bytes()
 
     def test_report_trace_shorter_than_motion(self, trained, tmp_path, capsys):
         assert _apply(trained, trained / "models", tmp_path / "apply") == 0

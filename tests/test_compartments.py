@@ -194,6 +194,11 @@ class TestSimulate:
         with pytest.raises(ParameterError):
             LoadProfile(np.array([]), 0.05)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.05, float("nan"), float("inf")])
+    def test_profile_dt_domain(self, dt):
+        with pytest.raises(ParameterError, match="finite"):
+            LoadProfile(np.array([50.0, 50.0]), dt)
+
     def test_load_outside_domain_rejected(self):
         for tl in (120.0, -5.0):
             with pytest.raises(ParameterError):

@@ -58,8 +58,8 @@ class TestArchitecture:
 class TestTimeDerivatives:
     def test_zero_weights_zero_derivative(self):
         model = zero_model()
-        d_f, d_r = model.time_derivatives(5.0, 30.0)
-        assert d_f == 0.0 and d_r == 0.0
+        _, mdot, _ = model._forward_time_tangent(5.0, 30.0)
+        assert mdot.shape == (1, 2) and (mdot == 0.0).all()
 
     def test_linear_in_time_constant_derivative(self):
         model = zero_model(PinnSpec(4, "linear"))
@@ -70,10 +70,10 @@ class TestTimeDerivatives:
         model.mlp.layers[3].W[0, 0] = 1.0
         model.mlp.layers[4].W[:, 0] = 1.0
         t = np.array([3.0, 10.0, 77.0])
-        d_f, d_r = model.time_derivatives(t, np.full(3, 20.0))
+        _, mdot, _ = model._forward_time_tangent(t, np.full(3, 20.0))
         # output = out_scale * (t / t_scale): slope 100/100 = 1
-        np.testing.assert_allclose(d_f, 1.0, rtol=1e-12)
-        np.testing.assert_allclose(d_r, 1.0, rtol=1e-12)
+        assert mdot.shape == (3, 2)
+        np.testing.assert_allclose(mdot, 1.0, rtol=1e-12)
 
     def test_matches_finite_difference(self):
         model = Pinn3ccModel(ELBOW, t_scale=100.0, spec=PinnSpec(16, "tanh"), seed=7)
@@ -82,7 +82,8 @@ class TestTimeDerivatives:
         for _ in range(50):
             t = rng.uniform(1, 99)
             m_a = rng.uniform(0, 100)
-            d_f, d_r = model.time_derivatives(t, m_a)
+            _, mdot, _ = model._forward_time_tangent(t, m_a)
+            d_f, d_r = mdot[0]
             fd_f = (model.predict(t + h, m_a)[0] - model.predict(t - h, m_a)[0]) / (2 * h)
             fd_r = (model.predict(t + h, m_a)[1] - model.predict(t - h, m_a)[1]) / (2 * h)
             assert abs(d_f - fd_f) / max(abs(fd_f), 1e-6) < 1e-3
@@ -92,8 +93,9 @@ class TestTimeDerivatives:
 class TestPhysicsResiduals:
     def test_zero_net_zero_load(self):
         model = zero_model()
-        rho_f, rho_r = model.physics_residuals(0.0, 0.0, 0.0)
-        assert rho_f == 0.0 and rho_r == 0.0
+        m, mdot, _ = model._forward_time_tangent(0.0, 0.0)
+        rho_f, rho_r, _ = ode_residuals(ELBOW, 0.0, 0.0, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1])
+        assert (rho_f == 0.0).all() and (rho_r == 0.0).all()
 
     def test_oracle_substitution_vanishes(self):
         # central differences of a finely simulated trajectory satisfy the
@@ -116,7 +118,8 @@ class TestPhysicsResiduals:
             m_f=np.zeros(20), m_r=np.full(20, 50.0),
         )
         breakdown, _ = supervised_loss(model, data)
-        rho_f, rho_r = model.physics_residuals(data.t, data.m_a, data.tl)
+        m, mdot, _ = model._forward_time_tangent(data.t, data.m_a)
+        rho_f, rho_r, _ = ode_residuals(ELBOW, data.m_a, data.tl, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1])
         expected = float(np.mean(rho_f**2) + np.mean(rho_r**2))
         assert breakdown.physics == pytest.approx(expected, rel=1e-12)
         assert breakdown.physics >= 0

@@ -1,14 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from fatiguemotion import compartments as cc
 from fatiguemotion.arm import ArmParams, generate_dataset
 from fatiguemotion.errors import ShapeError
-from fatiguemotion.pipeline import PipelineConfig, apply_fatigue
+from fatiguemotion.pipeline import JointFatigueTrace, PipelineConfig, apply_fatigue, export_curves
 from fatiguemotion.sequences import (
     MotionSequence,
     fit_normalizer,
-    joints_from_names,
+    load_sequence,
     save_sequence,
     torque_to_activation,
 )
@@ -142,6 +144,36 @@ class TestApplyFatigue:
 
     def test_motion_joints_checked(self, chain):
         motion, config = chain
-        renamed = MotionSequence(joints_from_names(["hip", "knee"]), motion.dt, motion.frames)
+        renamed = MotionSequence(("hip", "knee"), motion.dt, motion.frames)
         with pytest.raises(ShapeError):
             apply_fatigue(renamed, config)
+
+
+class TestExportCurves:
+    def test_golden_bytes(self, tmp_path):
+        # Digest recorded before export_curves moved onto write_table: 1500
+        # rows span two formatting chunks, one run has the pools and one only
+        # the capacity, and -0.0, 0.1 and 1e-300 keep their repr. The
+        # sequences come from load_sequence and with_frames, whose signatures
+        # the move left as they were.
+        n = 1500
+        frames = np.arange(2 * n, dtype=float).reshape(n, 2) / 7.0 - 50.0
+        frames[0] = (-0.0, 0.1)
+        frames[1] = (1e-300, -1e-300)
+        (tmp_path / "t.csv").write_text("# dt=0.1\nshoulder,elbow\n0,0\n0,0\n")
+        baseline = load_sequence(tmp_path / "t.csv").with_frames(frames)
+        fatigued = baseline.with_frames(frames * 0.75 + 1.0 / 3.0)
+        m_a = np.arange(n) / 30.0
+        m_a[:3] = (-0.0, 0.1, 1e-300)
+        m_f = np.arange(n) / 60.0
+        dynamic = {"elbow": JointFatigueTrace(100.0 - 0.8 * m_f, m_a, m_f, 100.0 - m_a - m_f)}
+        fixed = {"elbow": JointFatigueTrace(np.full(n, 70.0)), "shoulder": JointFatigueTrace(100.0 - m_a)}
+        out = tmp_path / "curves"
+        written = export_curves(baseline, [("dyn", fatigued, dynamic), ("fix", fatigued, fixed)], out)
+        assert written == ["shoulder_dyn_angles.csv", "elbow_dyn_angles.csv", "elbow_dyn_compartments.csv",
+                           "shoulder_fix_angles.csv", "elbow_fix_angles.csv", "elbow_fix_capacity.csv",
+                           "shoulder_fix_capacity.csv"]
+        digest = hashlib.sha256()
+        for name in written:
+            digest.update(name.encode() + b"\0" + (out / name).read_bytes())
+        assert digest.hexdigest() == "8835e5d0cb6177370394ca6b300d0a1dd2125419070ace3b2f1cc23a380f6e6d"

@@ -13,7 +13,6 @@ from fatiguemotion.compartments import Cc3Params, LoadProfile, simulate  # noqa:
 from fatiguemotion.errors import ParameterError  # noqa: E402
 from fatiguemotion.sequences import (  # noqa: E402
     MotionSequence,
-    joints_from_names,
     load_sequence,
     save_sequence,
     torque_to_activation,
@@ -49,7 +48,7 @@ def sequences(draw):
     n_frames = draw(st.integers(2, 12))
     frames = draw(arrays(np.float64, (n_frames, len(joints)), elements=finite))
     dt = draw(st.floats(0.0, 1e3, exclude_min=True))
-    return MotionSequence(joints_from_names(joints), dt, frames)
+    return MotionSequence(joints, dt, frames)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

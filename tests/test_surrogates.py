@@ -112,7 +112,7 @@ class TestBuilders:
                 for h in (1, 4, 7):
                     model = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, h))
                     lstm = 8 * h * (n_in + h + 1) + (n_layers - 1) * 8 * h * (3 * h + 1)
-                    assert model.n_params() == lstm + 2 * h * n_out + n_out
+                    assert sum(p.size for p in model.params()) == lstm + 2 * h * n_out + n_out
 
 
 class TestModelForward:
