@@ -16,5 +16,4 @@ from .errors import (  # noqa: F401
     ParameterError,
     ShapeError,
     SplitError,
-    UnsupportedModeError,
 )

@@ -2,8 +2,8 @@
 
 Exact inverse/forward dynamics of the standard two-link arm in a vertical
 plane (angles measured from the horizontal x-axis, gravity along -y). These
-closed forms supply ground truth for the sequence surrogates and the exact
-mass / Coriolis / gravity terms for the equation-of-motion training loss.
+closed forms supply the torque ground truth of the surrogates' training
+data.
 
 All functions broadcast over leading axes: q, qd, qdd, tau may be (2,) or
 (..., 2).
@@ -144,12 +144,10 @@ def _quintic_rest_to_rest(q0, q1, duration, t):
 
 @dataclass
 class ArmTrial:
-    """One generated trial: paired angle/torque sequences plus exact derivatives."""
+    """One generated trial: paired angle and torque sequences."""
 
     motion: MotionSequence  # angles, rad
     torque: MotionSequence  # torques, N*m
-    qdot: np.ndarray
-    qddot: np.ndarray
 
 
 def generate_trajectory(params: ArmParams, n_frames: int, dt: float, rng, n_segments: int = 2):
@@ -179,7 +177,8 @@ def generate_trajectory(params: ArmParams, n_frames: int, dt: float, rng, n_segm
 def generate_dataset(
     params: ArmParams, n_trials: int, n_frames: int, dt: float, seed: int, n_segments: int = 2
 ) -> list[ArmTrial]:
-    """Paired (motion, torque) trials with analytic derivatives, deterministic per seed."""
+    """Paired (motion, torque) trials, deterministic per seed; the torques are
+    the exact inverse dynamics of each trajectory's analytic derivatives."""
     if n_frames < 16:
         raise ParameterError(f"n_frames must be >= 16, got {n_frames}")
     if not 0 < dt <= 0.1:
@@ -191,19 +190,13 @@ def generate_dataset(
     for _ in range(n_trials):
         q, qd, qdd = generate_trajectory(params, n_frames, dt, rng, n_segments)
         tau = inverse_dynamics(q, qd, qdd, params)
-        trials.append(
-            ArmTrial(
-                motion=MotionSequence(JOINT_NAMES, dt, q),
-                torque=MotionSequence(JOINT_NAMES, dt, tau),
-                qdot=qd,
-                qddot=qdd,
-            )
-        )
+        trials.append(ArmTrial(MotionSequence(JOINT_NAMES, dt, q), MotionSequence(JOINT_NAMES, dt, tau)))
     return trials
 
 
 def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict | None = None):
-    """Paired motion/torque CSVs (+ derivative CSVs) and a JSON manifest.
+    """One ``<stem>_angles.csv`` and one ``<stem>_torques.csv`` per trial,
+    and a JSON manifest listing the stems.
 
     Returns the manifest as written.
     """
@@ -214,8 +207,6 @@ def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict |
         stem = f"trial{i:03d}"
         save_sequence(trial.motion, outdir / f"{stem}_angles.csv")
         save_sequence(trial.torque, outdir / f"{stem}_torques.csv")
-        save_sequence(trial.motion.with_frames(trial.qdot), outdir / f"{stem}_qdot.csv")
-        save_sequence(trial.motion.with_frames(trial.qddot), outdir / f"{stem}_qddot.csv")
         entries.append(stem)
     manifest = {
         "arm_params": params.to_dict(),
@@ -232,6 +223,8 @@ def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict |
 
 
 def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
+    """(trials, arm parameters, manifest) of a :func:`save_dataset` directory;
+    only each trial's angle and torque CSVs are read."""
     datadir = Path(datadir)
     path = datadir / "manifest.json"
     with open(path) as fh:
@@ -245,9 +238,6 @@ def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
         raise DataFormatError(f"{path}: malformed dataset manifest: {exc}") from None
     trials = []
     for stem in stems:
-        motion = load_sequence(datadir / f"{stem}_angles.csv")
-        torque = load_sequence(datadir / f"{stem}_torques.csv")
-        qdot = load_sequence(datadir / f"{stem}_qdot.csv").frames
-        qddot = load_sequence(datadir / f"{stem}_qddot.csv").frames
-        trials.append(ArmTrial(motion, torque, qdot, qddot))
+        trials.append(ArmTrial(load_sequence(datadir / f"{stem}_angles.csv"),
+                               load_sequence(datadir / f"{stem}_torques.csv")))
     return trials, params, manifest

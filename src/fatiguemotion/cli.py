@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,6 +55,8 @@ def _write_manifest(outdir: Path, command: str, argv, seed: int, config: dict,
 
 
 def _parse_load(spec: str, duration: float, dt: float) -> cc.LoadProfile:
+    """A const:<value> load of ``duration`` seconds, or a csv:<path> load whose
+    samples at ``dt`` must span exactly ``duration`` seconds."""
     if spec.startswith("const:"):
         try:
             level = float(spec[len("const:"):])
@@ -72,7 +75,12 @@ def _parse_load(spec: str, duration: float, dt: float) -> cc.LoadProfile:
                     values.append(float(line))
                 except ValueError:
                     raise DataFormatError(f"{path}:{lineno}: target load {line!r} is not a number") from None
-        return cc.LoadProfile(np.array(values), dt)
+        load = cc.LoadProfile(np.array(values), dt)
+        steps = duration / dt
+        if not (math.isfinite(steps) and int(round(steps)) + 1 == load.values.size):
+            raise ParameterError(f"{path}: {load.values.size} target-load samples at dt={dt} "
+                                 f"span {(load.values.size - 1) * dt} s, not --t {duration} s")
+        return load
     raise ParameterError(f"cannot parse load spec {spec!r} (use const:<value> or csv:<path>)")
 
 
@@ -119,10 +127,12 @@ def _cmd_train_pinn(args, argv) -> int:
         params = cc.Cc3Params(args.F, args.R, args.LD, args.LR)
     if args.frames < 2:
         raise ParameterError(f"--frames must be >= 2, got {args.frames}")
-    fine_dt = min(0.05, args.t / max(args.frames - 1, 1))
-    load_fine = _parse_load(args.tl, args.t, fine_dt)
-    colloc_dt = args.t / (args.frames - 1)
-    load = _parse_load(args.tl, args.t, colloc_dt)
+    # Supervised data come from a simulation at the fine step; unsupervised
+    # collocation points are the frames themselves.
+    if args.unsupervised:
+        load = _parse_load(args.tl, args.t, args.t / (args.frames - 1))
+    else:
+        load = _parse_load(args.tl, args.t, min(0.05, args.t / (args.frames - 1)))
     model = fp.Pinn3ccModel(
         params, t_scale=args.t, spec=fp.PinnSpec(args.hidden, args.activation), seed=args.seed
     )
@@ -134,9 +144,9 @@ def _cmd_train_pinn(args, argv) -> int:
         model, history = fp.train_unsupervised(model, load, cfg)
         data_key = "L_BC"
     else:
-        traj = cc.simulate(None, load_fine, params)
-        idx = fp.training_indices(load_fine, args.frames)
-        data = fp.data_from_trajectory(traj, load_fine, idx)
+        traj = cc.simulate(None, load, params)
+        idx = fp.training_indices(load, args.frames)
+        data = fp.data_from_trajectory(traj, load, idx)
         model, history = fp.train_supervised(model, data, cfg)
         data_key = "L_NN"
     outdir = Path(args.out)
@@ -161,7 +171,7 @@ _SEED_OFFSET = {"id": 10, "fd": 20}
 
 
 def _cmd_train_dyn(args, argv) -> int:
-    trials, arm_params, manifest = armdyn.load_dataset(args.data)
+    trials, _, _ = armdyn.load_dataset(args.data)
     train_trials, _ = sq.split_train_test(trials, args.train_fraction, args.seed)
     angle_norm = sq.fit_normalizer([t.motion for t in train_trials])
     torque_norm = sq.fit_normalizer([t.torque for t in train_trials])
@@ -178,18 +188,13 @@ def _cmd_train_dyn(args, argv) -> int:
     base_cfg = dataclasses.replace(sg.desk_train_config(epochs=args.epochs), lr=args.lr)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    angle_norm.save(outdir / "angle_norm.json")
-    torque_norm.save(outdir / "torque_norm.json")
     n = len(joint_names)
     for joint, j, kind in jobs:
         samples = sg.make_samples(train_trials, kind, j, angle_norm, torque_norm)
         model = sg.BiLstmModel(n, 1, spec, kind=kind, seed=args.seed * 100 + _SEED_OFFSET[kind] + j)
         cfg = dataclasses.replace(base_cfg, seed=args.seed * 10 + j)
-        physics = arm_params if (args.physics and kind == "id") else None
-        model, history = sg.train_dyn(
-            model, samples, cfg, physics=physics,
-            window=args.window, window_stride=args.window_stride,
-        )
+        model, history = sg.train_dyn(model, samples, cfg, window=args.window,
+                                      window_stride=args.window_stride)
         stem = f"{kind}_{joint}"
         input_norm, target_norm = sg.model_io(kind, angle_norm, torque_norm)
         tau_max = float(max(abs(torque_norm.lo[j]), abs(torque_norm.hi[j])))
@@ -198,18 +203,15 @@ def _cmd_train_dyn(args, argv) -> int:
             input_norm=input_norm, target_norm=target_norm, tau_max=tau_max,
         )
         with open(outdir / f"{stem}_log.csv", "w") as fh:
-            fh.write("epoch,train_mse" + (",physics_residual" if physics else "") + "\n")
+            fh.write("epoch,train_mse\n")
             for e in history:
-                cells = [str(e["epoch"]), repr(e["train_mse"])]
-                if physics:
-                    cells.append(repr(e["physics_residual"]))
-                fh.write(",".join(cells) + "\n")
+                fh.write(f"{e['epoch']},{e['train_loss']!r}\n")
         print(f"trained {stem}: {len(history) - 1} epochs")
     config = {
         "data": str(args.data), "kind": args.kind, "joints": joints,
         "layers": args.layers, "hidden": args.hidden, "epochs": args.epochs, "lr": args.lr,
         "window": args.window, "window_stride": args.window_stride,
-        "physics": args.physics, "train_fraction": args.train_fraction,
+        "train_fraction": args.train_fraction,
     }
     _write_manifest(outdir, "train-dyn", argv, args.seed, config)
     return 0
@@ -381,7 +383,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--window", type=int, default=sg.DESK_WINDOW)
     p.add_argument("--window-stride", type=int, default=sg.DESK_WINDOW_STRIDE)
-    p.add_argument("--physics", action="store_true")
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -25,9 +25,5 @@ class ShapeError(FatigueMotionError, ValueError):
     """Array/sequence shape does not match the model or joint set."""
 
 
-class UnsupportedModeError(FatigueMotionError, ValueError):
-    """Requested mode is not available for this model kind."""
-
-
 class NumericError(FatigueMotionError, RuntimeError):
     """A computation produced NaN/Inf or training diverged."""

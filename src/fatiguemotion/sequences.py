@@ -1,8 +1,8 @@
 """Per-joint sequence data model, CSV I/O and normalization.
 
-Joint angles (rad), joint torques (N*m) and the dataset's rad/s and rad/s^2
-traces share one layout: a :class:`MotionSequence` of (T, joints) frames
-whose columns are named by ``joint_names``.
+Joint angles (rad) and joint torques (N*m) share one layout: a
+:class:`MotionSequence` of (T, joints) frames whose columns are named by
+``joint_names``.
 
 File schema
 -----------
@@ -11,8 +11,8 @@ Line 2:  comma-separated joint names (column order is preserved exactly)
 Line 3+: one frame per row, decimal floats, one column per joint
 
 Every float CSV of the package (sequences, 3CC trajectories, exported
-curves) is written by :func:`write_table`. Normalization parameters are
-persisted as JSON::
+curves) is written by :func:`write_table`. Normalization parameters travel
+in each surrogate checkpoint's meta as::
 
     { "joints": [...], "min": [...], "max": [...] }
 
@@ -21,7 +21,6 @@ is pure, so sequences are safe to share across threads.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -176,16 +175,6 @@ class NormalizationParams:
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationParams":
         return cls(tuple(d["joints"]), np.array(d["min"], dtype=float), np.array(d["max"], dtype=float))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "NormalizationParams":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def fit_normalizer(seqs) -> NormalizationParams:

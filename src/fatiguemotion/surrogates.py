@@ -19,10 +19,8 @@ chunks of :data:`BANK_CHUNK` steps and writes each layer into one
 preallocated (N, T, B, 2H) output. :meth:`BiLstmModel.predict_sequence` is
 the N = 1 case.
 
-Inputs and targets are min-max normalized to [0,1]. The optional physics
-term for ID training penalizes the squared equation-of-motion residual of
-the prediction mapped back to N*m, using exact analytic
-velocities/accelerations from the trajectory generator.
+Inputs and targets are min-max normalized to [0,1], and training minimizes
+the per-frame MSE of the normalized target.
 """
 from __future__ import annotations
 
@@ -30,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arm as armdyn
 from . import nncore
-from .errors import ParameterError, ShapeError, UnsupportedModeError
+from .errors import ParameterError, ShapeError
 from .nncore import DenseLayer, LstmCell, TrainConfig, _act, _act_d, lstm_gates
 from .sequences import NormalizationParams
 
@@ -282,17 +279,10 @@ def predict_models(models, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SurrogateSample:
-    """One trial for one joint-specific model: normalized input and target,
-    raw kinematics and the target's denormalization for the physics term."""
+    """One trial for one joint-specific model: normalized input and target."""
 
-    x: np.ndarray      # (T, n_joints) normalized input
-    y: np.ndarray      # (T, 1) normalized target channel
-    q: np.ndarray      # (T, 2) rad
-    qdot: np.ndarray   # (T, 2) rad/s
-    qddot: np.ndarray  # (T, 2) rad/s^2
-    joint: int         # index of the target joint
-    target_span: float
-    target_lo: float
+    x: np.ndarray  # (T, n_joints) normalized input
+    y: np.ndarray  # (T, 1) normalized target channel
 
 
 def model_io(kind: str, angles, torques):
@@ -309,22 +299,11 @@ def make_samples(trials, kind: str, joint_index: int, angle_norm: NormalizationP
     """Training samples of the ``kind`` model for one joint: every channel in,
     the joint's channel out, both normalized."""
     input_norm, target_norm = model_io(kind, angle_norm, torque_norm)
-    j = joint_index
     samples = []
     for tr in trials:
         x, y = model_io(kind, tr.motion, tr.torque)
-        samples.append(
-            SurrogateSample(
-                x=input_norm.apply(x.frames),
-                y=target_norm.apply(y.frames)[:, [j]],
-                q=tr.motion.frames,
-                qdot=tr.qdot,
-                qddot=tr.qddot,
-                joint=j,
-                target_span=target_norm.span[j],
-                target_lo=target_norm.lo[j],
-            )
-        )
+        samples.append(SurrogateSample(x=input_norm.apply(x.frames),
+                                       y=target_norm.apply(y.frames)[:, [joint_index]]))
     return samples
 
 
@@ -339,79 +318,46 @@ def window_offsets(t_len: int, window: int | None, window_stride: int) -> tuple[
 
 
 def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
-              physics: armdyn.ArmParams | None = None,
               window: int | None = None, window_stride: int = 1):
-    """Minimize per-frame MSE (plus the optional equation-of-motion term for ID).
+    """Minimize the per-frame MSE of the normalized target.
 
     With ``window`` set, training samples are fixed-length slices taken every
     ``window_stride`` frames of every trial (inference still runs whole
     sequences); this is the small-data regime's guard against whole-trial
     memorization. Early stopping and best-weight restore follow the training
-    loss. Returns (model, history); history entries carry train_loss,
-    train_mse and, with physics on, the mean squared residual in (N*m)^2.
-    Entry 0 holds them for the untrained model over every window: a
-    forward-only pass, run through :meth:`BiLstmModel.forward` in chunks of
-    ``config.batch_size`` windows and reduced once, with no BPTT.
+    loss. Returns (model, history); history entries carry epoch and
+    train_loss, the MSE. Entry 0 holds it for the untrained model over every
+    window: a forward-only pass, run through :meth:`BiLstmModel.forward` in
+    chunks of ``config.batch_size`` windows and reduced once, with no BPTT.
     """
-    if physics is not None and model.kind != "id":
-        raise UnsupportedModeError("physics loss applies to inverse-dynamics models only")
     if not train_samples:
         raise ParameterError("empty dataset")
     train_samples = list(train_samples)
     if any(s.x.shape[0] != train_samples[0].x.shape[0] for s in train_samples):
         raise ShapeError("all training trials must share the same length")
-    if physics is not None:
-        eom = [armdyn.inverse_dynamics(s.q, s.qdot, s.qddot, physics) for s in train_samples]
 
     window, offsets = window_offsets(train_samples[0].x.shape[0], window, window_stride)
     table = [(i, off) for i in range(len(train_samples)) for off in offsets]
     xs = np.stack([s.x for s in train_samples], axis=0)
     ys = np.stack([s.y for s in train_samples], axis=0)
 
-    split = {"mse": [], "physics": []}  # per-batch components for the history log
-
     def loss_fn(m, idx, grad=True):
         rows = [table[k] for k in idx]
         x = np.stack([xs[i, off : off + window] for i, off in rows], axis=1)
         y = np.stack([ys[i, off : off + window] for i, off in rows], axis=1)
-        if grad:
-            pred, cache = m.forward(x)
-        else:
+        if not grad:
             # Batch-sized chunks bound the forward caches; the loss below is
             # still reduced once over every window.
             step = config.batch_size
             pred = np.concatenate(
                 [m.forward(x[:, s : s + step])[0] for s in range(0, len(rows), step)], axis=1)
+            return nncore.mse(pred, y)[0], None
+        pred, cache = m.forward(x)
         loss, dy = nncore.mse(pred, y)
-        split["mse"].append(loss)
-        if physics is not None:
-            span = train_samples[0].target_span
-            lo = train_samples[0].target_lo
-            j = train_samples[0].joint
-            tau_pred = pred * span + lo
-            tau_eom = np.stack([eom[i][off : off + window, [j]] for i, off in rows], axis=1)
-            resid = tau_eom - tau_pred
-            split["physics"].append(float(np.mean(resid**2)))
-            # Equal-weighted mean of the data term and the residual rescaled
-            # by the torque span: keeps the composite on the data-loss scale
-            # so the plateau schedule behaves identically with physics on or
-            # off. The logged residual stays in (N*m)^2.
-            loss = 0.5 * (loss + float(np.mean((resid / span) ** 2)))
-            dy = 0.5 * (dy + (2.0 / resid.size) * (-resid / span))
-        if not grad:
-            return loss, None
         grads, _ = m.backward(cache, dy)
         return loss, grads
 
-    def epoch_log(_m):
-        entry = {"train_mse": float(np.mean(split["mse"]))}
-        if physics is not None:
-            entry["physics_residual"] = float(np.mean(split["physics"]))
-        split["mse"].clear()
-        split["physics"].clear()
-        return entry
-
-    return nncore.train_loop(model, len(table), loss_fn, config, epoch_log_fn=epoch_log)
+    return nncore.train_loop(model, len(table), loss_fn, config)
 
 
 # --- checkpoints --------------------------------------------------------------

@@ -7,6 +7,7 @@ from fatiguemotion.arm import (
     coriolis_vector,
     forward_dynamics,
     generate_dataset,
+    generate_trajectory,
     gravity_vector,
     inverse_dynamics,
     kinetic_energy,
@@ -152,12 +153,15 @@ class TestDatasetGenerator:
         b = generate_dataset(P, 3, 32, 0.05, seed=1)
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.motion.frames, tb.motion.frames)
-            np.testing.assert_array_equal(tb.torque.frames, tb.torque.frames)
+            np.testing.assert_array_equal(ta.torque.frames, tb.torque.frames)
 
     def test_equation_of_motion_residual(self):
+        # generate_dataset draws one trajectory per trial from a generator seeded once
+        rng = np.random.default_rng(2)
         for trial in generate_dataset(P, 5, 64, 0.05, seed=2):
-            tau = inverse_dynamics(trial.motion.frames, trial.qdot, trial.qddot, P)
-            assert np.abs(tau - trial.torque.frames).max() < 1e-9
+            q, qd, qdd = generate_trajectory(P, 64, 0.05, rng)
+            np.testing.assert_array_equal(q, trial.motion.frames)
+            assert np.abs(inverse_dynamics(q, qd, qdd, P) - trial.torque.frames).max() < 1e-9
 
     def test_shapes(self):
         trials = generate_dataset(P, 20, 200, 0.05, seed=3)
@@ -168,9 +172,9 @@ class TestDatasetGenerator:
             assert t.motion.joint_names == JOINT_NAMES
 
     def test_rest_to_rest(self):
-        trial = generate_dataset(P, 1, 32, 0.05, seed=4)[0]
-        np.testing.assert_allclose(trial.qdot[0], 0.0, atol=1e-12)
-        np.testing.assert_allclose(trial.qdot[-1], 0.0, atol=1e-9)
+        _, qd, _ = generate_trajectory(P, 32, 0.05, np.random.default_rng(4))
+        np.testing.assert_allclose(qd[0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(qd[-1], 0.0, atol=1e-9)
 
     def test_parameter_domain(self):
         with pytest.raises(ParameterError):
@@ -186,10 +190,12 @@ class TestDatasetGenerator:
         loaded, params, manifest = load_dataset(tmp_path)
         assert params == P
         assert manifest["trials"] == ["trial000", "trial001"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "trial000_angles.csv", "trial000_torques.csv",
+            "trial001_angles.csv", "trial001_torques.csv"]
         for ta, tb in zip(trials, loaded):
             np.testing.assert_array_equal(ta.motion.frames, tb.motion.frames)
             np.testing.assert_array_equal(ta.torque.frames, tb.torque.frames)
-            np.testing.assert_array_equal(ta.qdot, tb.qdot)
 
     def test_arm_params_validated(self):
         with pytest.raises(ParameterError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -171,6 +172,15 @@ class TestUserErrors:
         code = run(["train-pinn", "--t", "0", "--epochs", "1", "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_sim_3cc_load_csv_must_span_duration(self, tmp_path, capsys):
+        (tmp_path / "tl.csv").write_text("tl\n10\n20\n30\n")  # 0.4 s at dt 0.2
+        argv = ["sim-3cc", "--F", "0.01", "--R", "0.001", "--dt", "0.2", "--tl", f"csv:{tmp_path / 'tl.csv'}"]
+        assert run([*argv, "--t", "1", "--out", str(tmp_path / "out")]) == 2
+        assert "tl.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert run([*argv, "--t", "0.4", "--out", str(tmp_path / "ok")]) == 0
+        assert len((tmp_path / "ok" / "trajectory.csv").read_text().splitlines()) == 1 + 3
+
 
 class TestMalformedArtefacts:
     """A file of the wrong schema exits 2 with a message naming it."""
@@ -260,7 +270,49 @@ class TestTrainingSettings:
         assert not (tmp_path / "out").exists()
 
 
+# TINY_PINN's load at each mode's step: supervised 0.05 s (401 samples over
+# 20 s), unsupervised 20/11 s (12 samples, one per frame).
+PINN_LOAD_ROWS = {"supervised": 401, "unsupervised": 12}
+
+# sha256 of the checkpoints and logs of TestModelCommands.test_train_dyn_golden_bytes
+# (numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+TRAIN_DYN_DIGESTS = {
+    "id_shoulder.json": "162355b09d9eaf3299e2252d389590e736e89afee7355e9207a08bc4868ec3b2",
+    "id_shoulder_log.csv": "a35f1663411a7c354cbc1d5bc3826a2f29597df51f573e59fd7a869f17023a7c",
+    "id_elbow.json": "e6fad772df067e4ad319de239988cc06f7e0edee895b4c54b219dc3ddc62bc13",
+    "id_elbow_log.csv": "b6b211d45631d93c38690a88ead4710c40b7be27a18d4e400eb45712700057ad",
+    "fd_shoulder.json": "54d91f090da2ce0e285234773c4b7b2d158e2fac80adce3e1cbe2e7d6183c7ad",
+    "fd_shoulder_log.csv": "3b716d5cc9720b017875d4e194e4635115b90a49b0ee51a202b23167cbf68605",
+    "fd_elbow.json": "65791149fa000c10f71077b999475a2769395b3e7caff1b5fff96c0127528f92",
+    "fd_elbow_log.csv": "54f44194f22a1abe2774b52b4cc65c6e9debd797cc008518f49700121704ae62",
+}
+
+
 class TestModelCommands:
+    def test_train_dyn_golden_bytes(self, trained, tmp_path):
+        # both kinds, both joints, 18 windows of 20 frames, 3 epochs
+        assert run(["train-dyn", "--data", str(trained / "data"), "--out", str(tmp_path / "m"),
+                    *TINY_DYN, "--epochs", "3", "--window-stride", "4"]) == 0
+        assert (tmp_path / "m" / "id_elbow_log.csv").read_text().splitlines()[0] == "epoch,train_mse"
+        digests = {name: hashlib.sha256((tmp_path / "m" / name).read_bytes()).hexdigest()
+                   for name in TRAIN_DYN_DIGESTS}
+        assert digests == TRAIN_DYN_DIGESTS
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_train_pinn_load_csv_must_span_duration(self, tmp_path, mode):
+        extra = ["--unsupervised"] if mode == "unsupervised" else []
+        for rows in PINN_LOAD_ROWS.values():
+            path = tmp_path / f"tl{rows}.csv"
+            path.write_text("tl\n" + "40\n" * rows)
+            out = tmp_path / f"out{rows}"
+            code = run(["train-pinn", *TINY_PINN, "--epochs", "2", "--tl", f"csv:{path}",
+                        "--out", str(out), *extra])
+            if rows == PINN_LOAD_ROWS[mode]:
+                assert code == 0
+            else:
+                assert code == 2
+                assert not out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--unsupervised"]], ids=["supervised", "unsupervised"])
     def test_train_pinn(self, tmp_path, extra):
         for out in ("a", "b"):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fatiguemotion.arm import ArmParams, generate_dataset, inverse_dynamics
-from fatiguemotion.errors import ParameterError, ShapeError, UnsupportedModeError
+from fatiguemotion.arm import ArmParams, generate_dataset
+from fatiguemotion.errors import ParameterError, ShapeError
 from fatiguemotion.nncore import LstmCell, TrainConfig, encode_params, mse
 from fatiguemotion.sequences import fit_normalizer
 from fatiguemotion.surrogates import (
@@ -23,11 +23,10 @@ from test_nncore import fd_gradcheck
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
-    params = ArmParams()
-    trials = generate_dataset(params, 6, 24, 0.05, seed=3)
+    trials = generate_dataset(ArmParams(), 6, 24, 0.05, seed=3)
     angle_norm = fit_normalizer([t.motion for t in trials])
     torque_norm = fit_normalizer([t.torque for t in trials])
-    return params, trials, angle_norm, torque_norm
+    return trials, angle_norm, torque_norm
 
 
 class TestBiLstmLayer:
@@ -153,7 +152,7 @@ class TestModelForward:
 
 class TestSamples:
     def test_kinds_mirror_each_other(self, tiny_dataset):
-        _, trials, angle_norm, torque_norm = tiny_dataset
+        trials, angle_norm, torque_norm = tiny_dataset
         id_s = make_samples(trials[:2], "id", 1, angle_norm, torque_norm)
         fd_s = make_samples(trials[:2], "fd", 1, angle_norm, torque_norm)
         for a, b, tr in zip(id_s, fd_s, trials):
@@ -164,57 +163,38 @@ class TestSamples:
             assert a.y.shape == (tr.motion.n_frames, 1)
 
     def test_both_kinds_carry_kinematics_and_target_scaling(self, tiny_dataset):
-        _, trials, angle_norm, torque_norm = tiny_dataset
+        trials, angle_norm, torque_norm = tiny_dataset
         for kind, target_norm in (("id", torque_norm), ("fd", angle_norm)):
             s = make_samples(trials[:1], kind, 0, angle_norm, torque_norm)[0]
-            assert s.joint == 0
-            np.testing.assert_array_equal(s.q, trials[0].motion.frames)
-            np.testing.assert_array_equal(s.qddot, trials[0].qddot)
-            assert (s.target_span, s.target_lo) == (target_norm.span[0], target_norm.lo[0])
-            np.testing.assert_allclose(s.y[:, 0] * s.target_span + s.target_lo,
+            np.testing.assert_allclose(s.y[:, 0] * target_norm.span[0] + target_norm.lo[0],
                                        (trials[0].torque if kind == "id" else trials[0].motion).frames[:, 0])
 
     def test_unknown_kind(self, tiny_dataset):
-        _, trials, angle_norm, torque_norm = tiny_dataset
+        trials, angle_norm, torque_norm = tiny_dataset
         with pytest.raises(ParameterError):
             make_samples(trials[:1], "multi", 0, angle_norm, torque_norm)
 
 
 class TestTraining:
     def test_loss_decreases(self, tiny_dataset):
-        _, trials, angle_norm, torque_norm = tiny_dataset
+        trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:4], "id", 0, angle_norm, torque_norm)
         model = BiLstmModel(2, 1, BiLstmSpec(1, 8), kind="id", seed=0)
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=20, patience=50, seed=0)
         model, history = train_dyn(model, samples, cfg)
-        assert history[-1]["train_mse"] < 0.5 * history[1]["train_mse"]
+        assert history[-1]["train_loss"] < 0.5 * history[1]["train_loss"]
 
     def test_history_fields(self, tiny_dataset):
-        _, trials, angle_norm, torque_norm = tiny_dataset
+        trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:4], "fd", 1, angle_norm, torque_norm)
         model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="fd", seed=0)
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=5, patience=50, seed=0)
         model, history = train_dyn(model, samples, cfg)
         for entry in history:
-            assert set(entry) == {"epoch", "train_loss", "train_mse"}
-
-    def test_physics_requires_id(self, tiny_dataset):
-        params, trials, angle_norm, torque_norm = tiny_dataset
-        samples = make_samples(trials[:4], "fd", 0, angle_norm, torque_norm)
-        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="fd", seed=0)
-        with pytest.raises(UnsupportedModeError):
-            train_dyn(model, samples, TrainConfig(epochs=1), physics=params)
-
-    def test_physics_residual_logged(self, tiny_dataset):
-        params, trials, angle_norm, torque_norm = tiny_dataset
-        samples = make_samples(trials[:4], "id", 0, angle_norm, torque_norm)
-        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=0)
-        cfg = TrainConfig(batch_size=4, lr=0.01, epochs=3, patience=50, seed=0)
-        model, history = train_dyn(model, samples, cfg, physics=params)
-        assert all("physics_residual" in e for e in history[1:])
+            assert set(entry) == {"epoch", "train_loss"}
 
     def test_windowed_training_runs(self, tiny_dataset):
-        _, trials, angle_norm, torque_norm = tiny_dataset
+        trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:4], "id", 0, angle_norm, torque_norm)
         model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=0)
         cfg = TrainConfig(batch_size=8, lr=0.01, epochs=3, patience=50, seed=0)
@@ -222,7 +202,7 @@ class TestTraining:
         assert len(history) == 4
 
     def test_seeded_training_reproducible(self, tiny_dataset):
-        _, trials, angle_norm, torque_norm = tiny_dataset
+        trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:3], "id", 0, angle_norm, torque_norm)
 
         def run():
@@ -236,9 +216,8 @@ class TestTraining:
         for p1, p2 in zip(m1.params(), m2.params()):
             np.testing.assert_array_equal(p1, p2)
 
-    @pytest.mark.parametrize("physics", [False, True], ids=["data", "physics"])
-    def test_entry_zero_is_forward_only_in_batches(self, tiny_dataset, monkeypatch, physics):
-        params, trials, angle_norm, torque_norm = tiny_dataset
+    def test_entry_zero_is_forward_only_in_batches(self, tiny_dataset, monkeypatch):
+        trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:5], "id", 1, angle_norm, torque_norm)
         model = BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=6)
         window, stride = 10, 2
@@ -247,11 +226,6 @@ class TestTraining:
         y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
         pred = model.forward(x)[0]
         initial_mse = float(np.mean((pred - y) ** 2))
-        if physics:
-            eom = [inverse_dynamics(s.q, s.qdot, s.qddot, params)[:, [1]] for s in samples]
-            tau_eom = np.stack([e[o : o + window] for e in eom for o in range(0, 15, stride)], axis=1)
-            resid = tau_eom - (pred * samples[0].target_span + samples[0].target_lo)
-            initial_residual = float(np.mean(resid**2))
 
         seen, backward_calls = [], []
         forward, backward = BiLstmModel.forward, BiLstmModel.backward
@@ -260,18 +234,13 @@ class TestTraining:
         monkeypatch.setattr(BiLstmModel, "backward",
                             lambda m, c, dy: backward_calls.append(1) or backward(m, c, dy))
         cfg = TrainConfig(batch_size=8, lr=0.01, epochs=2, patience=50, seed=0)
-        _, history = train_dyn(model, samples, cfg, physics=params if physics else None,
-                               window=window, window_stride=stride)
+        _, history = train_dyn(model, samples, cfg, window=window, window_stride=stride)
         assert max(seen) <= cfg.batch_size
         assert len(backward_calls) == 2 * 5  # 2 epochs x 40/8 batches, none for entry 0
-        assert history[0]["train_mse"] == initial_mse
-        if physics:
-            assert history[0]["physics_residual"] == initial_residual
-        else:
-            assert history[0]["train_loss"] == initial_mse
+        assert history[0]["train_loss"] == initial_mse
 
     def test_ragged_trials_rejected(self, tiny_dataset):
-        _, trials, angle_norm, torque_norm = tiny_dataset
+        trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:2], "id", 0, angle_norm, torque_norm)
         samples[1].x = samples[1].x[:-1]
         model = BiLstmModel(2, 1, BiLstmSpec(1, 4), kind="id")
@@ -286,7 +255,7 @@ class TestTraining:
 
 class TestCheckpoints:
     def test_round_trip_with_metadata(self, tiny_dataset, tmp_path):
-        _, trials, angle_norm, torque_norm = tiny_dataset
+        trials, angle_norm, torque_norm = tiny_dataset
         model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=11)
         path = tmp_path / "id_elbow.json"
         save_model(path, model, joint="elbow", input_norm=angle_norm,
