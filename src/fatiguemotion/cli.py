@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: gen-data, sim-3cc, train-pinn, train-dyn, apply-fatigue, eval,
-export-curves. Every artifact directory receives a manifest.json holding the
-command line, seed, resolved configuration and its hash, so any run can be
-reproduced. Exit codes: 0 success, 1 usage, 2 data error, 3 numeric error.
+export-curves. After a command succeeds, :func:`run` writes manifest.json
+into its --out directory so the run can be reproduced: the command, argv,
+seed, package version and ``config`` (every other parsed option, plus what
+the command derived from its inputs) with its sha256 ``config_hash``.
+Exit codes: 0 success, 1 usage, 2 data error, 3 numeric error.
 """
 from __future__ import annotations
 
@@ -35,15 +37,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_manifest(outdir: Path, command: str, argv, seed: int, config: dict,
-                    base: dict | None = None) -> None:
-    """Write the run manifest; keys of ``base`` (a dataset manifest) are kept."""
+def _write_manifest(args, argv, facts: dict) -> None:
+    """gen-data's facts are its dataset manifest: train-dyn reads those keys
+    at the top level, so they stay there instead of in ``config``."""
+    base = {}
+    if args.command == "gen-data":
+        base, facts = facts, {}
+    config = {k: v for k, v in vars(args).items() if k not in ("fn", "command", "seed", "out")}
+    config.update(facts)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     doc = {
-        **(base or {}),
-        "command": command,
+        **base,
+        "command": args.command,
         "argv": list(argv),
-        "seed": seed,
+        "seed": args.seed,
         "config": config,
         "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "package_version": __version__,
@@ -51,7 +59,7 @@ def _write_manifest(outdir: Path, command: str, argv, seed: int, config: dict,
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"seed={seed} config_hash={doc['config_hash'][:12]} -> {outdir}")
+    print(f"seed={args.seed} config_hash={doc['config_hash'][:12]} -> {outdir}")
 
 
 def _parse_load(spec: str, duration: float, dt: float) -> cc.LoadProfile:
@@ -86,38 +94,24 @@ def _parse_load(spec: str, duration: float, dt: float) -> cc.LoadProfile:
 
 # --- subcommands ----------------------------------------------------------------
 
-def _cmd_gen_data(args, argv) -> int:
+def _cmd_gen_data(args) -> dict:
     params = armdyn.ArmParams()
     trials = armdyn.generate_dataset(
         params, args.trials, args.frames, args.dt, args.seed, n_segments=args.segments
     )
-    outdir = Path(args.out)
-    dataset = armdyn.save_dataset(trials, params, outdir, meta={"seed": args.seed})
-    config = {
-        "trials": args.trials, "frames": args.frames, "dt": args.dt,
-        "segments": args.segments, "arm_params": params.to_dict(),
-    }
-    # One manifest: the dataset keys train-dyn reads plus the run record.
-    _write_manifest(outdir, "gen-data", argv, args.seed, config, base=dataset)
-    return 0
+    return armdyn.save_dataset(trials, params, Path(args.out), meta={"seed": args.seed})
 
 
-def _cmd_sim_3cc(args, argv) -> int:
+def _cmd_sim_3cc(args) -> None:
     params = cc.Cc3Params(args.F, args.R, args.LD, args.LR)
     load = _parse_load(args.tl, args.t, args.dt)
     traj = cc.simulate(None, load, params)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cc.trajectory_to_csv(traj, outdir / "trajectory.csv", lam=args.lam)
-    config = {
-        "F": args.F, "R": args.R, "LD": args.LD, "LR": args.LR,
-        "tl": args.tl, "t": args.t, "dt": args.dt, "lambda": args.lam,
-    }
-    _write_manifest(outdir, "sim-3cc", argv, args.seed, config)
-    return 0
 
 
-def _cmd_train_pinn(args, argv) -> int:
+def _cmd_train_pinn(args) -> dict:
     if args.profiles:
         profile = cc.load_profiles(args.profiles).get(args.joint)
         if profile is None:
@@ -156,21 +150,14 @@ def _cmd_train_pinn(args, argv) -> int:
         fh.write("epoch,L_total,L_NN_or_BC,L_PB\n")
         for entry in history:
             fh.write(f"{entry['epoch']},{entry['L_total']!r},{entry[data_key]!r},{entry['L_PB']!r}\n")
-    config = {
-        "joint": args.joint, "cc3": {"F": params.F, "R": params.R, "LD": params.LD, "LR": params.LR},
-        "tl": args.tl, "t": args.t, "frames": args.frames, "hidden": args.hidden,
-        "activation": args.activation, "epochs": args.epochs, "lr": args.lr,
-        "unsupervised": args.unsupervised,
-    }
-    _write_manifest(outdir, "train-pinn", argv, args.seed, config)
-    return 0
+    return {"cc3": {"F": params.F, "R": params.R, "LD": params.LD, "LR": params.LR}}
 
 
 # train-dyn seeds model j of a kind with seed * 100 + offset + j.
 _SEED_OFFSET = {"id": 10, "fd": 20}
 
 
-def _cmd_train_dyn(args, argv) -> int:
+def _cmd_train_dyn(args) -> dict:
     trials, _, _ = armdyn.load_dataset(args.data)
     train_trials, _ = sq.split_train_test(trials, args.train_fraction, args.seed)
     angle_norm = sq.fit_normalizer([t.motion for t in train_trials])
@@ -185,7 +172,7 @@ def _cmd_train_dyn(args, argv) -> int:
     jobs = [(joint, joint_names.index(joint), kind) for joint in joints for kind in kinds]
     sg.window_offsets(train_trials[0].motion.n_frames, args.window, args.window_stride)
     spec = sg.BiLstmSpec(args.layers, args.hidden)
-    base_cfg = dataclasses.replace(sg.desk_train_config(epochs=args.epochs), lr=args.lr)
+    base_cfg = sg.desk_train_config(args.epochs, args.lr)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     n = len(joint_names)
@@ -197,24 +184,16 @@ def _cmd_train_dyn(args, argv) -> int:
                                       window_stride=args.window_stride)
         stem = f"{kind}_{joint}"
         input_norm, target_norm = sg.model_io(kind, angle_norm, torque_norm)
-        tau_max = float(max(abs(torque_norm.lo[j]), abs(torque_norm.hi[j])))
         sg.save_model(
             outdir / f"{stem}.json", model, joint=joint,
-            input_norm=input_norm, target_norm=target_norm, tau_max=tau_max,
+            input_norm=input_norm, target_norm=target_norm, tau_max=torque_norm.abs_max(joint),
         )
         with open(outdir / f"{stem}_log.csv", "w") as fh:
             fh.write("epoch,train_mse\n")
             for e in history:
                 fh.write(f"{e['epoch']},{e['train_loss']!r}\n")
         print(f"trained {stem}: {len(history) - 1} epochs")
-    config = {
-        "data": str(args.data), "kind": args.kind, "joints": joints,
-        "layers": args.layers, "hidden": args.hidden, "epochs": args.epochs, "lr": args.lr,
-        "window": args.window, "window_stride": args.window_stride,
-        "train_fraction": args.train_fraction,
-    }
-    _write_manifest(outdir, "train-dyn", argv, args.seed, config)
-    return 0
+    return {"joints": joints}
 
 
 def _load_model_dir(modeldir: Path):
@@ -253,22 +232,20 @@ def _load_model_dir(modeldir: Path):
     return id_models, fd_models, angle_norm, torque_norm
 
 
-def _cmd_apply_fatigue(args, argv) -> int:
+def _cmd_apply_fatigue(args) -> dict:
     motion = sq.load_sequence(args.motion)
     profiles = cc.load_profiles(args.profiles)
     id_models, fd_models, angle_norm, torque_norm = _load_model_dir(Path(args.models))
-    if args.mode == "dynamic":
-        mode, level = "dynamic", None
-    elif args.mode.startswith("fixed:"):
+    level = None
+    if args.mode != "dynamic":
+        if not args.mode.startswith("fixed:"):
+            raise ParameterError(f"mode must be 'dynamic' or 'fixed:<level>', got {args.mode!r}")
         try:
-            mode, level = "fixed", float(args.mode[len("fixed:"):])
+            level = float(args.mode[len("fixed:"):])
         except ValueError:
             raise ParameterError(f"cannot parse mode {args.mode!r}: level is not a number") from None
-    else:
-        raise ParameterError(f"mode must be 'dynamic' or 'fixed:<level>', got {args.mode!r}")
     config = pl.PipelineConfig(
-        angle_norm, torque_norm, id_models, fd_models, profiles,
-        mode=mode, fixed_level=level, seed=args.seed,
+        angle_norm, torque_norm, id_models, fd_models, profiles, fixed_level=level, seed=args.seed,
     )
     fatigued, report = pl.apply_fatigue(motion, config)
     outdir = Path(args.out)
@@ -276,15 +253,10 @@ def _cmd_apply_fatigue(args, argv) -> int:
     sq.save_sequence(fatigued, outdir / "fatigued.csv")
     sq.save_sequence(report.baseline, outdir / "baseline.csv")
     report.save(outdir / "report.json")
-    _write_manifest(outdir, "apply-fatigue", argv, args.seed, {
-        "motion": str(args.motion), "profiles": str(args.profiles),
-        "models": str(args.models), "mode": args.mode,
-        "pipeline_hash": config.config_hash(),
-    })
-    return 0
+    return {"pipeline_hash": config.config_hash()}
 
 
-def _cmd_eval(args, argv) -> int:
+def _cmd_eval(args) -> None:
     pred = sq.load_sequence(args.pred)
     truth = sq.load_sequence(args.truth)
     if pred.joint_names != truth.joint_names:
@@ -302,12 +274,9 @@ def _cmd_eval(args, argv) -> int:
         with open(outdir / "metrics.json", "w") as fh:
             json.dump(metrics, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _write_manifest(outdir, "eval", argv, args.seed,
-                        {"pred": str(args.pred), "truth": str(args.truth)})
-    return 0
 
 
-def _cmd_export_curves(args, argv) -> int:
+def _cmd_export_curves(args) -> dict:
     baseline = sq.load_sequence(args.baseline)
     runs = []
     for spec in args.run:
@@ -317,11 +286,7 @@ def _cmd_export_curves(args, argv) -> int:
         rundir = Path(rundir)
         fatigued = sq.load_sequence(rundir / "fatigued.csv")
         runs.append((label, fatigued, pl.load_traces(rundir / "report.json")))
-    outdir = Path(args.out)
-    written = pl.export_curves(baseline, runs, outdir)
-    _write_manifest(outdir, "export-curves", argv, args.seed,
-                    {"baseline": str(args.baseline), "runs": list(args.run), "files": written})
-    return 0
+    return {"files": pl.export_curves(baseline, runs, Path(args.out))}
 
 
 # --- parser -------------------------------------------------------------------
@@ -330,17 +295,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fatiguemotion", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("gen-data", parents=[], help="generate the 2-link oracle dataset")
+    p = sub.add_parser("gen-data", parents=[common], help="generate the 2-link oracle dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--frames", type=int, default=200)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--segments", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_gen_data)
 
-    p = sub.add_parser("sim-3cc", help="simulate the three-compartment fatigue model")
+    p = sub.add_parser("sim-3cc", parents=[common], help="simulate the three-compartment fatigue model")
     p.add_argument("--F", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--LD", type=float, default=10.0)
@@ -349,11 +315,10 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=float, required=True, help="duration in seconds")
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sim_3cc)
 
-    p = sub.add_parser("train-pinn", help="train the fatigue network on simulated pools")
+    p = sub.add_parser("train-pinn", parents=[common], help="train the fatigue network on simulated pools")
     p.add_argument("--joint", default="elbow")
     p.add_argument("--F", type=float, default=cc.ELBOW.F)
     p.add_argument("--R", type=float, default=cc.ELBOW.R)
@@ -369,11 +334,10 @@ def build_parser() -> _Parser:
     p.add_argument("--patience", type=int, default=300)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--unsupervised", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train_pinn)
 
-    p = sub.add_parser("train-dyn", help="train inverse/forward dynamics surrogates")
+    p = sub.add_parser("train-dyn", parents=[common], help="train inverse/forward dynamics surrogates")
     p.add_argument("--data", required=True, help="gen-data output directory")
     p.add_argument("--kind", choices=("id", "fd", "both"), default="both")
     p.add_argument("--joint", default="all")
@@ -384,30 +348,26 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=int, default=sg.DESK_WINDOW)
     p.add_argument("--window-stride", type=int, default=sg.DESK_WINDOW_STRIDE)
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train_dyn)
 
-    p = sub.add_parser("apply-fatigue", help="run the full fatigue pipeline on a motion")
+    p = sub.add_parser("apply-fatigue", parents=[common], help="run the full fatigue pipeline on a motion")
     p.add_argument("--motion", required=True)
     p.add_argument("--profiles", required=True)
     p.add_argument("--models", required=True, help="train-dyn output directory")
     p.add_argument("--mode", default="dynamic", help="dynamic or fixed:<level>")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_apply_fatigue)
 
-    p = sub.add_parser("eval", help="NRMSE/R2 between two sequence CSVs")
+    p = sub.add_parser("eval", parents=[common], help="NRMSE/R2 between two sequence CSVs")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("export-curves", help="per-joint normalized curve CSVs")
+    p = sub.add_parser("export-curves", parents=[common], help="per-joint normalized curve CSVs")
     p.add_argument("--baseline", required=True)
     p.add_argument("--run", action="append", required=True, help="label=apply-fatigue-dir")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_export_curves)
     return parser
@@ -420,7 +380,10 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args, argv)
+        facts = args.fn(args)
+        if args.out:
+            _write_manifest(args, argv, facts or {})
+        return 0
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -223,19 +223,6 @@ def unsupervised_loss(model: Pinn3ccModel, batch: PinnData, bc: tuple[float, flo
     return breakdown, grads
 
 
-def evaluate_breakdown(model: Pinn3ccModel, data: PinnData, mode: str = "supervised",
-                       bc: tuple[float, float] | None = None, t0: float = 0.0,
-                       m_a0: float = 0.0) -> PinnLossBreakdown:
-    """The loss breakdown over all of ``data`` at the current weights, from
-    the forward-only mode of :func:`supervised_loss` or
-    :func:`unsupervised_loss`: no gradients are computed."""
-    if mode == "supervised":
-        breakdown, _ = supervised_loss(model, data, grad=False)
-    else:
-        breakdown, _ = unsupervised_loss(model, data, bc, t0, m_a0, grad=False)
-    return breakdown
-
-
 def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig):
     """Adam on L_NN + L_PB; history logs both components over all of ``data``
     after each epoch, forward-only. Entry 0 (untrained model) reuses the
@@ -250,7 +237,7 @@ def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig):
         return breakdown.total, grads
 
     def epoch_log(m):
-        b = initial.pop() if initial else evaluate_breakdown(m, data, "supervised")
+        b = initial.pop() if initial else supervised_loss(m, data, grad=False)[0]
         return {"L_total": b.total, "L_NN": b.data, "L_PB": b.physics}
 
     return nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)
@@ -275,7 +262,7 @@ def train_unsupervised(model: Pinn3ccModel, load: LoadProfile, config: TrainConf
         return breakdown.total, grads
 
     def epoch_log(m):
-        b = initial.pop() if initial else evaluate_breakdown(m, data, "unsupervised", bc, t0, m_a0)
+        b = initial.pop() if initial else unsupervised_loss(m, data, bc, t0, m_a0, grad=False)[0]
         return {"L_total": b.total, "L_BC": b.data, "L_PB": b.physics}
 
     return nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)

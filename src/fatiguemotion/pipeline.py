@@ -63,9 +63,11 @@ class PipelineConfig:
     """Trained models, normalization, and fatigue settings for one joint set.
 
     ``profiles`` lists the modulated joints; every joint of the motion needs
-    ID/FD models so the full torque vector can be assembled. ``tau_max`` (the
-    %MVC scaling) is derived, not passed: per joint, the largest absolute
-    torque seen in training, taken from the torque normalization bounds.
+    ID/FD models so the full torque vector can be assembled. With
+    ``fixed_level`` None the 3CC model runs (dynamic ``mode``); a level in
+    [0, 100] holds RC_hat there on every frame (fixed ``mode``).
+    ``tau_max`` (the %MVC scaling) is derived: per joint, the largest
+    absolute torque seen in training, from the torque normalization bounds.
     """
 
     angle_norm: NormalizationParams
@@ -73,17 +75,13 @@ class PipelineConfig:
     id_models: dict[str, BiLstmModel]
     fd_models: dict[str, BiLstmModel]
     profiles: dict[str, FatigueProfile] = field(default_factory=dict)
-    mode: str = "dynamic"
     fixed_level: float | None = None
     seed: int = 0
     tau_max: dict[str, float] = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in ("dynamic", "fixed"):
-            raise ParameterError(f"mode must be 'dynamic' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed":
-            if self.fixed_level is None or not 0 <= self.fixed_level <= 100:
-                raise ParameterError("fixed mode needs fixed_level in [0,100]")
+        if self.fixed_level is not None and not 0 <= self.fixed_level <= 100:
+            raise ParameterError(f"fixed mode needs fixed_level in [0,100], got {self.fixed_level}")
         if self.angle_norm.joints != self.torque_norm.joints:
             raise ShapeError("angle and torque normalization joint sets differ")
         n_joints = len(self.angle_norm.joints)
@@ -99,10 +97,11 @@ class PipelineConfig:
         for name in self.profiles:
             if name not in self.angle_norm.joints:
                 raise ParameterError(f"profile for unknown joint {name!r}")
-        self.tau_max = {
-            name: float(max(abs(self.torque_norm.lo[i]), abs(self.torque_norm.hi[i])))
-            for i, name in enumerate(self.torque_norm.joints)
-        }
+        self.tau_max = {name: self.torque_norm.abs_max(name) for name in self.torque_norm.joints}
+
+    @property
+    def mode(self) -> str:
+        return "dynamic" if self.fixed_level is None else "fixed"
 
     def config_hash(self) -> str:
         doc = {
@@ -195,7 +194,7 @@ def apply_fatigue(motion: MotionSequence, config: PipelineConfig):
     traces: dict[str, JointFatigueTrace] = {}
     for name, profile in config.profiles.items():
         j = order.index(name)
-        if config.mode == "fixed":
+        if config.fixed_level is not None:
             trace = JointFatigueTrace(rc_hat=np.full(t_len, float(config.fixed_level)))
         else:
             act = torque_to_activation(tau_raw[:, j], config.tau_max[name])

@@ -169,6 +169,11 @@ class NormalizationParams:
     def invert(self, frames: np.ndarray) -> np.ndarray:
         return np.asarray(frames, dtype=float) * self.span + self.lo
 
+    def abs_max(self, joint: str) -> float:
+        """The largest absolute value of ``joint``'s channel: max(|min|, |max|)."""
+        i = self.joints.index(joint)
+        return float(max(abs(self.lo[i]), abs(self.hi[i])))
+
     def to_dict(self) -> dict:
         return {"joints": list(self.joints), "min": self.lo.tolist(), "max": self.hi.tolist()}
 

@@ -59,10 +59,10 @@ DESK_WINDOW_STRIDE = 2
 BANK_CHUNK = 128
 
 
-def desk_train_config(epochs: int = 30) -> TrainConfig:
+def desk_train_config(epochs: int, lr: float) -> TrainConfig:
     return TrainConfig(
         batch_size=32,
-        lr=2e-3,
+        lr=lr,
         epochs=epochs,
         patience=8,
         min_delta=1e-7,

@@ -6,7 +6,7 @@ import pytest
 
 from fatiguemotion import compartments as cc
 from fatiguemotion import nncore
-from fatiguemotion.cli import run
+from fatiguemotion.cli import build_parser, main, run
 
 TINY_DYN = ["--layers", "1", "--hidden", "4", "--epochs", "1", "--window", "20",
             "--window-stride", "10", "--seed", "0"]
@@ -34,6 +34,7 @@ class TestChain:
         doc = json.loads((trained / "data" / "manifest.json").read_text())
         assert {"arm_params", "trials", "command", "config_hash"} <= set(doc)
         assert doc["command"] == "gen-data"
+        assert "arm_params" not in doc["config"]  # kept once, at the top level
 
     def test_apply_eval_export(self, trained, tmp_path):
         assert _apply(trained, trained / "models", tmp_path / "apply") == 0
@@ -55,7 +56,9 @@ class TestChain:
 
     def test_fixed_mode(self, trained, tmp_path):
         assert _apply(trained, trained / "models", tmp_path / "fixed", "--mode", "fixed:70") == 0
-        assert _apply(trained, trained / "models", tmp_path / "bad", "--mode", "fixed:abc") == 2
+        for mode in ("fixed:abc", "fixed:150", "fixed:nan", "tired"):
+            assert _apply(trained, trained / "models", tmp_path / "bad", "--mode", mode) == 2
+            assert not (tmp_path / "bad").exists()
 
     def test_mixed_architectures_accepted(self, trained, tmp_path):
         models = tmp_path / "models"
@@ -65,6 +68,72 @@ class TestChain:
                     *TINY_DYN[4:]]) == 0
         shutil.copy(tmp_path / "wide" / "id_elbow.json", models / "id_elbow.json")
         assert _apply(trained, models, tmp_path / "apply") == 0
+
+
+def _manifest(outdir):
+    return json.loads((outdir / "manifest.json").read_text())
+
+
+class TestManifest:
+    """run writes each manifest from the parsed arguments."""
+
+    COMMANDS = {
+        "gen-data": lambda d, tmp: ["gen-data", "--trials", "2", "--frames", "20", "--segments", "1",
+                                    "--seed", "4"],
+        "sim-3cc": lambda d, tmp: ["sim-3cc", "--F", "0.02", "--R", "0.002", "--t", "2", "--lambda", "0.7"],
+        "train-pinn": lambda d, tmp: ["train-pinn", *TINY_PINN, "--epochs", "2", "--patience", "5"],
+        "train-dyn": lambda d, tmp: ["train-dyn", "--data", d / "data", *TINY_DYN, "--kind", "id",
+                                     "--joint", "elbow"],
+        "apply-fatigue": lambda d, tmp: ["apply-fatigue", "--motion", d / "data" / "trial000_angles.csv",
+                                         "--profiles", d / "profiles.json", "--models", d / "models",
+                                         "--mode", "fixed:70"],
+        "eval": lambda d, tmp: ["eval", "--pred", d / "data" / "trial001_angles.csv",
+                                "--truth", d / "data" / "trial000_angles.csv"],
+        "export-curves": lambda d, tmp: ["export-curves", "--baseline", tmp / "apply" / "baseline.csv",
+                                         "--run", f"tired={tmp / 'apply'}"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_config_holds_every_parsed_argument(self, trained, tmp_path, command):
+        if command == "export-curves":
+            assert _apply(trained, trained / "models", tmp_path / "apply") == 0
+        argv = [str(a) for a in self.COMMANDS[command](trained, tmp_path)] + ["--out", str(tmp_path / "out")]
+        assert run(argv) == 0
+        parsed = vars(build_parser().parse_args(argv))
+        doc = _manifest(tmp_path / "out")
+        assert (doc["command"], doc["argv"], doc["seed"]) == (command, argv, parsed["seed"])
+        for key, value in parsed.items():
+            if key not in ("fn", "command", "seed", "out"):
+                assert doc["config"][key] == value, key
+
+    def test_train_pinn_patience_changes_hash(self, tmp_path):
+        hashes = set()
+        for patience in ("1", "100"):
+            out = tmp_path / patience
+            assert run(["train-pinn", *TINY_PINN, "--epochs", "2", "--patience", patience,
+                        "--out", str(out)]) == 0
+            hashes.add(_manifest(out)["config_hash"])
+        assert len(hashes) == 2
+
+    def test_train_pinn_profiles(self, tmp_path):
+        cc.save_profiles([cc.FatigueProfile("shoulder", F=0.3, R=0.02, LD=8.0, LR=12.0, lam=0.9)],
+                         tmp_path / "profiles.json")
+        argv = ["train-pinn", *TINY_PINN, "--epochs", "2", "--profiles", str(tmp_path / "profiles.json")]
+        assert run([*argv, "--joint", "shoulder", "--out", str(tmp_path / "out")]) == 0
+        rates = {"F": 0.3, "R": 0.02, "LD": 8.0, "LR": 12.0}
+        checkpoint = json.loads((tmp_path / "out" / "pinn_shoulder.json").read_text())
+        assert checkpoint["architecture"]["cc3"] == rates
+        assert _manifest(tmp_path / "out")["config"]["cc3"] == rates
+        assert run([*argv, "--joint", "elbow", "--out", str(tmp_path / "missing")]) == 2
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--no-such-flag"], 1)],
+                             ids=["version", "unknown-flag"])
+    def test_main_exits_with_run_code(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr("sys.argv", ["fatiguemotion", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
 
 
 class TestModelDirectoryChecks:

@@ -13,7 +13,6 @@ from fatiguemotion.fatigue_pinn import (
     collocation_from_load,
     data_from_trajectory,
     training_indices,
-    evaluate_breakdown,
     load_model,
     ode_residuals,
     save_model,
@@ -134,7 +133,7 @@ class TestLossBookkeeping:
     def test_additivity(self):
         data, _ = self.make_data()
         model = Pinn3ccModel(ELBOW, t_scale=120.0, seed=2)
-        b = evaluate_breakdown(model, data, "supervised")
+        b, _ = supervised_loss(model, data, grad=False)
         assert b.total == pytest.approx(b.data + b.physics, rel=1e-12)
 
     def test_breakdown_is_forward_only(self, monkeypatch):
@@ -150,8 +149,8 @@ class TestLossBookkeeping:
 
         monkeypatch.setattr(Mlp, "backward_tangent", no_backward)
         monkeypatch.setattr(Mlp, "backward", no_backward)
-        assert evaluate_breakdown(model, data, "supervised") == supervised
-        assert evaluate_breakdown(model, colloc, "unsupervised", bc, 0.0, 40.0) == unsupervised
+        assert supervised_loss(model, data, grad=False) == (supervised, None)
+        assert unsupervised_loss(model, colloc, bc, 0.0, 40.0, grad=False) == (unsupervised, None)
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_untrained_model_evaluated_once(self, monkeypatch, mode):

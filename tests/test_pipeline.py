@@ -131,10 +131,11 @@ class TestApplyFatigue:
     def test_fixed_mode_scales_torque(self, chain):
         motion, dynamic = chain
         config = PipelineConfig(dynamic.angle_norm, dynamic.torque_norm, dynamic.id_models,
-                                dynamic.fd_models, dynamic.profiles, mode="fixed", fixed_level=60.0)
+                                dynamic.fd_models, dynamic.profiles, fixed_level=60.0)
         _, report = apply_fatigue(motion, config)
         np.testing.assert_allclose(report.modulated_torques, 0.6 * report.torques, rtol=1e-15)
         assert (report.traces["elbow"].rc_hat == 60.0).all()
+        assert (report.metadata["mode"], dynamic.mode) == ("fixed", "dynamic")
 
     def test_model_width_checked(self, chain):
         _, config = chain

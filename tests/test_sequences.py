@@ -152,6 +152,11 @@ class TestNormalization:
         np.testing.assert_array_equal(loaded.lo, params.lo)
         np.testing.assert_array_equal(loaded.hi, params.hi)
 
+    def test_abs_max(self):
+        params = NormalizationParams(("a", "b"), np.array([-3.0, 2.0]), np.array([1.5, 4.0]))
+        assert (params.abs_max("a"), params.abs_max("b")) == (3.0, 4.0)
+        assert type(params.abs_max("a")) is float
+
 
 class TestActivation:
     def test_examples(self):
