@@ -112,13 +112,16 @@ def _cmd_sim_3cc(args) -> None:
 
 
 def _cmd_train_pinn(args) -> dict:
+    rates = {k: getattr(args, k) for k in dataclasses.asdict(cc.ELBOW) if getattr(args, k) is not None}
     if args.profiles:
+        if rates:
+            raise ParameterError(f"--profiles sets the rates; drop {', '.join('--' + k for k in rates)}")
         profile = cc.load_profiles(args.profiles).get(args.joint)
         if profile is None:
             raise ParameterError(f"no profile for joint {args.joint!r} in {args.profiles}")
         params = profile.cc3
     else:
-        params = cc.Cc3Params(args.F, args.R, args.LD, args.LR)
+        params = dataclasses.replace(cc.ELBOW, **rates)
     if args.frames < 2:
         raise ParameterError(f"--frames must be >= 2, got {args.frames}")
     # Supervised data come from a simulation at the fine step; unsupervised
@@ -150,7 +153,8 @@ def _cmd_train_pinn(args) -> dict:
         fh.write("epoch,L_total,L_NN_or_BC,L_PB\n")
         for entry in history:
             fh.write(f"{entry['epoch']},{entry['L_total']!r},{entry[data_key]!r},{entry['L_PB']!r}\n")
-    return {"cc3": {"F": params.F, "R": params.R, "LD": params.LD, "LR": params.LR}}
+    cc3 = dataclasses.asdict(params)
+    return {**cc3, "cc3": cc3}  # the trained rates replace unset --F/--R/--LD/--LR
 
 
 # train-dyn seeds model j of a kind with seed * 100 + offset + j.
@@ -320,11 +324,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-pinn", parents=[common], help="train the fatigue network on simulated pools")
     p.add_argument("--joint", default="elbow")
-    p.add_argument("--F", type=float, default=cc.ELBOW.F)
-    p.add_argument("--R", type=float, default=cc.ELBOW.R)
-    p.add_argument("--LD", type=float, default=10.0)
-    p.add_argument("--LR", type=float, default=10.0)
-    p.add_argument("--profiles", help="fatigue profile JSON overriding --F/--R")
+    for rate, default in dataclasses.asdict(cc.ELBOW).items():
+        p.add_argument(f"--{rate}", type=float, help=f"default {default} (elbow)")
+    p.add_argument("--profiles", help="fatigue profile JSON with the rates (no --F/--R/--LD/--LR)")
     p.add_argument("--tl", default="const:50")
     p.add_argument("--t", type=float, default=200.0)
     p.add_argument("--frames", type=int, default=50)

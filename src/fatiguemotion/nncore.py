@@ -246,19 +246,22 @@ class LstmCell:
         return dx, [dWx, dWh, db]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-
-
 def lstm_gates(z: np.ndarray, c: np.ndarray, gate: np.ndarray, hdim: int):
     """One LSTM step from pre-activations z (..., 4H) and cell state c (..., H).
 
     Writes the activated [i, f, o, g] gates into ``gate`` and returns the new
     (c, h). Leading axes are free, so one call steps a single cell (B, 4H) or
-    a stack of cells (K, B, 4H) alike.
+    a stack of cells (K, B, 4H) alike. 1 / (1 + exp(-clip(z))) runs in place
+    over all 4H lanes, then tanh overwrites the g lanes: the same operations
+    in the same order, minus the temporaries and np.clip's Python wrapper.
     """
-    gate[..., : 3 * hdim] = _sigmoid(z[..., : 3 * hdim])
-    gate[..., 3 * hdim :] = np.tanh(z[..., 3 * hdim :])
+    np.maximum(z, -500.0, out=gate)
+    np.minimum(gate, 500.0, out=gate)
+    np.negative(gate, out=gate)
+    np.exp(gate, out=gate)
+    np.add(gate, 1.0, out=gate)
+    np.divide(1.0, gate, out=gate)
+    np.tanh(z[..., 3 * hdim :], out=gate[..., 3 * hdim :])
     c = gate[..., :hdim] * gate[..., 3 * hdim :] + gate[..., hdim : 2 * hdim] * c
     h = gate[..., 2 * hdim : 3 * hdim] * np.tanh(c)
     return c, h

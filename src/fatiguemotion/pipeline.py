@@ -140,22 +140,17 @@ class FatigueReport:
     metadata: dict
 
     def save(self, path) -> None:
-        doc = {
-            "metadata": self.metadata,
-            "nrmse": self.nrmse,
-            "r2": self.r2,
-            "traces": {
-                name: {
-                    k: getattr(tr, k).tolist()
-                    for k in ("rc_hat", "m_a", "m_f", "m_r")
-                    if getattr(tr, k) is not None
-                }
-                for name, tr in self.traces.items()
-            },
-        }
+        # json.dump(indent=2)'s bytes, with each trace list from the C encoder, not the Python one
+        pad = "\n" + " " * 8
+        joints = []
+        for name, tr in self.traces.items():
+            lists = [f'      "{k}": [{pad}{json.dumps(v.tolist())[1:-1].replace(", ", "," + pad)}\n      ]'
+                     for k in ("rc_hat", "m_a", "m_f", "m_r") if (v := getattr(tr, k)) is not None]
+            joints.append(f"    {json.dumps(name)}: {{\n" + ",\n".join(lists) + "\n    }")
+        traces = "{\n" + ",\n".join(joints) + "\n  }" if joints else "{}"
+        head = json.dumps({"metadata": self.metadata, "nrmse": self.nrmse, "r2": self.r2}, indent=2)
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(f'{head[:-2]},\n  "traces": {traces}\n}}\n')
 
 
 def load_traces(path) -> dict[str, JointFatigueTrace]:

@@ -10,14 +10,14 @@ forward and backward hidden states (linear on the first layer, relu on the
 rest), closed by a linear dense head.
 
 Training runs one model at a time through :meth:`BiLstmModel.forward`, which
-keeps the gate and cell-state caches BPTT needs. Inference runs through
-:class:`BiLstmBank`: the forward and backward cells of N models of one
-architecture are stacked on a leading axis of size K = 2N, so one Python loop
-over time per layer steps every joint-specific model and both directions with
-one batched matmul. The bank keeps no caches; it projects the input in
-chunks of :data:`BANK_CHUNK` steps and writes each layer into one
-preallocated (N, T, B, 2H) output. :meth:`BiLstmModel.predict_sequence` is
-the N = 1 case.
+keeps the gate and cell-state caches BPTT needs. Inference and the initial
+loss :func:`train_dyn` logs run through :class:`BiLstmBank`: the forward and
+backward cells of N models of one architecture are stacked on a leading axis
+of size K = 2N, so one Python loop over time per layer steps every model and
+both directions with one batched matmul. The bank keeps no caches; it
+projects the input in chunks of :data:`BANK_CHUNK` steps and writes each
+layer into one preallocated (N, T, B, 2H) output.
+:meth:`BiLstmModel.predict_sequence` is the N = 1 case.
 
 Inputs and targets are min-max normalized to [0,1], and training minimizes
 the per-frame MSE of the normalized target.
@@ -177,7 +177,9 @@ class BiLstmBank:
     hidden states. Backward cells read the input through a reversed slice
     and write their state straight into the second half of the layer output
     at the mirrored time index. The weights are copied at construction, so
-    a bank reflects its models' parameters at that moment.
+    a bank reflects its models' parameters at that moment. Its batched
+    matmul may take another BLAS kernel than :meth:`BiLstmModel.forward`, so
+    at small B the two can differ by a few ulps.
     """
 
     def __init__(self, models):
@@ -209,10 +211,8 @@ class BiLstmBank:
         out = x
         for wx_t, wh_t, b, activation in self.layers:
             out = self._layer(out, wx_t, wh_t, b)
-            if activation == "relu":
+            if activation == "relu":  # else linear, the first layer
                 np.maximum(out, 0.0, out=out)
-            else:
-                out = _act(activation, out)
         n, t_len, batch, width = out.shape
         y = np.matmul(out.reshape(n, t_len * batch, width), self.head_w_t) + self.head_b
         nncore.ensure_finite("bilstm bank forward", y)
@@ -327,8 +327,8 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
     memorization. Early stopping and best-weight restore follow the training
     loss. Returns (model, history); history entries carry epoch and
     train_loss, the MSE. Entry 0 holds it for the untrained model over every
-    window: a forward-only pass, run through :meth:`BiLstmModel.forward` in
-    chunks of ``config.batch_size`` windows and reduced once, with no BPTT.
+    window: a forward-only pass through :class:`BiLstmBank` in chunks of
+    ``config.batch_size`` windows, reduced once, with no BPTT caches.
     """
     if not train_samples:
         raise ParameterError("empty dataset")
@@ -346,11 +346,11 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
         x = np.stack([xs[i, off : off + window] for i, off in rows], axis=1)
         y = np.stack([ys[i, off : off + window] for i, off in rows], axis=1)
         if not grad:
-            # Batch-sized chunks bound the forward caches; the loss below is
+            # Batch-sized chunks bound the bank's buffers; the loss below is
             # still reduced once over every window.
-            step = config.batch_size
+            bank, step = BiLstmBank([m]), config.batch_size
             pred = np.concatenate(
-                [m.forward(x[:, s : s + step])[0] for s in range(0, len(rows), step)], axis=1)
+                [bank.forward(x[:, s : s + step])[0] for s in range(0, len(rows), step)], axis=1)
             return nncore.mse(pred, y)[0], None
         pred, cache = m.forward(x)
         loss, dy = nncore.mse(pred, y)

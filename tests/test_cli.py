@@ -7,6 +7,7 @@ import pytest
 from fatiguemotion import compartments as cc
 from fatiguemotion import nncore
 from fatiguemotion.cli import build_parser, main, run
+from fatiguemotion.surrogates import BANK_CHUNK
 
 TINY_DYN = ["--layers", "1", "--hidden", "4", "--epochs", "1", "--window", "20",
             "--window-stride", "10", "--seed", "0"]
@@ -70,6 +71,10 @@ class TestChain:
         assert _apply(trained, models, tmp_path / "apply") == 0
 
 
+# train-pinn's rates when neither --F/--R/--LD/--LR nor --profiles sets them
+TRAIN_PINN_RATES = {"F": cc.ELBOW.F, "R": cc.ELBOW.R, "LD": cc.ELBOW.LD, "LR": cc.ELBOW.LR}
+
+
 def _manifest(outdir):
     return json.loads((outdir / "manifest.json").read_text())
 
@@ -104,6 +109,9 @@ class TestManifest:
         assert (doc["command"], doc["argv"], doc["seed"]) == (command, argv, parsed["seed"])
         for key, value in parsed.items():
             if key not in ("fn", "command", "seed", "out"):
+                if command == "train-pinn" and key in TRAIN_PINN_RATES:
+                    # an unset rate is recorded as the elbow default it trained with
+                    value = TRAIN_PINN_RATES[key] if value is None else value
                 assert doc["config"][key] == value, key
 
     def test_train_pinn_patience_changes_hash(self, tmp_path):
@@ -123,9 +131,27 @@ class TestManifest:
         rates = {"F": 0.3, "R": 0.02, "LD": 8.0, "LR": 12.0}
         checkpoint = json.loads((tmp_path / "out" / "pinn_shoulder.json").read_text())
         assert checkpoint["architecture"]["cc3"] == rates
-        assert _manifest(tmp_path / "out")["config"]["cc3"] == rates
+        config = _manifest(tmp_path / "out")["config"]
+        assert config["cc3"] == rates
+        assert {k: config[k] for k in rates} == rates  # not the unused elbow defaults
         assert run([*argv, "--joint", "elbow", "--out", str(tmp_path / "missing")]) == 2
         assert not (tmp_path / "missing").exists()
+
+    def test_train_pinn_profiles_exclude_explicit_rates(self, tmp_path, capsys):
+        cc.save_profiles([cc.FatigueProfile("elbow", F=0.3, R=0.02)], tmp_path / "profiles.json")
+        code = run(["train-pinn", *TINY_PINN, "--epochs", "2", "--profiles", str(tmp_path / "profiles.json"),
+                    "--F", "0.5", "--LR", "3", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--F, --LR" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_pinn_default_config_hash(self, tmp_path):
+        # recorded when --F/--R/--LD/--LR defaulted to the elbow rates in the parser
+        assert run(["train-pinn", *TINY_PINN, "--epochs", "2", "--patience", "5",
+                    "--out", str(tmp_path / "out")]) == 0
+        doc = _manifest(tmp_path / "out")
+        assert {k: doc["config"][k] for k in TRAIN_PINN_RATES} == TRAIN_PINN_RATES
+        assert doc["config_hash"] == "c4d0a3b69f0fcd00ffc54575672263c418e0c82dc2025b31d4e9660e6d468cce"
 
     @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--no-such-flag"], 1)],
                              ids=["version", "unknown-flag"])
@@ -357,7 +383,35 @@ TRAIN_DYN_DIGESTS = {
 }
 
 
+# sha256 of the outputs of TestModelCommands.test_apply_fatigue_golden_bytes
+# (numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+APPLY_FATIGUE_DIGESTS = {
+    "dynamic/fatigued.csv": "ace0d26e17c00ff591c22d80cd48d39dfb06f8350248c15d84fe29da97cdcfab",
+    "dynamic/baseline.csv": "fbec4cef9885a256c2fd4b48fd99eb304e6a15fca2e15412710cfa672e4c2bc4",
+    "dynamic/report.json": "732a8a71d1de7d3f80f860d5c686d057e0115dc57164c80b34e2aa0fcbbc6951",
+    "fixed/fatigued.csv": "fa73a667152796a686634c9ca19fea93790ff53f15cc79e127914ae4fe80d14c",
+    "fixed/baseline.csv": "fbec4cef9885a256c2fd4b48fd99eb304e6a15fca2e15412710cfa672e4c2bc4",
+    "fixed/report.json": "9ea3f457c3a1dad7e38dd8a07509ef2d9d87c7710f54d87687218f0d0cfa7a9b",
+}
+
+
 class TestModelCommands:
+    def test_apply_fatigue_golden_bytes(self, trained, tmp_path):
+        # BANK_CHUNK + 1 frames take the bank through two input-projection
+        # chunks, at B = 1 in the ID pass and B = 2 in the FD pass; both
+        # joints are modulated.
+        assert run(["gen-data", "--out", str(tmp_path / "motion"), "--trials", "1",
+                    "--frames", str(BANK_CHUNK + 1), "--seed", "2"]) == 0
+        profiles = tmp_path / "profiles.json"
+        cc.save_profiles([cc.FatigueProfile("shoulder", F=0.3, R=0.02, lam=0.7),
+                          cc.FatigueProfile("elbow", F=0.5, R=0.01, lam=0.8)], profiles)
+        for label, mode in (("dynamic", "dynamic"), ("fixed", "fixed:70")):
+            assert _apply(trained, trained / "models", tmp_path / label, "--mode", mode, profiles=profiles,
+                          motion=tmp_path / "motion" / "trial000_angles.csv") == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in APPLY_FATIGUE_DIGESTS}
+        assert digests == APPLY_FATIGUE_DIGESTS
+
     def test_train_dyn_golden_bytes(self, trained, tmp_path):
         # both kinds, both joints, 18 windows of 20 frames, 3 epochs
         assert run(["train-dyn", "--data", str(trained / "data"), "--out", str(tmp_path / "m"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fatiguemotion.nncore import (
     decode_params,
     encode_params,
     load_checkpoint,
+    lstm_gates,
     mse,
     save_checkpoint,
     train_loop,
@@ -174,6 +177,34 @@ class TestLstmCell:
         cell = LstmCell(3, 4)
         with pytest.raises(ShapeError):
             cell.forward(np.zeros((5, 2, 2)))
+
+
+def _composed_gates(z, c, hdim):
+    """The LSTM step as one expression: sigmoid i/f/o lanes, tanh g lanes."""
+    sig = 1.0 / (1.0 + np.exp(-np.clip(z[..., : 3 * hdim], -500.0, 500.0)))
+    g = np.tanh(z[..., 3 * hdim :])
+    c_new = sig[..., :hdim] * g + sig[..., hdim : 2 * hdim] * c
+    return np.concatenate([sig, g], axis=-1), c_new, sig[..., 2 * hdim :] * np.tanh(c_new)
+
+
+class TestLstmGates:
+    @pytest.mark.parametrize("lead", [(3,), (4, 2)], ids=["B,4H", "K,B,4H"])
+    def test_bits_match_the_composed_expression(self, lead):
+        hdim = 5
+        rng = np.random.default_rng(len(lead))
+        z = rng.normal(scale=4.0, size=lead + (4 * hdim,))
+        # saturated lanes in every gate: i, f and o clip at +-500, g does not
+        for lane, value in zip(range(0, 4 * hdim, 2), (600.0, -600.0, 900.0, -900.0) * 3):
+            z[..., lane] = value
+        c = rng.normal(size=lead + (hdim,))
+        gate = np.full(z.shape, np.nan)  # every lane must be written
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c_new, h = lstm_gates(z, c, gate, hdim)
+        expected = _composed_gates(z, c, hdim)
+        for got, want in zip((gate, c_new, h), expected):
+            assert np.array_equal(got, want)
+        assert (gate[..., 0] == 1.0).all() and (gate[..., 18] == -1.0).all()  # z = 600 and g's z = -600
 
 
 class TestAdam:

@@ -6,7 +6,13 @@ import pytest
 from fatiguemotion import compartments as cc
 from fatiguemotion.arm import ArmParams, generate_dataset
 from fatiguemotion.errors import ShapeError
-from fatiguemotion.pipeline import JointFatigueTrace, PipelineConfig, apply_fatigue, export_curves
+from fatiguemotion.pipeline import (
+    FatigueReport,
+    JointFatigueTrace,
+    PipelineConfig,
+    apply_fatigue,
+    export_curves,
+)
 from fatiguemotion.sequences import (
     MotionSequence,
     fit_normalizer,
@@ -148,6 +154,37 @@ class TestApplyFatigue:
         renamed = MotionSequence(("hip", "knee"), motion.dt, motion.frames)
         with pytest.raises(ShapeError):
             apply_fatigue(renamed, config)
+
+
+class TestReportSave:
+    def test_golden_bytes(self, tmp_path):
+        # Digest recorded with json.dump(doc, indent=2) writing the whole
+        # report: a dynamic report with two joints (one without pools), a
+        # fixed-mode report and one without traces. -0.0, 0.1, 1e-300, NaN,
+        # inf and a non-ASCII joint name keep their encoding.
+        n = 700
+        m_a = np.arange(n) / 7.0
+        m_a[:5] = (-0.0, 0.1, 1e-300, np.nan, np.inf)
+        m_f = np.arange(n) / 11.0
+        names = ("shoulder", "ellb\u00f6gen")
+        frames = np.zeros((n, 2))
+        metadata = {"config_hash": "0" * 64, "seed": 3, "mode": "dynamic", "fixed_level": None,
+                    "joints": list(names), "modulated_joints": sorted(names), "n_frames": n, "dt": 0.05}
+        reports = {
+            "dynamic": {names[1]: JointFatigueTrace(100.0 - 0.8 * m_f, m_a, m_f, 100.0 - m_a - m_f),
+                        names[0]: JointFatigueTrace(100.0 - m_a)},
+            "fixed": {name: JointFatigueTrace(np.full(n, 70.0)) for name in names},
+            "none": {},
+        }
+        digest = hashlib.sha256()
+        for label, traces in reports.items():
+            report = FatigueReport(
+                baseline=MotionSequence(names, 0.05, frames), torques=frames, modulated_torques=frames,
+                traces=traces, nrmse={names[0]: 1.0 / 3.0, names[1]: 0.0},
+                r2={names[0]: 1.0, names[1]: 2.0 / 3.0}, metadata=dict(metadata, mode=label))
+            report.save(tmp_path / f"{label}.json")
+            digest.update((tmp_path / f"{label}.json").read_bytes())
+        assert digest.hexdigest() == "1f64fc4ac0980c7435b9f6aff5a20d4a1f8fdfd0368da9e4cb28c295f9cf23f3"
 
 
 class TestExportCurves:

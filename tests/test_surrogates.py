@@ -8,6 +8,7 @@ from fatiguemotion.errors import ParameterError, ShapeError
 from fatiguemotion.nncore import LstmCell, TrainConfig, encode_params, mse
 from fatiguemotion.sequences import fit_normalizer
 from fatiguemotion.surrogates import (
+    BiLstmBank,
     BiLstmLayer,
     BiLstmModel,
     BiLstmSpec,
@@ -227,17 +228,37 @@ class TestTraining:
         pred = model.forward(x)[0]
         initial_mse = float(np.mean((pred - y) ** 2))
 
-        seen, backward_calls = [], []
-        forward, backward = BiLstmModel.forward, BiLstmModel.backward
+        seen, bank_seen, backward_calls = [], [], []
+        forward, backward, bank_forward = BiLstmModel.forward, BiLstmModel.backward, BiLstmBank.forward
         monkeypatch.setattr(BiLstmModel, "forward",
                             lambda m, x: seen.append(x.shape[1]) or forward(m, x))
         monkeypatch.setattr(BiLstmModel, "backward",
                             lambda m, c, dy: backward_calls.append(1) or backward(m, c, dy))
+        monkeypatch.setattr(BiLstmBank, "forward",
+                            lambda b, x: bank_seen.append(x.shape[1]) or bank_forward(b, x))
         cfg = TrainConfig(batch_size=8, lr=0.01, epochs=2, patience=50, seed=0)
         _, history = train_dyn(model, samples, cfg, window=window, window_stride=stride)
-        assert max(seen) <= cfg.batch_size
-        assert len(backward_calls) == 2 * 5  # 2 epochs x 40/8 batches, none for entry 0
+        assert bank_seen == [8] * 5  # entry 0: 40 windows through the cache-free bank
+        assert seen == [8] * 10 and len(backward_calls) == 2 * 5  # 2 epochs x 40/8 batches
         assert history[0]["train_loss"] == initial_mse
+
+    @pytest.mark.parametrize("hidden", [4, 32])
+    def test_entry_zero_with_a_one_window_chunk(self, tiny_dataset, hidden):
+        # 40 windows in batches of 13 leave a final chunk of one window; at
+        # B = 1 the bank and BiLstmModel.forward may differ by a few ulps, so
+        # entry 0 matches the per-chunk training forward within 1e-12.
+        trials, angle_norm, torque_norm = tiny_dataset
+        samples = make_samples(trials[:5], "fd", 0, angle_norm, torque_norm)
+        model = BiLstmModel(2, 1, BiLstmSpec(2, hidden), kind="fd", seed=2)
+        window, stride, batch = 10, 2, 13
+        x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
+        y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
+        assert x.shape[1] % batch == 1
+        pred = np.concatenate([model.forward(x[:, s : s + batch])[0] for s in range(0, x.shape[1], batch)], axis=1)
+        expected = mse(pred, y)[0]
+        cfg = TrainConfig(batch_size=batch, lr=0.01, epochs=1, seed=0)
+        _, history = train_dyn(model, samples, cfg, window=window, window_stride=stride)
+        assert history[0]["train_loss"] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_ragged_trials_rejected(self, tiny_dataset):
         trials, angle_norm, torque_norm = tiny_dataset
