@@ -12,7 +12,7 @@ model is immutable for inference and safe to share.
 """
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 from dataclasses import dataclass
 
@@ -177,9 +177,10 @@ class LstmCell:
     sigmoid gates evaluate in one call. The input projection for all
     timesteps is computed in one matmul; only the hidden recurrence loops
     over time. :meth:`forward` keeps the gates and cell states that BPTT
-    needs, so it is the training path. Inference runs cells through
-    ``surrogates.BiLstmBank``, which stacks many cells on a leading axis,
-    keeps no caches and shares the per-step gate math (:func:`lstm_gates`).
+    needs, writing each step's gates, c and h straight into row t, so it is
+    the training path. Inference runs cells through ``surrogates.BiLstmBank``,
+    which stacks many cells on a leading axis, keeps no caches and shares the
+    per-step gate math (:func:`lstm_gates`).
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng=None):
@@ -203,13 +204,10 @@ class LstmCell:
         gates = np.empty((t_len, batch, 4 * hdim))
         cs = np.empty((t_len, batch, hdim))
         hs = np.empty((t_len, batch, hdim))
-        h = np.zeros((batch, hdim))
-        c = np.zeros((batch, hdim))
+        c = h = np.zeros((batch, hdim))
         for t in range(t_len):
-            z = zx[t] + h @ self.Wh.T
-            c, h = lstm_gates(z, c, gates[t], hdim)
-            cs[t] = c
-            hs[t] = h
+            lstm_gates(gate_views(zx[t] + h @ self.Wh.T, gates[t], hdim), c, cs[t], hs[t])
+            c, h = cs[t], hs[t]
         return hs, (x, gates, cs, hs)
 
     def backward(self, cache, dh_seq: np.ndarray):
@@ -246,25 +244,31 @@ class LstmCell:
         return dx, [dWx, dWh, db]
 
 
-def lstm_gates(z: np.ndarray, c: np.ndarray, gate: np.ndarray, hdim: int):
-    """One LSTM step from pre-activations z (..., 4H) and cell state c (..., H).
+def gate_views(z: np.ndarray, gate: np.ndarray, hdim: int) -> tuple:
+    """(z, gate, z's g lanes, gate's i, f, o, g lanes): what :func:`lstm_gates` steps."""
+    return (z, gate, z[..., 3 * hdim :], gate[..., :hdim], gate[..., hdim : 2 * hdim],
+            gate[..., 2 * hdim : 3 * hdim], gate[..., 3 * hdim :])
 
-    Writes the activated [i, f, o, g] gates into ``gate`` and returns the new
-    (c, h). Leading axes are free, so one call steps a single cell (B, 4H) or
-    a stack of cells (K, B, 4H) alike. 1 / (1 + exp(-clip(z))) runs in place
-    over all 4H lanes, then tanh overwrites the g lanes: the same operations
-    in the same order, minus the temporaries and np.clip's Python wrapper.
+
+def lstm_gates(views: tuple, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray) -> None:
+    """One LSTM step from the :func:`gate_views` of z and gate and cell state c (..., H).
+
+    Writes the activated [i, f, o, g] gates into the gate buffer, the new c
+    into ``c_out`` (which may be ``c``) and the new h into ``h_out`` (which
+    may not), allocating nothing; leading axes are free. The operations are
+    those of 1/(1 + exp(-clip(z))), tanh(z_g), f*c + i*g and tanh(c)*o, in
+    that order, so the bits are the composed expression's.
     """
+    z, gate, z_g, i, f, o, g = views
     np.maximum(z, -500.0, out=gate)
     np.minimum(gate, 500.0, out=gate)
     np.negative(gate, out=gate)
     np.exp(gate, out=gate)
     np.add(gate, 1.0, out=gate)
     np.divide(1.0, gate, out=gate)
-    np.tanh(z[..., 3 * hdim :], out=gate[..., 3 * hdim :])
-    c = gate[..., :hdim] * gate[..., 3 * hdim :] + gate[..., hdim : 2 * hdim] * c
-    h = gate[..., 2 * hdim : 3 * hdim] * np.tanh(c)
-    return c, h
+    np.tanh(z_g, out=g)
+    np.add(np.multiply(f, c, out=c_out), np.multiply(i, g, out=h_out), out=c_out)
+    np.multiply(np.tanh(c_out, out=h_out), o, out=h_out)
 
 
 # --- losses -------------------------------------------------------------------
@@ -400,12 +404,12 @@ def encode_params(params) -> dict:
     return {
         "dtype": "float64",
         "shapes": [list(p.shape) for p in params],
-        "blob_b64": base64.b64encode(blob).decode("ascii"),
+        "blob_b64": binascii.b2a_base64(blob, newline=False).decode("ascii"),
     }
 
 
 def decode_params(enc: dict):
-    flat = np.frombuffer(base64.b64decode(enc["blob_b64"]), dtype=np.float64)
+    flat = np.frombuffer(binascii.a2b_base64(enc["blob_b64"]), dtype=np.float64)
     out = []
     offset = 0
     for shape in enc["shapes"]:
@@ -458,7 +462,12 @@ def load_checkpoint(path) -> dict:
     missing = [k for k in ("architecture", "meta", "params") if k not in doc]
     if missing:
         raise DataFormatError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    doc["params"] = decode_params(doc["params"])
+    if not (isinstance(doc["architecture"], dict) and isinstance(doc["meta"], dict)):
+        raise DataFormatError(f"{path}: checkpoint architecture and meta must be objects")
+    try:
+        doc["params"] = decode_params(doc["params"])
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise DataFormatError(f"{path}: malformed checkpoint params: {exc!r}") from None
     return doc
 
 

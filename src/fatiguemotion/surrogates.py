@@ -14,9 +14,9 @@ keeps the gate and cell-state caches BPTT needs. Inference and the initial
 loss :func:`train_dyn` logs run through :class:`BiLstmBank`: the forward and
 backward cells of N models of one architecture are stacked on a leading axis
 of size K = 2N, so one Python loop over time per layer steps every model and
-both directions with one batched matmul. The bank keeps no caches; it
-projects the input in chunks of :data:`BANK_CHUNK` steps and writes each
-layer into one preallocated (N, T, B, 2H) output.
+both directions with one batched matmul. The bank keeps no caches and
+allocates nothing per step; per :data:`BANK_CHUNK` steps it projects the
+input, stages h and copies it in bulk into one (N, T, B, 2H) layer output.
 :meth:`BiLstmModel.predict_sequence` is the N = 1 case.
 
 Inputs and targets are min-max normalized to [0,1], and training minimizes
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .errors import ParameterError, ShapeError
-from .nncore import DenseLayer, LstmCell, TrainConfig, _act, _act_d, lstm_gates
+from .errors import DataFormatError, ParameterError, ShapeError
+from .nncore import DenseLayer, LstmCell, TrainConfig, _act, _act_d, gate_views, lstm_gates
 from .sequences import NormalizationParams
 
 
@@ -54,8 +54,8 @@ DESK_SPEC = BiLstmSpec(n_layers=2, hidden=32)
 DESK_WINDOW = 96
 DESK_WINDOW_STRIDE = 2
 
-# Time steps whose input projection the inference bank computes at once: it
-# bounds the (K, chunk * B, 4H) projection buffer for long sequences.
+# Time steps the inference bank projects and stages at once: it bounds its
+# (K, chunk * B, 4H) projection buffer and (chunk, K, B, H) hidden-state stage.
 BANK_CHUNK = 128
 
 
@@ -174,12 +174,14 @@ class BiLstmBank:
     Per layer, the Wx, Wh and b of the N forward cells and then the N
     backward cells are stacked on a leading axis of size K = 2N. One loop
     over time steps all K cells with one batched matmul of the (K, B, H)
-    hidden states. Backward cells read the input through a reversed slice
-    and write their state straight into the second half of the layer output
-    at the mirrored time index. The weights are copied at construction, so
-    a bank reflects its models' parameters at that moment. Its batched
-    matmul may take another BLAS kernel than :meth:`BiLstmModel.forward`, so
-    at small B the two can differ by a few ulps.
+    hidden states; c is updated in place and each h written to a stage of
+    at most :data:`BANK_CHUNK` steps (131 KB at K = 4, B = 1, H = 32) that
+    the next step's matmul reads. After each chunk, two bulk copies move the
+    forward rows to the layer output's first half and the backward rows,
+    reversed, to its second half at the mirrored steps. The weights are
+    copied at construction, so a bank reflects its models' parameters at
+    that moment. Its batched matmul may take another BLAS kernel than
+    :meth:`BiLstmModel.forward`, so at small B the two differ by a few ulps.
     """
 
     def __init__(self, models):
@@ -231,12 +233,13 @@ class BiLstmBank:
         chunk = min(BANK_CHUNK, t_len)
         zx = np.empty((k, chunk * batch, 4 * hdim))
         z = np.empty((k, batch, 4 * hdim))
-        gate = np.empty((k, batch, 4 * hdim))
-        h = np.zeros((k, batch, hdim))
-        c = np.zeros((k, batch, hdim))
+        views = gate_views(z, np.empty((k, batch, 4 * hdim)), hdim)
+        stage = np.empty((chunk, k, batch, hdim))
+        h, c = np.zeros((2, k, batch, hdim))
         for s0 in range(0, t_len, chunk):
             s1 = min(s0 + chunk, t_len)
-            rows = (s1 - s0) * batch
+            m = s1 - s0
+            rows = m * batch
             # Forward cells read steps s0..s1-1, backward cells the mirrored
             # steps T-1-s0 down to T-s1.
             x_f = inp[..., s0:s1, :, :].reshape(*lead, rows, width)
@@ -244,13 +247,13 @@ class BiLstmBank:
             np.matmul(x_f, wx_t[:n], out=zx[:n, :rows])
             np.matmul(x_b, wx_t[n:], out=zx[n:, :rows])
             zx[:, :rows] += b
-            for j in range(s1 - s0):
-                t = s0 + j
+            for j in range(m):
                 np.matmul(h, wh_t, out=z)
                 z += zx[:, j * batch : (j + 1) * batch]
-                c, h = lstm_gates(z, c, gate, hdim)
-                out[:, t, :, :hdim] = h[:n]
-                out[:, t_len - 1 - t, :, hdim:] = h[n:]
+                h = stage[j]
+                lstm_gates(views, c, c, h)
+            out[:, s0:s1, :, :hdim] = stage[:m, :n].swapaxes(0, 1)
+            out[:, t_len - s1 : t_len - s0, :, hdim:] = stage[m - 1 :: -1, n:].swapaxes(0, 1)
         return out
 
 
@@ -394,7 +397,9 @@ def load_model(path) -> tuple[BiLstmModel, dict]:
         raise ParameterError(f"{path}: not a bilstm checkpoint")
     n_in, n_out, n_layers, hidden = nncore.architecture_fields(
         path, arch, ("n_in", "n_out", "n_layers", "hidden"))
-    model = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, hidden),
-                        kind=arch.get("kind"), seed=arch.get("seed", 0))
+    seed = arch.get("seed", 0)
+    if not all(type(v) is int for v in (n_in, n_out, n_layers, hidden, seed)):
+        raise DataFormatError(f"{path}: n_in, n_out, n_layers, hidden and seed must be integers")
+    model = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, hidden), kind=arch.get("kind"), seed=seed)
     nncore.copy_params(model.params(), doc["params"], path)
     return model, doc["meta"]

@@ -1,3 +1,4 @@
+import binascii
 import hashlib
 import json
 import shutil
@@ -296,13 +297,27 @@ class TestMalformedArtefacts:
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["architecture"].pop("n_in"),
         lambda doc: doc.pop("meta"),
-    ], ids=["architecture-without-n_in", "no-meta"])
+        lambda doc: doc["params"].update(blob_b64="\u00e9" + doc["params"]["blob_b64"][1:]),
+        lambda doc: doc["params"].update(blob_b64=doc["params"]["blob_b64"][:-1]),
+        lambda doc: doc["params"].pop("blob_b64"),
+        lambda doc: doc["params"].pop("shapes"),
+        lambda doc: doc.update(params=[]),
+        lambda doc: doc["params"].update(blob_b64=binascii.b2a_base64(
+            binascii.a2b_base64(doc["params"]["blob_b64"])[:-1], newline=False).decode("ascii")),
+        lambda doc: doc.update(architecture=[]),
+        lambda doc: doc["architecture"].update(n_layers="1"),
+        lambda doc: doc.update(meta=[]),
+        lambda doc: doc["architecture"].update(seed="1"),
+    ], ids=["architecture-without-n_in", "no-meta", "non-base64-character", "truncated-padding",
+            "no-blob", "no-shapes", "params-not-an-object", "blob-not-whole-floats",
+            "architecture-not-an-object", "n_layers-a-string", "meta-not-an-object", "seed-a-string"])
     def test_malformed_checkpoint(self, trained, tmp_path, capsys, edit):
         models = tmp_path / "models"
         shutil.copytree(trained / "models", models)
         self._edit_json(models / "id_elbow.json", edit)
         assert _apply(trained, models, tmp_path / "out") == 2
         assert "id_elbow.json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("traces"),

@@ -12,6 +12,7 @@ from fatiguemotion.nncore import (
     TrainConfig,
     decode_params,
     encode_params,
+    gate_views,
     load_checkpoint,
     lstm_gates,
     mse,
@@ -188,8 +189,9 @@ def _composed_gates(z, c, hdim):
 
 
 class TestLstmGates:
-    @pytest.mark.parametrize("lead", [(3,), (4, 2)], ids=["B,4H", "K,B,4H"])
-    def test_bits_match_the_composed_expression(self, lead):
+    @pytest.mark.parametrize("lead, in_place", [((3,), False), ((4, 2), False), ((3,), True), ((4, 2), True)],
+                             ids=["B,4H", "K,B,4H", "B,4H-c_out-is-c", "K,B,4H-c_out-is-c"])
+    def test_bits_match_the_composed_expression(self, lead, in_place):
         hdim = 5
         rng = np.random.default_rng(len(lead))
         z = rng.normal(scale=4.0, size=lead + (4 * hdim,))
@@ -197,11 +199,13 @@ class TestLstmGates:
         for lane, value in zip(range(0, 4 * hdim, 2), (600.0, -600.0, 900.0, -900.0) * 3):
             z[..., lane] = value
         c = rng.normal(size=lead + (hdim,))
-        gate = np.full(z.shape, np.nan)  # every lane must be written
+        expected = _composed_gates(z, c, hdim)
+        # every lane of the gate buffer and of the outputs must be written
+        gate, h = np.full(z.shape, np.nan), np.full(c.shape, np.nan)
+        c_new = c if in_place else np.full(c.shape, np.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            c_new, h = lstm_gates(z, c, gate, hdim)
-        expected = _composed_gates(z, c, hdim)
+            lstm_gates(gate_views(z, gate, hdim), c, c_new, h)
         for got, want in zip((gate, c_new, h), expected):
             assert np.array_equal(got, want)
         assert (gate[..., 0] == 1.0).all() and (gate[..., 18] == -1.0).all()  # z = 600 and g's z = -600

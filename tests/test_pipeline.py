@@ -59,6 +59,19 @@ class TestBank:
             assert y.shape == (n_models, t_len, batch, 1)
             np.testing.assert_allclose(y, _reference(models, x), rtol=0, atol=1e-12)
 
+    # sha256 of BiLstmBank.forward(x).tobytes() for two 2-layer H=32 models
+    # over three projection chunks (numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+    BANK_DIGESTS = {
+        1: "8de5a59e78d245aef1c8629355c7b91e0206e6786a69e10294fdb27f0f690fbd",
+        2: "3aa4f133d54906d25eeb1c5eb39ae61a2c8b374b88d66c8bbaceed196ecb9af0",
+    }
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_golden_bytes(self, batch):
+        bank = BiLstmBank(_models(2, 2, hidden=32))
+        x = np.random.default_rng(batch).normal(size=(2 * BANK_CHUNK + 5, batch, 3))
+        assert hashlib.sha256(bank.forward(x).tobytes()).hexdigest() == self.BANK_DIGESTS[batch]
+
     def test_predict_sequence_is_the_single_model_bank(self):
         (model,) = _models(1, 2)
         frames = np.random.default_rng(1).normal(size=(50, 3))
