@@ -76,13 +76,13 @@ def _parse_load(spec: str, duration: float, dt: float) -> cc.LoadProfile:
         values = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.lower() in ("tl", "target_load"):
-                    continue
+                # float() strips the whitespace str.strip() does; only lines it rejects are tested
                 try:
                     values.append(float(line))
                 except ValueError:
-                    raise DataFormatError(f"{path}:{lineno}: target load {line!r} is not a number") from None
+                    line = line.strip()
+                    if line and line.lower() not in ("tl", "target_load"):
+                        raise DataFormatError(f"{path}:{lineno}: target load {line!r} is not a number") from None
         load = cc.LoadProfile(np.array(values), dt)
         steps = duration / dt
         if not (math.isfinite(steps) and int(round(steps)) + 1 == load.values.size):

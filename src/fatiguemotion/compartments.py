@@ -20,10 +20,10 @@ reference oracle for the learned fatigue network, and the one module that
 holds the 3CC equations: the pipeline runs :func:`simulate`, and the PINN
 residual uses :func:`controller_batch`.
 
-The integrator (:func:`derivatives`, the RK4 step and :func:`advance`) works
-on Python floats, not numpy arrays: a frame is about 60 flops on three
-pools, and numpy's per-call overhead on 3-element arrays costs several times
-more than that arithmetic.
+The integrator, :func:`advance`, is one frame of sub-stepped RK4 written out
+on Python floats: a frame is about 60 flops on three pools, and numpy's
+per-call overhead on 3-element arrays, or a Python call per RK4 stage, costs
+more than that arithmetic. :func:`simulate` calls it once per frame.
 
 Everything is state-in/state-out; independent joints simulate in parallel
 safely.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError
+from .errors import DataFormatError, NumericError, ParameterError
 from .sequences import write_table
 
 # Internal RK4 sub-step ceiling: the controller's development/relaxation
@@ -88,9 +88,6 @@ class CompartmentState:
     def rested(cls) -> "CompartmentState":
         return cls(0.0, 0.0, 100.0)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.M_A, self.M_F, self.M_R])
-
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -106,8 +103,8 @@ class LoadProfile:
             raise ParameterError(f"dt must be finite and > 0, got {self.dt}")
         if v.ndim != 1 or v.size == 0:
             raise ParameterError("profile must be a non-empty 1-D trace")
-        if (v < 0).any() or (v > 100).any():
-            raise ParameterError("target load must stay in [0, 100]")
+        if not ((v >= 0) & (v <= 100)).all():  # NaN fails both comparisons
+            raise ParameterError("target load must be a number in [0, 100]")
         v.setflags(write=False)
 
     @classmethod
@@ -140,38 +137,6 @@ def controller_batch(m_a, m_r, tl, p: Cc3Params):
     c = np.where(below, np.where(starved, p.LD * m_r, p.LD * (tl - m_a)), p.LR * (tl - m_a))
     dc_dmr = np.where(below & starved, p.LD, 0.0)
     return c, dc_dmr
-
-
-def derivatives(m_a: float, m_f: float, m_r: float, tl: float,
-                p: Cc3Params) -> tuple[float, float, float]:
-    """(dM_A/dt, dM_F/dt, dM_R/dt) of the pools (M_A, M_F, M_R); the three sum to 0 up to rounding."""
-    c = controller(m_a, m_r, tl, p)
-    f_out = p.F * m_a
-    r_out = p.R * m_f
-    return c - f_out, f_out - r_out, -c + r_out
-
-
-def _rk4(m_a: float, m_f: float, m_r: float, tl: float, p: Cc3Params,
-         dt: float) -> tuple[float, float, float]:
-    h = 0.5 * dt
-    a1, f1, r1 = derivatives(m_a, m_f, m_r, tl, p)
-    a2, f2, r2 = derivatives(m_a + h * a1, m_f + h * f1, m_r + h * r1, tl, p)
-    a3, f3, r3 = derivatives(m_a + h * a2, m_f + h * f2, m_r + h * r2, tl, p)
-    a4, f4, r4 = derivatives(m_a + dt * a3, m_f + dt * f3, m_r + dt * r3, tl, p)
-    w = dt / 6.0
-    m_a = m_a + w * (a1 + 2 * a2 + 2 * a3 + a4)
-    m_f = m_f + w * (f1 + 2 * f2 + 2 * f3 + f4)
-    m_r = m_r + w * (r1 + 2 * r2 + 2 * r3 + r4)
-    # Guard: pools stay non-negative and conserve the 100% total. The clamp
-    # maps -0.0 to +0.0; max(x, 0.0) would keep -0.0 and change CSV bytes.
-    m_a = m_a if m_a > 0.0 else 0.0
-    m_f = m_f if m_f > 0.0 else 0.0
-    m_r = m_r if m_r > 0.0 else 0.0
-    total = m_a + m_f + m_r
-    if abs(total - 100.0) > _CONSERVATION_GUARD:
-        scale = 100.0 / total
-        return m_a * scale, m_f * scale, m_r * scale
-    return m_a, m_f, m_r
 
 
 @dataclass(frozen=True)
@@ -210,14 +175,43 @@ def advance(state, tl: float, params: Cc3Params, dt: float) -> tuple[float, floa
     """Advance the pools (M_A, M_F, M_R), any 3-sequence, over one frame interval.
 
     Sub-steps so that each RK4 step is <= MAX_STEP and returns the new pools
-    as a tuple of floats. The step is scalar float arithmetic because numpy's
-    per-call overhead on 3-element arrays outweighs the ~60 flops of a step.
+    as a tuple of floats. The four stages are written out here, with F, R and
+    the step weights read once per frame: a call per stage costs more than its
+    flows. :func:`controller` stays the one scalar home of C(t). A step whose
+    pools overflow or all vanish raises NumericError.
     """
     n_sub = max(1, math.ceil(dt / MAX_STEP))
-    h = dt / n_sub
+    step = dt / n_sub
+    h, w = 0.5 * step, step / 6.0
+    F, R = params.F, params.R
     m_a, m_f, m_r = state
     for _ in range(n_sub):
-        m_a, m_f, m_r = _rk4(m_a, m_f, m_r, tl, params, h)
+        c = controller(m_a, m_r, tl, params)
+        a1, f1, r1 = c - F * m_a, F * m_a - R * m_f, -c + R * m_f
+        x_a, x_f, x_r = m_a + h * a1, m_f + h * f1, m_r + h * r1
+        c = controller(x_a, x_r, tl, params)
+        a2, f2, r2 = c - F * x_a, F * x_a - R * x_f, -c + R * x_f
+        x_a, x_f, x_r = m_a + h * a2, m_f + h * f2, m_r + h * r2
+        c = controller(x_a, x_r, tl, params)
+        a3, f3, r3 = c - F * x_a, F * x_a - R * x_f, -c + R * x_f
+        x_a, x_f, x_r = m_a + step * a3, m_f + step * f3, m_r + step * r3
+        c = controller(x_a, x_r, tl, params)
+        a4, f4, r4 = c - F * x_a, F * x_a - R * x_f, -c + R * x_f
+        m_a = m_a + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        m_f = m_f + w * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        m_r = m_r + w * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        # Guard: pools stay non-negative and conserve the 100% total. The clamp
+        # maps -0.0 to +0.0; max(x, 0.0) would keep -0.0 and change CSV bytes.
+        m_a = m_a if m_a > 0.0 else 0.0
+        m_f = m_f if m_f > 0.0 else 0.0
+        m_r = m_r if m_r > 0.0 else 0.0
+        total = m_a + m_f + m_r
+        if abs(total - 100.0) > _CONSERVATION_GUARD:
+            # the clamp maps NaN to 0.0: a diverged step has a zero or infinite total
+            if not 0.0 < total < math.inf:
+                raise NumericError(f"3CC step diverged: pools {m_a}, {m_f}, {m_r} at TL {tl}")
+            scale = 100.0 / total
+            m_a, m_f, m_r = m_a * scale, m_f * scale, m_r * scale
     return m_a, m_f, m_r
 
 
@@ -228,17 +222,20 @@ def simulate(initial: CompartmentState | None, load: LoadProfile, params: Cc3Par
     guarantees), and the target load is held constant across each sample
     interval. The first state is the initial state itself (all units rested
     by default). Each frame is one :func:`advance` on Python floats (see the
-    module notes), written into the preallocated (n, 3) state array.
+    module notes), written into the preallocated (n, 3) state array through a
+    memoryview, which copies nothing and costs less than a numpy row write.
     """
     if initial is None:
         initial = CompartmentState.rested()
     dt = load.dt
     n = load.values.size
     states = np.empty((n, 3))
-    states[0] = initial.as_array()
+    states[0] = initial.M_A, initial.M_F, initial.M_R
     state = states[0].tolist()
-    for i, tl in enumerate(map(float, load.values[:-1]), start=1):
-        state = states[i] = advance(state, tl, params, dt)
+    with memoryview(states.reshape(-1)) as flat:
+        for k, tl in zip(range(3, 3 * n, 3), map(float, load.values[:-1])):
+            state = advance(state, tl, params, dt)
+            flat[k], flat[k + 1], flat[k + 2] = state
     return Cc3Trajectory(times=np.arange(n) * dt, states=states)
 
 

@@ -284,7 +284,7 @@ def mse(pred: np.ndarray, target: np.ndarray):
 # --- optimizer ----------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction; updates parameter arrays in place."""
+    """Adam with bias correction over one flat moment buffer; updates parameter arrays in place."""
 
     def __init__(self, params, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -292,24 +292,27 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.shapes = [p.shape for p in params]
+        self.ends = np.cumsum([p.size for p in params])
+        self.m = np.zeros(sum(p.size for p in params))
+        self.v = np.zeros_like(self.m)
 
     def step(self, params, grads) -> None:
-        if len(params) != len(self.m):
+        if [p.shape for p in params] != self.shapes:
             raise ShapeError("parameter list does not match optimizer state")
-        for g in grads:
-            if not np.isfinite(g).all():
-                raise NumericError("adam: NaN/Inf gradient, training aborted")
+        g = np.concatenate([np.ravel(x) for x in grads])
+        if not np.isfinite(g).all():
+            raise NumericError("adam: NaN/Inf gradient, training aborted")
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        update = self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.eps)
+        for p, end in zip(params, self.ends):
+            p -= update[end - p.size:end].reshape(p.shape)
 
 
 # --- training loop --------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from fatiguemotion import compartments as cc
 from fatiguemotion import nncore
-from fatiguemotion.cli import build_parser, main, run
+from fatiguemotion.cli import _parse_load, build_parser, main, run
+from fatiguemotion.errors import DataFormatError
 from fatiguemotion.surrogates import BANK_CHUNK
 
 TINY_DYN = ["--layers", "1", "--hidden", "4", "--epochs", "1", "--window", "20",
@@ -226,6 +227,31 @@ class TestUserErrors:
         assert code == 2
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["tl\n10\nnan\n30\n40\n", "tl\n10\n20\n30\nnan\n"],
+                             ids=["nan-row", "nan-last-row"])
+    def test_nan_load_csv(self, tmp_path, capsys, rows):
+        (tmp_path / "tl.csv").write_text(rows)
+        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "0.15", "--dt", "0.05",
+                    "--tl", f"csv:{tmp_path / 'tl.csv'}", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "target load" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "0.15", "--dt", "0.05"],
+        ["train-pinn", "--frames", "12", "--hidden", "4", "--t", "20", "--epochs", "2"],
+    ], ids=["sim-3cc", "train-pinn"])
+    def test_nan_constant_load(self, tmp_path, command):
+        assert run([*command, "--tl", "const:nan", "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_diverging_simulation(self, tmp_path, capsys):
+        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--LD", "1e300", "--LR", "1e300",
+                    "--tl", "const:50", "--t", "1", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_numeric_constant_load(self, tmp_path):
         code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "1",
                     "--tl", "const:abc", "--out", str(tmp_path / "out")])
@@ -276,6 +302,27 @@ class TestUserErrors:
         assert not (tmp_path / "out").exists()
         assert run([*argv, "--t", "0.4", "--out", str(tmp_path / "ok")]) == 0
         assert len((tmp_path / "ok" / "trajectory.csv").read_text().splitlines()) == 1 + 3
+
+
+class TestLoadCsv:
+    """csv: loads skip blank lines and tl/target_load headers wherever they stand."""
+
+    @pytest.mark.parametrize("content", [
+        b"tl\n10\n\n20.5\n\n\n30\n",
+        b"tl\n10\nTARGET_LOAD\n20.5\nTl\n30\n",
+        b"  TL \n\t10 \n 20.5\n  \n30\t\n",
+        b"target_load\r\n10\r\n\r\n20.5\r\n30",
+    ], ids=["blank-lines", "header-between-values", "whitespace", "crlf"])
+    def test_same_profile(self, tmp_path, content):
+        (tmp_path / "tl.csv").write_bytes(content)
+        load = _parse_load(f"csv:{tmp_path / 'tl.csv'}", 0.4, 0.2)
+        assert load.values.tolist() == [10.0, 20.5, 30.0]
+        assert load.dt == 0.2
+
+    def test_non_number_names_its_line(self, tmp_path):
+        (tmp_path / "tl.csv").write_bytes(b"tl\r\n 10 \r\n\r\n 1O \r\n30\r\n")
+        with pytest.raises(DataFormatError, match=r"tl\.csv:4: target load '1O' is not a number"):
+            _parse_load(f"csv:{tmp_path / 'tl.csv'}", 0.4, 0.2)
 
 
 class TestMalformedArtefacts:

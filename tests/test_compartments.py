@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fatiguemotion import compartments as cc
 from fatiguemotion.compartments import (
     MAX_STEP,
     Cc3Params,
@@ -14,14 +15,13 @@ from fatiguemotion.compartments import (
     advance,
     controller,
     controller_batch,
-    derivatives,
     load_profiles,
     modulate_torque,
     save_profiles,
     simulate,
     trajectory_to_csv,
 )
-from fatiguemotion.errors import ParameterError
+from fatiguemotion.errors import NumericError, ParameterError
 
 FAST = Cc3Params(F=0.01, R=0.001)
 RESTED = np.array([0.0, 0.0, 100.0])
@@ -88,32 +88,41 @@ class TestController:
         np.testing.assert_allclose(dc_dmr[away], fd, rtol=0, atol=1e-6)
 
 
-class TestDerivatives:
-    def test_sum_zero(self):
+class TestStepRk4:
+    """``advance`` over an interval dt <= MAX_STEP takes exactly one RK4 step."""
+
+    def test_flows_sum_to_zero(self, monkeypatch):
+        # With the renormalising guard off, a step's total moves only by
+        # rounding: the three flows cancel exactly.
+        monkeypatch.setattr(cc, "_CONSERVATION_GUARD", float("inf"))
         rng = np.random.default_rng(1)
         for _ in range(200):
             m = rng.uniform(0, 100, size=3)
-            m = 100 * m / m.sum()
-            d = np.asarray(derivatives(*m, rng.uniform(0, 100), FAST))
-            assert d.sum() == pytest.approx(0.0, abs=1e-12)
+            s = advance(100 * m / m.sum(), rng.uniform(0, 100), FAST, 1e-3)
+            assert min(s) > 0
+            assert sum(s) == pytest.approx(100.0, abs=1e-12)
 
     def test_full_activation(self):
-        # M_A = TL = 100: controller flow is zero, fatigue outflow is F*M_A
-        d = derivatives(100.0, 0.0, 0.0, 100, FAST)
-        assert d[1] == pytest.approx(FAST.F * 100, abs=1e-15)
-        assert d[0] == pytest.approx(-FAST.F * 100, abs=1e-15)
+        # M_A = TL = 100: controller flow is zero, fatigue outflow is F*M_A;
+        # the step's second-order term is F*dt/2 = 5e-7 of it
+        dt = 1e-4
+        m_a, m_f, _ = advance((100.0, 0.0, 0.0), 100, FAST, dt)
+        assert m_f / dt == pytest.approx(FAST.F * 100, rel=1e-5)
+        assert (m_a - 100.0) / dt == pytest.approx(-FAST.F * 100, rel=1e-5)
 
     def test_fatigue_recovery_balance(self):
-        # F*M_A = R*M_F and C = 0 gives a stationary fatigued pool
+        # F*M_A = R*M_F and C = 0 gives a stationary fatigued pool, up to
+        # the step's second-order term dt^2/2 * F^2 * M_A = 2e-11
         p = Cc3Params(F=0.001, R=0.01)
         m_a, m_f = 40.0, 4.0
         tl = m_a  # relaxing branch with TL = M_A gives C = 0
-        d = derivatives(m_a, m_f, 100 - m_a - m_f, tl, p)
-        assert d[1] == pytest.approx(0.0, abs=1e-15)
+        s = advance((m_a, m_f, 100 - m_a - m_f), tl, p, 1e-3)
+        assert s[1] == pytest.approx(m_f, abs=1e-10)
 
-
-class TestStepRk4:
-    """``advance`` over an interval dt <= MAX_STEP takes exactly one RK4 step."""
+    def test_diverging_step_raises(self):
+        # the pools overflow, the clamp maps NaN to 0.0 and the total is 0
+        with pytest.raises(NumericError, match="diverged"):
+            advance((0.0, 0.0, 100.0), 50.0, Cc3Params(F=0.01, R=0.001, LD=1e300, LR=1e300), 0.05)
 
     def test_rest_fixed_point(self):
         s = advance(RESTED, 0.0, ELBOW, MAX_STEP)
@@ -190,6 +199,22 @@ class TestSimulate:
         traj = simulate(None, load, FAST)
         assert np.diff(traj.rc).max() <= 0
 
+    def test_one_advance_per_frame(self, monkeypatch):
+        # each frame is one call of the module's advance, with dt as its fourth argument
+        calls = []
+        real = cc.advance
+
+        def counting(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(cc, "advance", counting)
+        load = LoadProfile(np.array([30.0, 80.0, 0.0, 50.0, 50.0, 10.0]), 0.2)
+        traj = simulate(None, load, FAST)
+        assert calls == [0.2] * (load.values.size - 1)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(traj.states, simulate(None, load, FAST).states)
+
     def test_empty_profile_rejected(self):
         with pytest.raises(ParameterError):
             LoadProfile(np.array([]), 0.05)
@@ -200,7 +225,7 @@ class TestSimulate:
             LoadProfile(np.array([50.0, 50.0]), dt)
 
     def test_load_outside_domain_rejected(self):
-        for tl in (120.0, -5.0):
+        for tl in (120.0, -5.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
                 LoadProfile(np.array([50.0, tl]), 0.05)
 
