@@ -445,6 +445,15 @@ TRAIN_DYN_DIGESTS = {
 }
 
 
+# sha256 of the checkpoint and log of TestModelCommands.test_train_pinn_golden_bytes
+# for each mode (numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+TRAIN_PINN_DIGESTS = {
+    "supervised/pinn_elbow.json": "11c2b2c99364a3c8d951e54d64febe910c82a21ac16bcde2ff7e9d57acabf0d7",
+    "supervised/training_log.csv": "a7d2591b2974f72a8f8161fc848b77e91eade30b3b547770a3d0beb27b4f6962",
+    "unsupervised/pinn_elbow.json": "1b5a98d0acb80c64bfd3ca5d83ac0672be01d2c055ba6d944432aabfac3af87f",
+    "unsupervised/training_log.csv": "6b0c4412cbabb45a2bc15d98d7ec7466ac4ebf4cf45567840f4a8e47e66c320a",
+}
+
 # sha256 of the outputs of TestModelCommands.test_apply_fatigue_golden_bytes
 # (numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
 APPLY_FATIGUE_DIGESTS = {
@@ -482,6 +491,15 @@ class TestModelCommands:
         digests = {name: hashlib.sha256((tmp_path / "m" / name).read_bytes()).hexdigest()
                    for name in TRAIN_DYN_DIGESTS}
         assert digests == TRAIN_DYN_DIGESTS
+
+    def test_train_pinn_golden_bytes(self, tmp_path):
+        # supervised runs all 40 epochs; unsupervised stops early, at epoch 24
+        for mode, extra in (("supervised", []), ("unsupervised", ["--unsupervised", "--activation", "tanh"])):
+            assert run(["train-pinn", *TINY_PINN, "--epochs", "40", "--patience", "9",
+                        "--out", str(tmp_path / mode), *extra]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in TRAIN_PINN_DIGESTS}
+        assert digests == TRAIN_PINN_DIGESTS
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_train_pinn_load_csv_must_span_duration(self, tmp_path, mode):
