@@ -185,6 +185,8 @@ def generate_dataset(
         raise ParameterError(f"dt must be in (0, 0.1], got {dt}")
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
+    if n_segments < 1:
+        raise ParameterError(f"n_segments must be >= 1, got {n_segments}")
     rng = np.random.default_rng(seed)
     trials = []
     for _ in range(n_trials):

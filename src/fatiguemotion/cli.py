@@ -139,20 +139,18 @@ def _cmd_train_pinn(args) -> dict:
     )
     if args.unsupervised:
         model, history = fp.train_unsupervised(model, load, cfg)
-        data_key = "L_BC"
     else:
         traj = cc.simulate(None, load, params)
         idx = fp.training_indices(load, args.frames)
         data = fp.data_from_trajectory(traj, load, idx)
         model, history = fp.train_supervised(model, data, cfg)
-        data_key = "L_NN"
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fp.save_model(outdir / f"pinn_{args.joint}.json", model, meta={"joint": args.joint})
     with open(outdir / "training_log.csv", "w") as fh:
         fh.write("epoch,L_total,L_NN_or_BC,L_PB\n")
         for entry in history:
-            fh.write(f"{entry['epoch']},{entry['L_total']!r},{entry[data_key]!r},{entry['L_PB']!r}\n")
+            fh.write(f"{entry['epoch']},{entry['L_total']!r},{entry['L_data']!r},{entry['L_PB']!r}\n")
     cc3 = dataclasses.asdict(params)
     return {**cc3, "cc3": cc3}  # the trained rates replace unset --F/--R/--LD/--LR
 

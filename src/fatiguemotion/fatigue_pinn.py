@@ -1,18 +1,20 @@
 """Physics-informed fatigue network: (t, M_A) -> (M_F, M_R).
 
 A five-layer dense stack predicts the fatigued and resting pools from the
-current time and active pool. Training minimizes a data term plus the
-squared residuals of the compartment ODEs,
+current time and active pool. Training minimizes one objective, a data term
+plus the squared residuals of the compartment ODEs,
 
     rho_F = dM_F/dt - F*M_A + R*M_F
     rho_R = dM_R/dt + C(t) - R*M_F
 
 where dM/dt is the exact derivative of the network with respect to its time
-input (reverse mode through the stack, M_A held fixed) and C(t) is the
-compartment controller evaluated with the input M_A and the *predicted*
-M_R. Supervised mode adds a mean-squared data term on (M_F, M_R); the
-unsupervised (forward-problem) mode replaces it with a boundary-condition
-penalty at t=0 and learns from the residuals alone.
+input (the forward-mode tangent of :meth:`Mlp.forward_tangent`, M_A held
+fixed) and C(t) is the compartment controller evaluated with the input M_A
+and the *predicted* M_R. The data term is the mean squared error of
+(M_F, M_R) against an ``anchor``'s targets. Supervised training anchors each
+batch at its own simulated pools; unsupervised (forward-problem) training
+anchors the collocation points at the one t=0 boundary sample and learns
+the rest from the residuals alone.
 
 Inputs are scaled to [0,1] (t by the trajectory duration, M_A by 100) and
 outputs are rescaled to %MVC; losses are computed in %MVC units.
@@ -69,11 +71,10 @@ class Pinn3ccModel:
         return np.stack([t / self.t_scale, m_a / self.a_scale], axis=-1)
 
     def predict(self, t, m_a):
-        """(M_F, M_R) estimates; consumers clamp to [0,100] before use."""
+        """(M_F, M_R) arrays, one entry per sample; consumers clamp to [0,100]
+        before use."""
         y, _ = self.mlp.forward(self._inputs(t, m_a))
         out = self.out_scale * y
-        if np.ndim(t) == 0 and np.ndim(m_a) == 0:
-            return float(out[0, 0]), float(out[0, 1])
         return out[:, 0], out[:, 1]
 
     def _forward_time_tangent(self, t, m_a):
@@ -163,18 +164,39 @@ def collocation_from_load(load: LoadProfile, cc3: Cc3Params) -> PinnData:
 @dataclass
 class PinnLossBreakdown:
     total: float
-    data: float  # L_NN in supervised mode, L_BC in unsupervised mode
+    data: float  # L_NN when the batch is its own anchor, L_BC at a boundary anchor
     physics: float
 
 
-def _physics_loss_and_grads(model: Pinn3ccModel, batch: PinnData):
-    """L_PB over the batch plus output/tangent gradient contributions."""
+def supervised_loss(model: Pinn3ccModel, batch: PinnData, anchor: PinnData | None = None, grad: bool = True):
+    """L = L_data + L_PB and gradients for all stack parameters (None when
+    ``grad`` is False: a forward-only pass, no backward).
+
+    L_PB is the mean squared ODE residual over ``batch``. L_data is the
+    mean squared error of (M_F, M_R) against the targets of ``anchor``: by
+    default the batch itself (L_NN), whose tangent pass already gives the
+    outputs; otherwise, e.g. the t=0 boundary sample (L_BC), a forward pass
+    of its own.
+    """
+    data = batch if anchor is None else anchor
+    if data.m_f is None or data.m_r is None:
+        raise ParameterError("the data term needs M_F and M_R targets")
     m, mdot, cache = model._forward_time_tangent(batch.t, batch.m_a)
     rho_f, rho_r, dc_dmr = ode_residuals(
         model.cc3, batch.m_a, batch.tl, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1]
     )
+    l_pb = float(np.mean(rho_f**2) + np.mean(rho_r**2))
+    if anchor is None:
+        m_data = m
+    else:
+        y, data_cache = model.mlp.forward(model._inputs(anchor.t, anchor.m_a))
+        m_data = model.out_scale * y
+    err = m_data - np.stack([data.m_f, data.m_r], axis=-1)
+    l_data = float(np.mean(err[:, 0]**2) + np.mean(err[:, 1]**2))
+    breakdown = PinnLossBreakdown(l_data + l_pb, l_data, l_pb)
+    if not grad:
+        return breakdown, None
     n = batch.t.size
-    loss = float(np.mean(rho_f**2) + np.mean(rho_r**2))
     gy = np.zeros_like(m)
     gydot = np.zeros_like(mdot)
     a_f = (2.0 / n) * rho_f
@@ -183,89 +205,44 @@ def _physics_loss_and_grads(model: Pinn3ccModel, batch: PinnData):
     gydot[:, 1] = a_r
     gy[:, 0] = a_f * model.cc3.R - a_r * model.cc3.R
     gy[:, 1] = a_r * dc_dmr
-    return loss, m, cache, gy, gydot
-
-
-def supervised_loss(model: Pinn3ccModel, batch: PinnData, grad: bool = True):
-    """L = L_NN + L_PB and gradients for all stack parameters (None when
-    ``grad`` is False: a forward-only pass, no backward)."""
-    if batch.m_f is None or batch.m_r is None:
-        raise ParameterError("supervised training needs M_F and M_R targets")
-    l_pb, m, cache, gy, gydot = _physics_loss_and_grads(model, batch)
-    n = batch.t.size
-    err_f = m[:, 0] - batch.m_f
-    err_r = m[:, 1] - batch.m_r
-    l_nn = float(np.mean(err_f**2) + np.mean(err_r**2))
-    breakdown = PinnLossBreakdown(l_nn + l_pb, l_nn, l_pb)
-    if not grad:
-        return breakdown, None
-    gy[:, 0] += (2.0 / n) * err_f
-    gy[:, 1] += (2.0 / n) * err_r
+    g_data = (2.0 / data.t.size) * err
+    if anchor is None:
+        gy += g_data
     grads = model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
-    return breakdown, grads
+    if anchor is None:
+        return breakdown, grads
+    data_grads, _ = model.mlp.backward(data_cache, g_data * model.out_scale)
+    return breakdown, [g + dg for g, dg in zip(grads, data_grads)]
 
 
-def unsupervised_loss(model: Pinn3ccModel, batch: PinnData, bc: tuple[float, float], t0: float, m_a0: float,
-                      grad: bool = True):
-    """L = L_BC + L_PB; the boundary term pins (M_F, M_R) at t=t0. Gradients
-    are None when ``grad`` is False (forward-only, no backward)."""
-    l_pb, _, cache, gy, gydot = _physics_loss_and_grads(model, batch)
-    y0, bc_cache = model.mlp.forward(model._inputs(t0, m_a0))
-    m0 = model.out_scale * y0
-    err = np.array([[m0[0, 0] - bc[0], m0[0, 1] - bc[1]]])
-    l_bc = float(np.sum(err**2))
-    breakdown = PinnLossBreakdown(l_bc + l_pb, l_bc, l_pb)
-    if not grad:
-        return breakdown, None
-    grads = model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
-    bc_grads, _ = model.mlp.backward(bc_cache, 2.0 * err * model.out_scale)
-    grads = [g + bg for g, bg in zip(grads, bc_grads)]
-    return breakdown, grads
-
-
-def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig):
-    """Adam on L_NN + L_PB; history logs both components over all of ``data``
-    after each epoch, forward-only. Entry 0 (untrained model) reuses the
-    breakdown of train_loop's forward-only entry-0 pass, so the untrained
-    model is evaluated once."""
+def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig, anchor: PinnData | None = None):
+    """Adam on L_data + L_PB (see :func:`supervised_loss`; ``anchor`` is the
+    same for every batch). History logs L_total, L_data and L_PB over all
+    of ``data`` after each epoch, forward-only. Entry 0 (untrained model)
+    reuses the breakdown of train_loop's forward-only entry-0 pass, so the
+    untrained model is evaluated once."""
     initial = []  # breakdown of train_loop's forward-only entry-0 call
 
     def loss_fn(m, idx, grad=True):
-        breakdown, grads = supervised_loss(m, data.subset(idx), grad)
+        breakdown, grads = supervised_loss(m, data.subset(idx), anchor, grad)
         if not grad:
             initial.append(breakdown)
         return breakdown.total, grads
 
     def epoch_log(m):
-        b = initial.pop() if initial else supervised_loss(m, data, grad=False)[0]
-        return {"L_total": b.total, "L_NN": b.data, "L_PB": b.physics}
+        b = initial.pop() if initial else supervised_loss(m, data, anchor, grad=False)[0]
+        return {"L_total": b.total, "L_data": b.data, "L_PB": b.physics}
 
     return nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)
 
 
-def train_unsupervised(model: Pinn3ccModel, load: LoadProfile, config: TrainConfig,
-                       bc: tuple[float, float] | None = None):
-    """Forward-problem training: residuals at collocation points plus the t=0
-    boundary term. Default boundary: M_F(0)=0, M_R(0)=100-M_A(0). The history
-    is logged as in :func:`train_supervised`."""
+def train_unsupervised(model: Pinn3ccModel, load: LoadProfile, config: TrainConfig):
+    """Forward-problem training: :func:`train_supervised` on collocation
+    points, anchored at the t=0 boundary M_F(0)=0, M_R(0)=100-M_A(0)."""
     data = collocation_from_load(load, model.cc3)
-    m_a0 = float(data.m_a[0])
-    if bc is None:
-        bc = (0.0, 100.0 - m_a0)
-    t0 = float(data.t[0])
-    initial = []
-
-    def loss_fn(m, idx, grad=True):
-        breakdown, grads = unsupervised_loss(m, data.subset(idx), bc, t0, m_a0, grad)
-        if not grad:
-            initial.append(breakdown)
-        return breakdown.total, grads
-
-    def epoch_log(m):
-        b = initial.pop() if initial else unsupervised_loss(m, data, bc, t0, m_a0, grad=False)[0]
-        return {"L_total": b.total, "L_BC": b.data, "L_PB": b.physics}
-
-    return nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)
+    m_a0 = data.m_a[:1]
+    anchor = PinnData(data.t[:1], m_a0, data.tl[:1], m_f=np.zeros(1), m_r=100.0 - m_a0)
+    return train_supervised(model, data, config, anchor)
 
 
 # --- checkpoints ---------------------------------------------------------------

@@ -183,6 +183,8 @@ class TestDatasetGenerator:
             generate_dataset(P, 2, 32, 0.2, seed=0)
         with pytest.raises(ParameterError):
             generate_dataset(P, 2, 32, 0.0, seed=0)
+        with pytest.raises(ParameterError):
+            generate_dataset(P, 2, 32, 0.05, seed=0, n_segments=0)
 
     def test_save_load_round_trip(self, tmp_path):
         trials = generate_dataset(P, 2, 24, 0.05, seed=5)

@@ -257,6 +257,14 @@ class TestUserErrors:
                     "--tl", "const:abc", "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("segments", ["0", "-1"])
+    def test_gen_data_bad_segments(self, tmp_path, capsys, segments):
+        code = run(["gen-data", "--trials", "1", "--frames", "20", "--segments", segments,
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "n_segments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_train_pinn_single_frame(self, tmp_path):
         code = run(["train-pinn", "--frames", "1", "--epochs", "1", "--out", str(tmp_path / "out")])
         assert code == 2

@@ -19,11 +19,15 @@ from fatiguemotion.fatigue_pinn import (
     supervised_loss,
     train_supervised,
     train_unsupervised,
-    unsupervised_loss,
 )
 from fatiguemotion import fatigue_pinn
 from fatiguemotion.nncore import Mlp, TrainConfig, encode_params
 from fatiguemotion.pipeline import nrmse
+
+
+def boundary(t0, m_a0, m_f0, m_r0):
+    """A one-sample anchor: targets (M_F, M_R) at (t0, M_A(t0))."""
+    return PinnData(t=[t0], m_a=[m_a0], tl=[0.0], m_f=[m_f0], m_r=[m_r0])
 
 
 def zero_model(spec=PinnSpec(8, "relu")):
@@ -78,15 +82,11 @@ class TestTimeDerivatives:
         model = Pinn3ccModel(ELBOW, t_scale=100.0, spec=PinnSpec(16, "tanh"), seed=7)
         rng = np.random.default_rng(0)
         h = 1e-3
-        for _ in range(50):
-            t = rng.uniform(1, 99)
-            m_a = rng.uniform(0, 100)
-            _, mdot, _ = model._forward_time_tangent(t, m_a)
-            d_f, d_r = mdot[0]
-            fd_f = (model.predict(t + h, m_a)[0] - model.predict(t - h, m_a)[0]) / (2 * h)
-            fd_r = (model.predict(t + h, m_a)[1] - model.predict(t - h, m_a)[1]) / (2 * h)
-            assert abs(d_f - fd_f) / max(abs(fd_f), 1e-6) < 1e-3
-            assert abs(d_r - fd_r) / max(abs(fd_r), 1e-6) < 1e-3
+        t, m_a = rng.uniform([1, 0], [99, 100], size=(50, 2)).T
+        _, mdot, _ = model._forward_time_tangent(t, m_a)
+        fd = (np.stack(model.predict(t + h, m_a), axis=-1)
+              - np.stack(model.predict(t - h, m_a), axis=-1)) / (2 * h)
+        assert (np.abs(mdot - fd) / np.maximum(np.abs(fd), 1e-6) < 1e-3).all()
 
 
 class TestPhysicsResiduals:
@@ -140,9 +140,9 @@ class TestLossBookkeeping:
         data, load = self.make_data()
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(8, "tanh"), seed=5)
         colloc = collocation_from_load(load, ELBOW)
-        bc = (0.0, 60.0)
+        anchor = boundary(0.0, 40.0, 0.0, 60.0)
         supervised, _ = supervised_loss(model, data)
-        unsupervised, _ = unsupervised_loss(model, colloc, bc, 0.0, 40.0)
+        unsupervised, _ = supervised_loss(model, colloc, anchor)
 
         def no_backward(*args):
             raise AssertionError("backward pass during a forward-only evaluation")
@@ -150,21 +150,20 @@ class TestLossBookkeeping:
         monkeypatch.setattr(Mlp, "backward_tangent", no_backward)
         monkeypatch.setattr(Mlp, "backward", no_backward)
         assert supervised_loss(model, data, grad=False) == (supervised, None)
-        assert unsupervised_loss(model, colloc, bc, 0.0, 40.0, grad=False) == (unsupervised, None)
+        assert supervised_loss(model, colloc, anchor, grad=False) == (unsupervised, None)
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_untrained_model_evaluated_once(self, monkeypatch, mode):
         data, load = self.make_data()
         n = len(data) if mode == "supervised" else len(collocation_from_load(load, ELBOW))
         full_data_calls = []
-        loss = supervised_loss if mode == "supervised" else unsupervised_loss
 
         def spy(model, batch, *args, **kwargs):
             if len(batch) == n:
                 full_data_calls.append(batch)
-            return loss(model, batch, *args, **kwargs)
+            return supervised_loss(model, batch, *args, **kwargs)
 
-        monkeypatch.setattr(fatigue_pinn, f"{mode}_loss", spy)
+        monkeypatch.setattr(fatigue_pinn, "supervised_loss", spy)
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(8, "relu"), seed=6)
         cfg = TrainConfig(batch_size=8, lr=1e-3, epochs=3, patience=50, seed=0)
         if mode == "supervised":
@@ -177,8 +176,25 @@ class TestLossBookkeeping:
     def test_bc_zero_when_exact(self):
         model = zero_model()
         data = PinnData(t=np.array([1.0]), m_a=np.array([0.0]), tl=np.array([0.0]))
-        breakdown, _ = unsupervised_loss(model, data, bc=(0.0, 0.0), t0=0.0, m_a0=0.0)
+        breakdown, _ = supervised_loss(model, data, boundary(0.0, 0.0, 0.0, 0.0))
         assert breakdown.data == 0.0
+
+    def test_bc_is_squared_error_at_the_boundary(self):
+        model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=4)
+        data = collocation_from_load(LoadProfile.constant(50.0, 120.0, 12.0), ELBOW)
+        breakdown, _ = supervised_loss(model, data, boundary(0.0, 40.0, 1.0, 55.0))
+        m_f0, m_r0 = model.predict([0.0], [40.0])
+        assert breakdown.data == float(np.sum(np.array([m_f0[0] - 1.0, m_r0[0] - 55.0]) ** 2))
+
+    def test_batch_as_its_own_anchor_is_the_default(self):
+        data, _ = self.make_data(n=10)
+        model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=3)
+        default, grads = supervised_loss(model, data)
+        anchored, anchored_grads = supervised_loss(model, data, data)
+        assert anchored.data == pytest.approx(default.data, rel=1e-12)
+        assert anchored.physics == default.physics
+        for g, ag in zip(grads, anchored_grads):
+            np.testing.assert_allclose(ag, g, rtol=1e-10, atol=1e-12)
 
     def test_supervised_needs_targets(self):
         model = Pinn3ccModel(ELBOW, t_scale=10.0)
@@ -204,7 +220,7 @@ class TestLossBookkeeping:
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=4)
 
         def loss_fn():
-            b, grads = unsupervised_loss(model, data, bc=(0.0, 50.0), t0=0.0, m_a0=50.0)
+            b, grads = supervised_loss(model, data, boundary(0.0, 50.0, 0.0, 50.0))
             return b.total, grads
 
         from test_nncore import fd_gradcheck
@@ -222,7 +238,7 @@ class TestTraining:
                           min_delta=1e-9, seed=0)
         model, history = train_supervised(model, data, cfg)
         assert history[-1]["L_total"] < 0.05 * history[0]["L_total"]
-        assert all("L_NN" in e and "L_PB" in e for e in history)
+        assert all("L_data" in e and "L_PB" in e for e in history)
 
     def test_unsupervised_meets_boundary(self):
         load = LoadProfile.constant(50.0, 100.0, 2.5)
@@ -231,10 +247,10 @@ class TestTraining:
                           min_delta=1e-10, lr_decay=0.7, decay_patience=150, seed=0)
         model, history = train_unsupervised(model, load, cfg)
         m_a0 = 50.0 * ELBOW.LD / (ELBOW.LD + ELBOW.F)
-        m_f0, m_r0 = model.predict(0.0, m_a0)
-        assert abs(m_f0 - 0.0) < 1.0
-        assert abs(m_r0 - (100.0 - m_a0)) < 1.0
-        assert all("L_BC" in e and "L_PB" in e for e in history)
+        m_f0, m_r0 = model.predict([0.0], [m_a0])
+        assert abs(m_f0[0] - 0.0) < 1.0
+        assert abs(m_r0[0] - (100.0 - m_a0)) < 1.0
+        assert all("L_data" in e and "L_PB" in e for e in history)
 
     def test_conservation_of_trained_predictions(self):
         load = LoadProfile.constant(50.0, 100.0, 0.05)
