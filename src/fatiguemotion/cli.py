@@ -103,6 +103,8 @@ def _cmd_gen_data(args) -> dict:
 
 
 def _cmd_sim_3cc(args) -> None:
+    if not 0 <= args.lam <= 1:
+        raise ParameterError(f"--lambda must be in [0,1], got {args.lam}")
     params = cc.Cc3Params(args.F, args.R, args.LD, args.LR)
     load = _parse_load(args.tl, args.t, args.dt)
     traj = cc.simulate(None, load, params)

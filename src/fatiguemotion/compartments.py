@@ -39,17 +39,29 @@ import numpy as np
 from .errors import DataFormatError, NumericError, ParameterError
 from .sequences import write_table
 
-# Internal RK4 sub-step ceiling: the controller's development/relaxation
-# rates (LD, LR ~ 10/s) bound the fastest time scale, and RK4 needs
-# LD*dt well inside its stability region.
+# RK4 sub-step ceiling, the step at the default controller rates. The
+# development/relaxation rates bound the fastest time scale, so faster rates
+# shrink the step (Cc3Params.rk4_step) until LD*step and LR*step are at most
+# _RATE_STEP, their product at the defaults (10/s x 0.05 s), well inside RK4's
+# stability region.
 MAX_STEP = 0.05
+_RATE_STEP = 0.5
+# Sub-step floor: it bounds one frame's work for rates beyond 0.5 / _MIN_STEP
+# (10^4/s), far outside any muscle; such a step leaves RK4's stability region,
+# and the guard in advance clamps it or raises NumericError.
+_MIN_STEP = MAX_STEP / 1000
 
 _CONSERVATION_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
 class Cc3Params:
-    """Per-joint fatigue (F), recovery (R) and controller (LD, LR) rates, 1/s."""
+    """Per-joint fatigue (F), recovery (R) and controller (LD, LR) rates, 1/s.
+
+    ``rk4_step`` is the longest RK4 sub-step :func:`advance` takes with these
+    rates (see :data:`MAX_STEP`). It is derived once, at construction, and is
+    not a field, so ``asdict`` holds the four rates only.
+    """
 
     F: float
     R: float
@@ -61,6 +73,9 @@ class Cc3Params:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+        fastest = max(self.LD, self.LR)
+        step = MAX_STEP if fastest * MAX_STEP <= _RATE_STEP else max(_RATE_STEP / fastest, _MIN_STEP)
+        object.__setattr__(self, "rk4_step", step)
 
 
 # Elbow rates from the published joint-specific fatigue literature.
@@ -174,13 +189,13 @@ class Cc3Trajectory:
 def advance(state, tl: float, params: Cc3Params, dt: float) -> tuple[float, float, float]:
     """Advance the pools (M_A, M_F, M_R), any 3-sequence, over one frame interval.
 
-    Sub-steps so that each RK4 step is <= MAX_STEP and returns the new pools
+    Sub-steps so that each RK4 step is <= ``params.rk4_step`` and returns the new pools
     as a tuple of floats. The four stages are written out here, with F, R and
     the step weights read once per frame: a call per stage costs more than its
     flows. :func:`controller` stays the one scalar home of C(t). A step whose
     pools overflow or all vanish raises NumericError.
     """
-    n_sub = max(1, math.ceil(dt / MAX_STEP))
+    n_sub = max(1, math.ceil(dt / params.rk4_step))
     step = dt / n_sub
     h, w = 0.5 * step, step / 6.0
     F, R = params.F, params.R

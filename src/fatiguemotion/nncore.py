@@ -1,11 +1,18 @@
 """Minimal differentiable-model kernel: dense stacks, LSTM cells, Adam.
 
-Tensors are plain float64 numpy arrays. Gradients are exact reverse-mode,
-including gradients of outputs with respect to inputs; the dense stack also
-supports a forward input-tangent (directional derivative) whose reverse pass
-yields parameter gradients of losses that contain the tangent itself. That
-is what lets an ODE-residual loss differentiate a network output with
-respect to its time input and still train by backprop.
+Parameters are float64 numpy arrays. :class:`DenseLayer` and
+:class:`LstmCell` compute in the float dtype of their input (:func:`as_float`):
+a float32 input runs the forward pass, its caches and the backward pass in
+float32, against a float32 copy of the weights cast once per call, and gives
+float32 gradients; any other input runs in float64. :class:`Adam` upcasts
+the gradients once and keeps its moments and the weights it updates in
+float64, so float32 training keeps float64 master weights and checkpoints.
+Gradients are exact reverse-mode, including gradients of outputs with
+respect to inputs; the dense stack also supports a forward input-tangent
+(directional derivative) whose reverse pass yields parameter gradients of
+losses that contain the tangent itself. That is what lets an ODE-residual
+loss differentiate a network output with respect to its time input and
+still train by backprop.
 
 Single-threaded training with a fixed seed is bit-reproducible; a trained
 model is immutable for inference and safe to share.
@@ -40,7 +47,7 @@ def _act_d(name: str, z: np.ndarray) -> np.ndarray:
     if name == "linear":
         return np.ones_like(z)
     if name == "relu":
-        return (z > 0).astype(float)
+        return (z > 0).astype(z.dtype)
     if name == "tanh":
         return 1.0 - np.tanh(z) ** 2
     raise ParameterError(f"unknown activation {name!r}")
@@ -54,6 +61,13 @@ def _act_dd(name: str, z: np.ndarray) -> np.ndarray:
         th = np.tanh(z)
         return -2.0 * th * (1.0 - th**2)
     raise ParameterError(f"unknown activation {name!r}")
+
+
+def as_float(x) -> np.ndarray:
+    """x as an array in the dtype a layer computes in: float32 stays float32,
+    anything else becomes float64. Copies nothing already in that dtype."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def ensure_finite(name: str, *arrays) -> None:
@@ -85,10 +99,10 @@ class DenseLayer:
         return [self.W, self.b]
 
     def forward(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
+        x = as_float(x)
         if x.shape[-1] != self.n_in:
             raise ShapeError(f"dense layer expects width {self.n_in}, got {x.shape[-1]}")
-        z = x @ self.W.T + self.b
+        z = x @ self.W.T.astype(x.dtype, copy=False) + self.b.astype(x.dtype, copy=False)
         return _act(self.activation, z), (x, z)
 
     def backward(self, cache, gy: np.ndarray):
@@ -96,7 +110,7 @@ class DenseLayer:
         gz = gy * _act_d(self.activation, z)
         gW = gz.T @ x
         gb = gz.sum(axis=0)
-        gx = gz @ self.W
+        gx = gz @ self.W.astype(x.dtype, copy=False)
         return [gW, gb], gx
 
 
@@ -195,29 +209,31 @@ class LstmCell:
         return [self.Wx, self.Wh, self.b]
 
     def forward(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
+        x = as_float(x)
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeError(f"lstm expects (T, B, {self.n_in}), got {x.shape}")
         t_len, batch, _ = x.shape
-        hdim = self.n_hidden
-        zx = x @ self.Wx.T + self.b
-        gates = np.empty((t_len, batch, 4 * hdim))
-        cs = np.empty((t_len, batch, hdim))
-        hs = np.empty((t_len, batch, hdim))
-        c = h = np.zeros((batch, hdim))
+        hdim, dtype = self.n_hidden, x.dtype
+        zx = x @ self.Wx.T.astype(dtype, copy=False) + self.b.astype(dtype, copy=False)
+        wh_t = self.Wh.T.astype(dtype, copy=False)
+        gates = np.empty((t_len, batch, 4 * hdim), dtype)
+        cs = np.empty((t_len, batch, hdim), dtype)
+        hs = np.empty((t_len, batch, hdim), dtype)
+        c = h = np.zeros((batch, hdim), dtype)
         for t in range(t_len):
-            lstm_gates(gate_views(zx[t] + h @ self.Wh.T, gates[t], hdim), c, cs[t], hs[t])
+            lstm_gates(gate_views(zx[t] + h @ wh_t, gates[t], hdim), c, cs[t], hs[t])
             c, h = cs[t], hs[t]
         return hs, (x, gates, cs, hs)
 
     def backward(self, cache, dh_seq: np.ndarray):
-        """BPTT: gradients of a loss given d(loss)/d(h_t) for every t."""
+        """BPTT: gradients of a loss given d(loss)/d(h_t) for every t, in the forward pass's dtype."""
         x, gates, cs, hs = cache
         t_len, batch, _ = x.shape
-        hdim = self.n_hidden
-        dz_all = np.empty((t_len, batch, 4 * hdim))
-        dh_next = np.zeros((batch, hdim))
-        dc_next = np.zeros((batch, hdim))
+        hdim, dtype = self.n_hidden, x.dtype
+        wx, wh = self.Wx.astype(dtype, copy=False), self.Wh.astype(dtype, copy=False)
+        dz_all = np.empty((t_len, batch, 4 * hdim), dtype)
+        dh_next = np.zeros((batch, hdim), dtype)
+        dc_next = np.zeros((batch, hdim), dtype)
         for t in range(t_len - 1, -1, -1):
             gate = gates[t]
             i = gate[:, :hdim]
@@ -233,21 +249,27 @@ class LstmCell:
             dz[:, hdim : 2 * hdim] = (dc * c_prev) * f * (1.0 - f)
             dz[:, 2 * hdim : 3 * hdim] = (dh * tanh_c) * o * (1.0 - o)
             dz[:, 3 * hdim :] = (dc * i) * (1.0 - g**2)
-            dh_next = dz @ self.Wh
+            dh_next = dz @ wh
             dc_next = dc * f
-        h_prev = np.concatenate([np.zeros((1, batch, hdim)), hs[:-1]], axis=0)
+        h_prev = np.concatenate([np.zeros((1, batch, hdim), dtype), hs[:-1]], axis=0)
         flat_dz = dz_all.reshape(-1, 4 * hdim)
         dWx = flat_dz.T @ x.reshape(-1, self.n_in)
         dWh = flat_dz.T @ h_prev.reshape(-1, hdim)
         db = flat_dz.sum(axis=0)
-        dx = dz_all @ self.Wx
+        dx = dz_all @ wx
         return dx, [dWx, dWh, db]
 
 
+# |z| bound of the sigmoid lanes: exp stays finite (float32 overflows past 88)
+# and the sigmoid is 0 or 1 to the dtype's resolution beyond it.
+_SIGMOID_CLIP = {np.dtype(np.float64): 500.0, np.dtype(np.float32): 80.0}
+
+
 def gate_views(z: np.ndarray, gate: np.ndarray, hdim: int) -> tuple:
-    """(z, gate, z's g lanes, gate's i, f, o, g lanes): what :func:`lstm_gates` steps."""
+    """(z, gate, z's g lanes, gate's i, f, o, g lanes, the gate dtype's
+    ``_SIGMOID_CLIP``): what :func:`lstm_gates` steps."""
     return (z, gate, z[..., 3 * hdim :], gate[..., :hdim], gate[..., hdim : 2 * hdim],
-            gate[..., 2 * hdim : 3 * hdim], gate[..., 3 * hdim :])
+            gate[..., 2 * hdim : 3 * hdim], gate[..., 3 * hdim :], _SIGMOID_CLIP[gate.dtype])
 
 
 def lstm_gates(views: tuple, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray) -> None:
@@ -259,9 +281,9 @@ def lstm_gates(views: tuple, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray
     those of 1/(1 + exp(-clip(z))), tanh(z_g), f*c + i*g and tanh(c)*o, in
     that order, so the bits are the composed expression's.
     """
-    z, gate, z_g, i, f, o, g = views
-    np.maximum(z, -500.0, out=gate)
-    np.minimum(gate, 500.0, out=gate)
+    z, gate, z_g, i, f, o, g, clip = views
+    np.maximum(z, -clip, out=gate)
+    np.minimum(gate, clip, out=gate)
     np.negative(gate, out=gate)
     np.exp(gate, out=gate)
     np.add(gate, 1.0, out=gate)
@@ -274,7 +296,7 @@ def lstm_gates(views: tuple, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray
 # --- losses -------------------------------------------------------------------
 
 def mse(pred: np.ndarray, target: np.ndarray):
-    """Mean squared error and its gradient with respect to pred."""
+    """Mean squared error and its gradient with respect to pred, both in float64."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     diff = pred - target
@@ -284,7 +306,11 @@ def mse(pred: np.ndarray, target: np.ndarray):
 # --- optimizer ----------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction over one flat moment buffer; updates parameter arrays in place."""
+    """Adam with bias correction over one flat moment buffer; updates parameter arrays in place.
+
+    Gradients of any float dtype are upcast to float64 once, in the flat
+    concatenation, so the moments and the update are float64 throughout.
+    """
 
     def __init__(self, params, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -300,7 +326,7 @@ class Adam:
     def step(self, params, grads) -> None:
         if [p.shape for p in params] != self.shapes:
             raise ShapeError("parameter list does not match optimizer state")
-        g = np.concatenate([np.ravel(x) for x in grads])
+        g = np.concatenate([np.ravel(x) for x in grads], dtype=np.float64)
         if not np.isfinite(g).all():
             raise NumericError("adam: NaN/Inf gradient, training aborted")
         self.t += 1

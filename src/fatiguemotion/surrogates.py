@@ -21,6 +21,13 @@ input, stages h and copies it in bulk into one (N, T, B, 2H) layer output.
 
 Inputs and targets are min-max normalized to [0,1], and training minimizes
 the per-frame MSE of the normalized target.
+
+Training is mixed-precision (Micikevicius et al. 2018): :func:`train_dyn`
+casts each training batch to float32, so the forward pass, its caches and
+BPTT run in float32 (see :mod:`nncore`), while the MSE and its reduction,
+Adam, the master weights and the checkpoints stay float64. Everything else
+is float64: the bank, hence the initial loss :func:`train_dyn` logs and all
+inference, and every model fed float64 input, such as the gradchecks.
 """
 from __future__ import annotations
 
@@ -129,8 +136,9 @@ class BiLstmModel:
         return out
 
     def forward(self, x: np.ndarray):
-        """x: (T, B, n_in) -> (T, B, n_out) with cache for backprop."""
-        x = np.asarray(x, dtype=float)
+        """x: (T, B, n_in) -> (T, B, n_out) with cache for backprop, in x's
+        float dtype (:func:`nncore.as_float`)."""
+        x = nncore.as_float(x)
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeError(f"model expects (T, B, {self.n_in}), got {x.shape}")
         if x.shape[0] < 1:
@@ -328,10 +336,12 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
     ``window_stride`` frames of every trial (inference still runs whole
     sequences); this is the small-data regime's guard against whole-trial
     memorization. Early stopping and best-weight restore follow the training
-    loss. Returns (model, history); history entries carry epoch and
+    loss. Each training batch runs forward and BPTT in float32; its MSE, the
+    gradient of that MSE (cast to float32 for BPTT) and the weight update are
+    float64. Returns (model, history); history entries carry epoch and
     train_loss, the MSE. Entry 0 holds it for the untrained model over every
-    window: a forward-only pass through :class:`BiLstmBank` in chunks of
-    ``config.batch_size`` windows, reduced once, with no BPTT caches.
+    window: a float64 forward-only pass through :class:`BiLstmBank` in chunks
+    of ``config.batch_size`` windows, reduced once, with no BPTT caches.
     """
     if not train_samples:
         raise ParameterError("empty dataset")
@@ -346,7 +356,8 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
 
     def loss_fn(m, idx, grad=True):
         rows = [table[k] for k in idx]
-        x = np.stack([xs[i, off : off + window] for i, off in rows], axis=1)
+        x = np.stack([xs[i, off : off + window] for i, off in rows], axis=1,
+                     dtype=np.float32 if grad else np.float64)
         y = np.stack([ys[i, off : off + window] for i, off in rows], axis=1)
         if not grad:
             # Batch-sized chunks bound the bank's buffers; the loss below is
@@ -357,7 +368,7 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
             return nncore.mse(pred, y)[0], None
         pred, cache = m.forward(x)
         loss, dy = nncore.mse(pred, y)
-        grads, _ = m.backward(cache, dy)
+        grads, _ = m.backward(cache, dy.astype(np.float32))
         return loss, grads
 
     return nncore.train_loop(model, len(table), loss_fn, config)

@@ -252,6 +252,15 @@ class TestUserErrors:
         assert "diverged" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("lam", ["2", "-0.1", "nan"])
+    def test_sim_3cc_lambda_checked_before_simulating(self, tmp_path, capsys, monkeypatch, lam):
+        monkeypatch.setattr(cc, "simulate", lambda *a: pytest.fail("simulated with a bad --lambda"))
+        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "1", "--lambda", lam,
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--lambda must be in [0,1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_numeric_constant_load(self, tmp_path):
         code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "1",
                     "--tl", "const:abc", "--out", str(tmp_path / "out")])
@@ -440,16 +449,17 @@ class TestTrainingSettings:
 PINN_LOAD_ROWS = {"supervised": 401, "unsupervised": 12}
 
 # sha256 of the checkpoints and logs of TestModelCommands.test_train_dyn_golden_bytes
-# (numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+# (numpy 2.4 with OpenBLAS 0.3.31 on x86-64). The training batches run in
+# float32; row 0 of each log, the float64 bank's loss, is the float64 trainer's.
 TRAIN_DYN_DIGESTS = {
-    "id_shoulder.json": "162355b09d9eaf3299e2252d389590e736e89afee7355e9207a08bc4868ec3b2",
-    "id_shoulder_log.csv": "a35f1663411a7c354cbc1d5bc3826a2f29597df51f573e59fd7a869f17023a7c",
-    "id_elbow.json": "e6fad772df067e4ad319de239988cc06f7e0edee895b4c54b219dc3ddc62bc13",
-    "id_elbow_log.csv": "b6b211d45631d93c38690a88ead4710c40b7be27a18d4e400eb45712700057ad",
-    "fd_shoulder.json": "54d91f090da2ce0e285234773c4b7b2d158e2fac80adce3e1cbe2e7d6183c7ad",
-    "fd_shoulder_log.csv": "3b716d5cc9720b017875d4e194e4635115b90a49b0ee51a202b23167cbf68605",
-    "fd_elbow.json": "65791149fa000c10f71077b999475a2769395b3e7caff1b5fff96c0127528f92",
-    "fd_elbow_log.csv": "54f44194f22a1abe2774b52b4cc65c6e9debd797cc008518f49700121704ae62",
+    "id_shoulder.json": "72bc63459af755dc607b65392f2d6ac7d9270e04fd3489f806ef7ca1899d8f7c",
+    "id_shoulder_log.csv": "ffb956811787fcf429ea05dbfd0c397cf6b0bbffcd2b8fc6fda95671174fcbe6",
+    "id_elbow.json": "27ed49fffb3be724005576dd1f2f7a25fc11399cc24acfc0546e3b8411e0757b",
+    "id_elbow_log.csv": "9fee2e5c5d8c48d8d31bd8c7c477fb445517ef86d2b4b5417f41c78e022ffeba",
+    "fd_shoulder.json": "f3ab9ed289b348092b0ca6731c01eab3e22d80a822951a9026dca53944c5b823",
+    "fd_shoulder_log.csv": "a492353b3222a03b24f71dfb9c45817a6b1970e7d180bd087601e2604e8d4b50",
+    "fd_elbow.json": "3fd6c46833b5f4940549bd94c378837178ba4a3b626c5889cb51e8e47390654f",
+    "fd_elbow_log.csv": "f3df9613be2740befad1cdf296a19471f15757c81326f9f86c659e494b685c3f",
 }
 
 
@@ -463,14 +473,15 @@ TRAIN_PINN_DIGESTS = {
 }
 
 # sha256 of the outputs of TestModelCommands.test_apply_fatigue_golden_bytes
-# (numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+# (numpy 2.4 with OpenBLAS 0.3.31 on x86-64), on the checkpoints the `trained`
+# fixture trains in float32; inference itself runs in float64.
 APPLY_FATIGUE_DIGESTS = {
-    "dynamic/fatigued.csv": "ace0d26e17c00ff591c22d80cd48d39dfb06f8350248c15d84fe29da97cdcfab",
-    "dynamic/baseline.csv": "fbec4cef9885a256c2fd4b48fd99eb304e6a15fca2e15412710cfa672e4c2bc4",
-    "dynamic/report.json": "732a8a71d1de7d3f80f860d5c686d057e0115dc57164c80b34e2aa0fcbbc6951",
-    "fixed/fatigued.csv": "fa73a667152796a686634c9ca19fea93790ff53f15cc79e127914ae4fe80d14c",
-    "fixed/baseline.csv": "fbec4cef9885a256c2fd4b48fd99eb304e6a15fca2e15412710cfa672e4c2bc4",
-    "fixed/report.json": "9ea3f457c3a1dad7e38dd8a07509ef2d9d87c7710f54d87687218f0d0cfa7a9b",
+    "dynamic/fatigued.csv": "555789976ad3261e71cda7955ce2756917f03c3e26c04d74b61b6ebe96b4ab12",
+    "dynamic/baseline.csv": "47ac4023d92362ef481a5194a0123f4ee022487f41e328332c98e4b4750103db",
+    "dynamic/report.json": "d75d3925bc05cffc30809727bc948e524cd0e4163af48707c68179b9a317aae0",
+    "fixed/fatigued.csv": "25c70a7b1d3091f9dc564ed8df04d5af9079dbf7a2f5f0f5d291f8e09e01d108",
+    "fixed/baseline.csv": "47ac4023d92362ef481a5194a0123f4ee022487f41e328332c98e4b4750103db",
+    "fixed/report.json": "8588ada8bfce98e1c9ee75b07ed6a96c3400561c68d14ff605ecce87f243163a",
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -123,6 +124,19 @@ class TestStepRk4:
         # the pools overflow, the clamp maps NaN to 0.0 and the total is 0
         with pytest.raises(NumericError, match="diverged"):
             advance((0.0, 0.0, 100.0), 50.0, Cc3Params(F=0.01, R=0.001, LD=1e300, LR=1e300), 0.05)
+
+    @pytest.mark.parametrize("ld, lr", [(10.0, 10.0), (0.0, 0.0), (60.0, 60.0), (30.0, 5.0), (5.0, 400.0)])
+    def test_sub_step_bounds_the_controller_rates(self, ld, lr):
+        p = Cc3Params(F=0.01, R=0.001, LD=ld, LR=lr)
+        assert p.rk4_step == min(MAX_STEP, 0.5 / max(ld, lr, 1e-300))
+        assert max(ld, lr) * p.rk4_step <= 0.5
+        assert dataclasses.asdict(p) == {"F": 0.01, "R": 0.001, "LD": ld, "LR": lr}
+
+    @pytest.mark.parametrize("rate", [30.0, 60.0])
+    def test_fast_controller_tracks_the_load(self, rate):
+        # At LD*0.05 = 1.5 and 3 a fixed 0.05 s step left M_A near 0 under a 50 %MVC load.
+        traj = simulate(None, LoadProfile.constant(50.0, 5.0, 0.05), Cc3Params(0.01, 0.001, rate, rate))
+        assert 49.9 < traj.M_A[20:].min() <= traj.M_A.max() < 50.0
 
     def test_rest_fixed_point(self):
         s = advance(RESTED, 0.0, ELBOW, MAX_STEP)
@@ -269,15 +283,16 @@ class TestGolden:
         assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
 
     def test_clamp(self):
-        # LR*dt = 5 is outside RK4's accuracy range: the first relaxation step
-        # overshoots M_A below zero, so the guard clamps it to +0.0 and
-        # renormalises the rest to 100.
+        # The sub-step bounds LD*step and LR*step, not F: F*dt = 3 is outside
+        # RK4's accuracy range, so every loaded step overshoots M_A below zero
+        # and the guard clamps it to +0.0 and renormalises the rest to 100.
         load = LoadProfile(np.array([50.0] * 10 + [0.0] * 5), 0.05)
-        traj = simulate(None, load, Cc3Params(F=0.0, R=0.0, LD=10.0, LR=100.0))
-        assert traj.states[11].tolist() == [0.0, 0.0, 100.0]
+        traj = simulate(None, load, Cc3Params(F=60.0, R=0.0))
+        assert (traj.M_A == 0.0).all() and (np.diff(traj.M_F[:11]) > 0).all()
+        assert np.abs(traj.states.sum(axis=1) - 100.0).max() < 1e-12
         assert not np.signbit(traj.states).any()
         assert hashlib.sha256(traj.states.tobytes()).hexdigest() == (
-            "6d0fb4f76740ec2c42159d92491d75d4d12f905decb8d6ae193f111b73a4e5f9"
+            "7f332b8b7d650fc9d8d11746b2052e0d43ef0856f15b9d88eaa6ac0f6c7e24ad"
         )
 
 

@@ -160,6 +160,24 @@ class TestLstmCell:
 
         fd_gradcheck(cell.params(), loss_fn)
 
+    def test_float32_matches_float64_gradients(self):
+        # test_bptt_gradcheck's fixture in float32: the caches, gradients and
+        # dx stay float32, and each array is within a relative 1e-5 of its
+        # largest float64 value (float32's epsilon is 1.2e-7; measured <= 2e-7)
+        rng = np.random.default_rng(3)
+        cell = LstmCell(2, 5, rng)
+        x = rng.normal(size=(6, 3, 2))
+        g_out = rng.normal(size=(6, 3, 5))
+        results = {}
+        for dtype in (np.float64, np.float32):
+            hs, cache = cell.forward(x.astype(dtype))
+            dx, grads = cell.backward(cache, g_out.astype(dtype))
+            assert all(a.dtype == dtype for a in (hs, *cache, dx, *grads))
+            results[dtype] = [dx, *grads]
+        assert all(p.dtype == np.float64 for p in cell.params())
+        for got, want in zip(results[np.float32], results[np.float64]):
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
     def test_input_gradient(self):
         rng = np.random.default_rng(8)
         cell = LstmCell(2, 4, rng)
@@ -212,6 +230,25 @@ class TestLstmGates:
         assert (gate[..., 0] == 1.0).all() and (gate[..., 18] == -1.0).all()  # z = 600 and g's z = -600
 
 
+    def test_float32_saturates_without_warning(self):
+        # Past float32's clip of +-80 the sigmoid lanes are 1 exactly at the
+        # top and 1/(1 + e^80) < 2e-35 at the bottom (exactly 0 would need
+        # exp to overflow); tanh's g lanes are +-1 exactly.
+        hdim = 3
+        z = np.tile(np.array([1e4, -1e4], dtype=np.float32), (2, 2 * hdim))
+        c = np.ones((2, hdim), dtype=np.float32)
+        gate, c_new, h = np.empty_like(z), np.empty_like(c), np.empty_like(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lstm_gates(gate_views(z, gate, hdim), c, c_new, h)
+        assert gate.dtype == c_new.dtype == h.dtype == np.float32
+        top, bottom = z > 0, z < 0
+        sig = np.arange(4 * hdim) < 3 * hdim
+        assert (gate[top & sig] == 1.0).all()
+        assert ((gate[bottom & sig] > 0) & (gate[bottom & sig] < 2e-35)).all()
+        assert (gate[..., ~sig] == np.sign(z[..., ~sig])).all()
+
+
 class TestAdam:
     def test_zero_gradient_no_update(self):
         p = np.array([1.0, -2.0])
@@ -249,6 +286,21 @@ class TestAdam:
         for params in ([p], [p, q, p], [q, p]):
             with pytest.raises(ShapeError):
                 opt.step(params, [np.zeros_like(x) for x in params])
+
+    def test_float32_gradients_update_float64_weights(self):
+        # the flat concatenation upcasts once: float32 gradients give the same
+        # step as their exact float64 values
+        rng = np.random.default_rng(13)
+        grads = [rng.normal(size=(3, 2)).astype(np.float32), rng.normal(size=4).astype(np.float32)]
+        sides = []
+        for cast in (np.float32, np.float64):
+            params = [np.ones((3, 2)), np.zeros(4)]
+            opt = Adam(params, lr=0.01)
+            opt.step(params, [g.astype(cast) for g in grads])
+            assert opt.m.dtype == opt.v.dtype == np.float64
+            sides.append(params)
+        for a, b in zip(*sides):
+            assert a.dtype == np.float64 and np.array_equal(a, b)
 
     def test_golden_bits(self):
         # sha256 of mixed-shape parameters after 50 seeded steps with

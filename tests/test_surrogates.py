@@ -130,6 +130,27 @@ class TestModelForward:
 
         fd_gradcheck(model.params(), loss_fn)
 
+    def test_float32_matches_float64_gradients(self):
+        # test_full_model_gradcheck's fixture in float32, the training dtype:
+        # every cached array, gradient and dx is float32, and each gradient is
+        # within a relative 1e-5 of its largest float64 value (measured <= 4e-7)
+        rng = np.random.default_rng(3)
+        model = BiLstmModel(2, 1, BiLstmSpec(2, 4), seed=5)
+        x = rng.normal(size=(8, 2, 2))
+        target = rng.normal(size=(8, 2, 1))
+        results = {}
+        for dtype in (np.float64, np.float32):
+            y, cache = model.forward(x.astype(dtype))
+            _, dy = mse(y, target)
+            grads, dx = model.backward(cache, dy.astype(dtype))
+            caches, head_cache, _ = cache
+            cached = [a for cf, cb, concat in caches for a in (*cf, *cb, concat)] + list(head_cache)
+            assert all(a.dtype == dtype for a in (y, dx, *cached, *grads))
+            results[dtype] = grads
+        assert all(p.dtype == np.float64 for p in model.params())
+        for got, want in zip(results[np.float32], results[np.float64]):
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
     def test_predict_deterministic(self):
         model = BiLstmModel(2, 1, DESK_SPEC, kind="id", seed=2)
         x = np.random.default_rng(0).uniform(size=(20, 2))
@@ -241,6 +262,38 @@ class TestTraining:
         assert bank_seen == [8] * 5  # entry 0: 40 windows through the cache-free bank
         assert seen == [8] * 10 and len(backward_calls) == 2 * 5  # 2 epochs x 40/8 batches
         assert history[0]["train_loss"] == initial_mse
+
+    def test_float32_batches_float64_weights_and_checkpoint(self, tiny_dataset, monkeypatch, tmp_path):
+        # Training batches run forward and BPTT in float32; entry 0 is the
+        # float64 bank's loss at the initial weights, the weights stay float64,
+        # and the checkpoint decodes to float64 arrays of the architecture's size.
+        trials, angle_norm, torque_norm = tiny_dataset
+        samples = make_samples(trials[:5], "id", 0, angle_norm, torque_norm)
+        model = BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=7)
+        window, stride, batch = 10, 2, 8
+        x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
+        y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
+        bank = BiLstmBank([model])
+        pred = np.concatenate([bank.forward(x[:, s : s + batch])[0] for s in range(0, x.shape[1], batch)], axis=1)
+        bank_loss = mse(pred, y)[0]
+
+        dtypes = []
+        forward, backward = BiLstmModel.forward, BiLstmModel.backward
+        monkeypatch.setattr(BiLstmModel, "forward", lambda m, x: dtypes.append(x.dtype) or forward(m, x))
+        monkeypatch.setattr(BiLstmModel, "backward", lambda m, c, dy: dtypes.append(dy.dtype) or backward(m, c, dy))
+        cfg = TrainConfig(batch_size=batch, lr=0.01, epochs=2, patience=50, seed=0)
+        model, history = train_dyn(model, samples, cfg, window=window, window_stride=stride)
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        assert history[0]["train_loss"] == bank_loss
+        assert history[2]["train_loss"] < history[0]["train_loss"]
+        assert all(p.dtype == np.float64 for p in model.params())
+
+        save_model(tmp_path / "id_shoulder.json", model)
+        enc = json.loads((tmp_path / "id_shoulder.json").read_text())["params"]
+        assert enc["dtype"] == "float64"
+        loaded, _ = load_model(tmp_path / "id_shoulder.json")
+        for got, want in zip(loaded.params(), model.params()):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
 
     @pytest.mark.parametrize("hidden", [4, 32])
     def test_entry_zero_with_a_one_window_chunk(self, tiny_dataset, hidden):
