@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -281,15 +282,21 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_export_curves(args) -> dict:
-    baseline = sq.load_sequence(args.baseline)
-    runs = []
+    """Each run's label names its files, so labels must be non-empty, distinct
+    and free of path separators; all are checked before anything is read."""
+    specs = {}
     for spec in args.run:
-        if "=" not in spec:
+        label, sep, rundir = spec.partition("=")
+        if not sep:
             raise ParameterError(f"--run wants label=apply-fatigue-dir, got {spec!r}")
-        label, rundir = spec.split("=", 1)
-        rundir = Path(rundir)
-        fatigued = sq.load_sequence(rundir / "fatigued.csv")
-        runs.append((label, fatigued, pl.load_traces(rundir / "report.json")))
+        if not label or "/" in label or os.sep in label:
+            raise ParameterError(f"--run label must be non-empty with no path separator, got {label!r}")
+        if label in specs:
+            raise ParameterError(f"--run label {label!r} given twice")
+        specs[label] = Path(rundir)
+    baseline = sq.load_sequence(args.baseline)
+    runs = [(label, sq.load_sequence(rundir / "fatigued.csv"), pl.load_traces(rundir / "report.json"))
+            for label, rundir in specs.items()]
     return {"files": pl.export_curves(baseline, runs, Path(args.out))}
 
 

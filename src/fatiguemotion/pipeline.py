@@ -249,12 +249,10 @@ def export_curves(baseline: MotionSequence, runs, outdir) -> list[str]:
     compartment/capacity traces, one file set per run.
 
     ``runs`` is a list of (label, fatigued MotionSequence, {joint:
-    JointFatigueTrace}). Returns the written file names; re-export is
+    JointFatigueTrace}). Every run is checked against the baseline before
+    anything is written. Returns the written file names; re-export is
     byte-identical.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
     times = baseline.times
     for label, fatigued, traces in runs:
         if fatigued.joint_names != baseline.joint_names:
@@ -264,6 +262,10 @@ def export_curves(baseline: MotionSequence, runs, outdir) -> list[str]:
         for name, tr in traces.items():
             if any(v is not None and v.shape != times.shape for v in (tr.rc_hat, tr.m_a, tr.m_f, tr.m_r)):
                 raise ShapeError(f"run {label!r}: trace {name!r} length differs from baseline")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for label, fatigued, traces in runs:
         for i, name in enumerate(baseline.joint_names):
             base = baseline.frames[:, i]
             fat = fatigued.frames[:, i]

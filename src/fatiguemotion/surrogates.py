@@ -16,18 +16,21 @@ backward cells of N models of one architecture are stacked on a leading axis
 of size K = 2N, so one Python loop over time per layer steps every model and
 both directions with one batched matmul. The bank keeps no caches and
 allocates nothing per step; per :data:`BANK_CHUNK` steps it projects the
-input, stages h and copies it in bulk into one (N, T, B, 2H) layer output.
+input, and per :data:`BANK_CHUNK` rows of h (steps times batch) it stages
+h and copies it in bulk into one (N, T, B, 2H) layer output.
 :meth:`BiLstmModel.predict_sequence` is the N = 1 case.
 
 Inputs and targets are min-max normalized to [0,1], and training minimizes
 the per-frame MSE of the normalized target.
 
 Training is mixed-precision (Micikevicius et al. 2018): :func:`train_dyn`
-casts each training batch to float32, so the forward pass, its caches and
-BPTT run in float32 (see :mod:`nncore`), while the MSE and its reduction,
-Adam, the master weights and the checkpoints stay float64. Everything else
-is float64: the bank, hence the initial loss :func:`train_dyn` logs and all
-inference, and every model fed float64 input, such as the gradchecks.
+feeds every forward pass float32 windows, so the training forward, its
+caches and BPTT run in float32 (see :mod:`nncore`), and so does the bank's
+forward-only pass behind the initial loss it logs. The MSE and its
+reduction, Adam, the master weights and the checkpoints stay float64. All
+inference is float64: the bank computes in its input's float dtype, and
+``apply-fatigue`` and :meth:`BiLstmModel.predict_sequence` feed it float64,
+as the gradchecks feed the models.
 """
 from __future__ import annotations
 
@@ -61,8 +64,9 @@ DESK_SPEC = BiLstmSpec(n_layers=2, hidden=32)
 DESK_WINDOW = 96
 DESK_WINDOW_STRIDE = 2
 
-# Time steps the inference bank projects and stages at once: it bounds its
-# (K, chunk * B, 4H) projection buffer and (chunk, K, B, H) hidden-state stage.
+# Time steps the inference bank projects at once, and rows of h (steps times
+# batch, at least one step) it stages at once: it bounds the bank's
+# (K, chunk * B, 4H) projection buffer and (steps, K, B, H) hidden-state stage.
 BANK_CHUNK = 128
 
 
@@ -183,13 +187,20 @@ class BiLstmBank:
     backward cells are stacked on a leading axis of size K = 2N. One loop
     over time steps all K cells with one batched matmul of the (K, B, H)
     hidden states; c is updated in place and each h written to a stage of
-    at most :data:`BANK_CHUNK` steps (131 KB at K = 4, B = 1, H = 32) that
-    the next step's matmul reads. After each chunk, two bulk copies move the
-    forward rows to the layer output's first half and the backward rows,
-    reversed, to its second half at the mirrored steps. The weights are
-    copied at construction, so a bank reflects its models' parameters at
-    that moment. Its batched matmul may take another BLAS kernel than
-    :meth:`BiLstmModel.forward`, so at small B the two differ by a few ulps.
+    :data:`BANK_CHUNK` rows (steps times B, at least one step; 131 KB in
+    float64 at K = 4, H = 32) that the next step's matmul reads. Each time
+    the stage fills, two bulk copies move the forward rows to the layer
+    output's first half and the backward rows, reversed, to its second half
+    at the mirrored steps; a stage bounded in rows stays in cache at any B.
+    The weights are copied at construction, so a bank reflects its models'
+    parameters at that moment.
+
+    The bank computes in its input's float dtype (:func:`nncore.as_float`):
+    the float64 weights are cast once per layer per call, a no-op for
+    float64. :func:`train_dyn`'s initial loss feeds it float32 windows; all
+    inference feeds it float64. Its batched matmul may take another BLAS
+    kernel than :meth:`BiLstmModel.forward`, so at small B the two differ
+    by a few ulps of the dtype.
     """
 
     def __init__(self, models):
@@ -213,18 +224,20 @@ class BiLstmBank:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """x: (T, B, n_in), shared by every model -> (N, T, B, n_out)."""
-        x = np.asarray(x, dtype=float)
+        x = nncore.as_float(x)
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeError(f"bank expects (T, B, {self.n_in}), got {x.shape}")
         if x.shape[0] < 1:
             raise ShapeError("empty sequence")
+        dtype = x.dtype
         out = x
         for wx_t, wh_t, b, activation in self.layers:
-            out = self._layer(out, wx_t, wh_t, b)
+            out = self._layer(out, *(w.astype(dtype, copy=False) for w in (wx_t, wh_t, b)))
             if activation == "relu":  # else linear, the first layer
                 np.maximum(out, 0.0, out=out)
         n, t_len, batch, width = out.shape
-        y = np.matmul(out.reshape(n, t_len * batch, width), self.head_w_t) + self.head_b
+        y = (np.matmul(out.reshape(n, t_len * batch, width), self.head_w_t.astype(dtype, copy=False))
+             + self.head_b.astype(dtype, copy=False))
         nncore.ensure_finite("bilstm bank forward", y)
         return y.reshape(n, t_len, batch, self.n_out)
 
@@ -232,22 +245,23 @@ class BiLstmBank:
         """One bidirectional layer for all N models: (N, T, B, 2H).
 
         ``inp`` is the shared (T, B, width) model input on the first layer
-        and the previous layer's (N, T, B, 2H) output after it.
+        and the previous layer's (N, T, B, 2H) output after it; the weights
+        are already in its dtype, and so is every buffer and the output.
         """
-        n, hdim = self.n_models, self.hidden
+        n, hdim, dtype = self.n_models, self.hidden, inp.dtype
         k = 2 * n
         *lead, t_len, batch, width = inp.shape  # lead: [] for the shared input, [N] after
-        out = np.empty((n, t_len, batch, 2 * hdim))
+        out = np.empty((n, t_len, batch, 2 * hdim), dtype)
         chunk = min(BANK_CHUNK, t_len)
-        zx = np.empty((k, chunk * batch, 4 * hdim))
-        z = np.empty((k, batch, 4 * hdim))
-        views = gate_views(z, np.empty((k, batch, 4 * hdim)), hdim)
-        stage = np.empty((chunk, k, batch, hdim))
-        h, c = np.zeros((2, k, batch, hdim))
+        staged = min(chunk, max(1, BANK_CHUNK // batch))  # steps per stage fill
+        zx = np.empty((k, chunk * batch, 4 * hdim), dtype)
+        z = np.empty((k, batch, 4 * hdim), dtype)
+        views = gate_views(z, np.empty((k, batch, 4 * hdim), dtype), hdim)
+        stage = np.empty((staged, k, batch, hdim), dtype)
+        h, c = np.zeros((2, k, batch, hdim), dtype)
         for s0 in range(0, t_len, chunk):
             s1 = min(s0 + chunk, t_len)
-            m = s1 - s0
-            rows = m * batch
+            rows = (s1 - s0) * batch
             # Forward cells read steps s0..s1-1, backward cells the mirrored
             # steps T-1-s0 down to T-s1.
             x_f = inp[..., s0:s1, :, :].reshape(*lead, rows, width)
@@ -255,13 +269,17 @@ class BiLstmBank:
             np.matmul(x_f, wx_t[:n], out=zx[:n, :rows])
             np.matmul(x_b, wx_t[n:], out=zx[n:, :rows])
             zx[:, :rows] += b
-            for j in range(m):
-                np.matmul(h, wh_t, out=z)
-                z += zx[:, j * batch : (j + 1) * batch]
-                h = stage[j]
-                lstm_gates(views, c, c, h)
-            out[:, s0:s1, :, :hdim] = stage[:m, :n].swapaxes(0, 1)
-            out[:, t_len - s1 : t_len - s0, :, hdim:] = stage[m - 1 :: -1, n:].swapaxes(0, 1)
+            for a0 in range(s0, s1, staged):
+                a1 = min(a0 + staged, s1)
+                m = a1 - a0
+                zx_a = zx[:, (a0 - s0) * batch :]
+                for j in range(m):
+                    np.matmul(h, wh_t, out=z)
+                    z += zx_a[:, j * batch : (j + 1) * batch]
+                    h = stage[j]
+                    lstm_gates(views, c, c, h)
+                out[:, a0:a1, :, :hdim] = stage[:m, :n].swapaxes(0, 1)
+                out[:, t_len - a1 : t_len - a0, :, hdim:] = stage[m - 1 :: -1, n:].swapaxes(0, 1)
         return out
 
 
@@ -340,8 +358,10 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
     gradient of that MSE (cast to float32 for BPTT) and the weight update are
     float64. Returns (model, history); history entries carry epoch and
     train_loss, the MSE. Entry 0 holds it for the untrained model over every
-    window: a float64 forward-only pass through :class:`BiLstmBank` in chunks
-    of ``config.batch_size`` windows, reduced once, with no BPTT caches.
+    window: the float64 MSE, reduced once, of a float32 forward-only pass
+    through :class:`BiLstmBank` in chunks of ``config.batch_size`` windows,
+    with no BPTT caches. It steers nothing (early stopping starts from an
+    infinite best loss), so the weights and later entries do not depend on it.
     """
     if not train_samples:
         raise ParameterError("empty dataset")
@@ -356,8 +376,7 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
 
     def loss_fn(m, idx, grad=True):
         rows = [table[k] for k in idx]
-        x = np.stack([xs[i, off : off + window] for i, off in rows], axis=1,
-                     dtype=np.float32 if grad else np.float64)
+        x = np.stack([xs[i, off : off + window] for i, off in rows], axis=1, dtype=np.float32)
         y = np.stack([ys[i, off : off + window] for i, off in rows], axis=1)
         if not grad:
             # Batch-sized chunks bound the bank's buffers; the loss below is

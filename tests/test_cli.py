@@ -261,6 +261,22 @@ class TestUserErrors:
         assert "--lambda must be in [0,1]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("labels, message", [
+        (["", "tired"], "non-empty"),
+        (["x", "x"], "given twice"),
+        (["../x"], "path separator"),
+        (["a/b"], "path separator"),
+    ], ids=["empty", "duplicate", "parent-dir", "sub-dir"])
+    def test_export_curves_run_labels(self, trained, tmp_path, capsys, labels, message):
+        # a run's label names its files: it must be usable as part of one file name
+        assert _apply(trained, trained / "models", tmp_path / "apply") == 0
+        runs = [arg for label in labels for arg in ("--run", f"{label}={tmp_path / 'apply'}")]
+        code = run(["export-curves", "--baseline", str(tmp_path / "apply" / "baseline.csv"), *runs,
+                    "--out", str(tmp_path / "curves")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "curves").exists()
+
     def test_non_numeric_constant_load(self, tmp_path):
         code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "1",
                     "--tl", "const:abc", "--out", str(tmp_path / "out")])
@@ -408,13 +424,17 @@ class TestMalformedArtefacts:
             assert (tmp_path / "edited" / name).read_bytes() == (tmp_path / "intact" / name).read_bytes()
 
     def test_report_trace_shorter_than_motion(self, trained, tmp_path, capsys):
+        # the bad run comes second: no file of the first is written either
         assert _apply(trained, trained / "models", tmp_path / "apply") == 0
-        self._edit_json(tmp_path / "apply" / "report.json",
+        shutil.copytree(tmp_path / "apply", tmp_path / "short")
+        self._edit_json(tmp_path / "short" / "report.json",
                         lambda doc: doc["traces"]["elbow"]["rc_hat"].pop())
         code = run(["export-curves", "--baseline", str(tmp_path / "apply" / "baseline.csv"),
-                    "--run", f"tired={tmp_path / 'apply'}", "--out", str(tmp_path / "curves")])
+                    "--run", f"intact={tmp_path / 'apply'}", "--run", f"tired={tmp_path / 'short'}",
+                    "--out", str(tmp_path / "curves")])
         assert code == 2
         assert "run 'tired'" in capsys.readouterr().err
+        assert not (tmp_path / "curves").exists()
 
 
 TINY_PINN = ["--frames", "12", "--hidden", "4", "--t", "20", "--seed", "2"]
@@ -450,16 +470,18 @@ PINN_LOAD_ROWS = {"supervised": 401, "unsupervised": 12}
 
 # sha256 of the checkpoints and logs of TestModelCommands.test_train_dyn_golden_bytes
 # (numpy 2.4 with OpenBLAS 0.3.31 on x86-64). The training batches run in
-# float32; row 0 of each log, the float64 bank's loss, is the float64 trainer's.
+# float32. Row 0 of each log is the float64 MSE of the float32 bank's forward
+# pass over every window; it steers nothing, so the weights and rows 1+ do not
+# depend on it.
 TRAIN_DYN_DIGESTS = {
     "id_shoulder.json": "72bc63459af755dc607b65392f2d6ac7d9270e04fd3489f806ef7ca1899d8f7c",
-    "id_shoulder_log.csv": "ffb956811787fcf429ea05dbfd0c397cf6b0bbffcd2b8fc6fda95671174fcbe6",
+    "id_shoulder_log.csv": "b4f65b0fb86e8bec4af4113aa7f54586ee53a0b4a3d73bc11b70667a37bc3dfc",
     "id_elbow.json": "27ed49fffb3be724005576dd1f2f7a25fc11399cc24acfc0546e3b8411e0757b",
-    "id_elbow_log.csv": "9fee2e5c5d8c48d8d31bd8c7c477fb445517ef86d2b4b5417f41c78e022ffeba",
+    "id_elbow_log.csv": "d810176e5865882d54f8fb6442f039dd8dadd94dce05cb7913bb93fb296722d0",
     "fd_shoulder.json": "f3ab9ed289b348092b0ca6731c01eab3e22d80a822951a9026dca53944c5b823",
-    "fd_shoulder_log.csv": "a492353b3222a03b24f71dfb9c45817a6b1970e7d180bd087601e2604e8d4b50",
+    "fd_shoulder_log.csv": "97626d26cd2e0f5b71cecd718cfa0df3e99b6cd261c768a6fece6dee270db715",
     "fd_elbow.json": "3fd6c46833b5f4940549bd94c378837178ba4a3b626c5889cb51e8e47390654f",
-    "fd_elbow_log.csv": "f3df9613be2740befad1cdf296a19471f15757c81326f9f86c659e494b685c3f",
+    "fd_elbow_log.csv": "6dca6554b7c2a5aba6134f86db3e0445f1f4d10fbfa1e58d73c702374958ee98",
 }
 
 

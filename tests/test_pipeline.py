@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def _reference(models, x):
 
 class TestBank:
     @pytest.mark.parametrize("n_layers", [1, 3])
-    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 2, 13])  # 13: 9-step stage fills, the last one of a chunk short
     @pytest.mark.parametrize("n_models", [1, 2, 3])
     def test_matches_per_model_forward(self, n_models, batch, n_layers):
         models = _models(n_models, n_layers)
@@ -71,6 +72,45 @@ class TestBank:
         bank = BiLstmBank(_models(2, 2, hidden=32))
         x = np.random.default_rng(batch).normal(size=(2 * BANK_CHUNK + 5, batch, 3))
         assert hashlib.sha256(bank.forward(x).tobytes()).hexdigest() == self.BANK_DIGESTS[batch]
+
+    @pytest.mark.parametrize("t_len, batch", [(50, 1), (BANK_CHUNK + 7, 1), (96, 32), (2 * BANK_CHUNK + 5, 32)],
+                             ids=["B1", "B1-ragged-chunk", "B32", "B32-ragged-chunk"])
+    def test_float32_input_runs_in_float32(self, t_len, batch):
+        # the bank computes in its input's dtype; on the same float32 input it
+        # is within 1e-5 of the largest training-forward output (measured <=
+        # 1.2e-7 at B = 1, where the batched matmul may take another BLAS
+        # kernel, and equal at B = 32)
+        models = _models(2, 2, hidden=32)
+        x = np.random.default_rng(batch).normal(size=(t_len, batch, 3)).astype(np.float32)
+        y = BiLstmBank(models).forward(x)
+        ref = _reference(models, x)
+        assert y.dtype == ref.dtype == np.float32
+        assert np.abs(y - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_other_inputs_run_in_float64(self):
+        models = _models(2, 1)
+        bank = BiLstmBank(models)
+        x = np.random.default_rng(4).normal(size=(20, 2, 3))
+        y = bank.forward(x)
+        assert y.dtype == np.float64
+        half = x.astype(np.float16)
+        np.testing.assert_array_equal(bank.forward(half), bank.forward(half.astype(np.float64)))
+        assert bank.forward(x.astype(np.float32)).dtype == np.float32
+        # a float32 call casts copies: the bank's weights stay float64
+        assert all(w.dtype == np.float64 for *ws, _ in bank.layers for w in ws)
+        np.testing.assert_array_equal(bank.forward(x), y)
+
+    def test_float32_saturating_input_raises_no_warning(self):
+        # |z| ~ 1e4 on the first layer: past float32 exp's overflow at 88, so
+        # only the float32 sigmoid clip keeps the step free of RuntimeWarning
+        models = _models(2, 2, hidden=8)
+        x = np.random.default_rng(3).choice([-1e4, 1e4], size=(40, 2, 3)).astype(np.float32)
+        wx_t, _, b, _ = BiLstmBank(models).layers[0]
+        assert np.abs(x.reshape(-1, 3) @ wx_t + b).max() > 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = BiLstmBank(models).forward(x)
+        assert y.dtype == np.float32 and np.isfinite(y).all()
 
     def test_predict_sequence_is_the_single_model_bank(self):
         (model,) = _models(1, 2)

@@ -243,11 +243,17 @@ class TestTraining:
         samples = make_samples(trials[:5], "id", 1, angle_norm, torque_norm)
         model = BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=6)
         window, stride = 10, 2
-        # the full-data loss at the initial weights, all 40 windows at once
         x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
         y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
-        pred = model.forward(x)[0]
-        initial_mse = float(np.mean((pred - y) ** 2))
+        # the full-data loss at the initial weights: the float32 bank in chunks
+        # of 8 windows, reduced once in float64; and the float64 training
+        # forward over all 40 windows at once, which it matches within float32
+        # rounding (measured 8e-10 relative)
+        bank = BiLstmBank([model])
+        pred = np.concatenate([bank.forward(x[:, s : s + 8].astype(np.float32))[0] for s in range(0, 40, 8)],
+                              axis=1)
+        initial_mse = mse(pred, y)[0]
+        float64_mse = float(np.mean((model.forward(x)[0] - y) ** 2))
 
         seen, bank_seen, backward_calls = [], [], []
         forward, backward, bank_forward = BiLstmModel.forward, BiLstmModel.backward, BiLstmBank.forward
@@ -256,22 +262,25 @@ class TestTraining:
         monkeypatch.setattr(BiLstmModel, "backward",
                             lambda m, c, dy: backward_calls.append(1) or backward(m, c, dy))
         monkeypatch.setattr(BiLstmBank, "forward",
-                            lambda b, x: bank_seen.append(x.shape[1]) or bank_forward(b, x))
+                            lambda b, x: bank_seen.append((x.shape[1], x.dtype)) or bank_forward(b, x))
         cfg = TrainConfig(batch_size=8, lr=0.01, epochs=2, patience=50, seed=0)
         _, history = train_dyn(model, samples, cfg, window=window, window_stride=stride)
-        assert bank_seen == [8] * 5  # entry 0: 40 windows through the cache-free bank
+        # entry 0: 40 float32 windows through the cache-free bank
+        assert bank_seen == [(8, np.dtype(np.float32))] * 5
         assert seen == [8] * 10 and len(backward_calls) == 2 * 5  # 2 epochs x 40/8 batches
         assert history[0]["train_loss"] == initial_mse
+        assert history[0]["train_loss"] == pytest.approx(float64_mse, rel=1e-6, abs=0)
 
     def test_float32_batches_float64_weights_and_checkpoint(self, tiny_dataset, monkeypatch, tmp_path):
         # Training batches run forward and BPTT in float32; entry 0 is the
-        # float64 bank's loss at the initial weights, the weights stay float64,
-        # and the checkpoint decodes to float64 arrays of the architecture's size.
+        # float32 bank's loss at the initial weights, reduced in float64; the
+        # weights stay float64, and the checkpoint decodes to float64 arrays.
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:5], "id", 0, angle_norm, torque_norm)
         model = BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=7)
         window, stride, batch = 10, 2, 8
-        x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
+        x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1,
+                     dtype=np.float32)
         y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
         bank = BiLstmBank([model])
         pred = np.concatenate([bank.forward(x[:, s : s + batch])[0] for s in range(0, x.shape[1], batch)], axis=1)
@@ -297,21 +306,50 @@ class TestTraining:
 
     @pytest.mark.parametrize("hidden", [4, 32])
     def test_entry_zero_with_a_one_window_chunk(self, tiny_dataset, hidden):
-        # 40 windows in batches of 13 leave a final chunk of one window; at
-        # B = 1 the bank and BiLstmModel.forward may differ by a few ulps, so
-        # entry 0 matches the per-chunk training forward within 1e-12.
+        # 40 windows in batches of 13 leave a final chunk of one window. Entry
+        # 0 is the float32 bank's chunked loss exactly; at B = 1 the bank and
+        # BiLstmModel.forward may differ by a few float32 ulps, so it matches
+        # the per-chunk float32 training forward within a relative 1e-6
+        # (measured <= 7e-12: the MSE averages the differences out).
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:5], "fd", 0, angle_norm, torque_norm)
         model = BiLstmModel(2, 1, BiLstmSpec(2, hidden), kind="fd", seed=2)
         window, stride, batch = 10, 2, 13
-        x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
+        x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1,
+                     dtype=np.float32)
         y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
         assert x.shape[1] % batch == 1
-        pred = np.concatenate([model.forward(x[:, s : s + batch])[0] for s in range(0, x.shape[1], batch)], axis=1)
-        expected = mse(pred, y)[0]
+        chunks = [x[:, s : s + batch] for s in range(0, x.shape[1], batch)]
+        bank = BiLstmBank([model])
+        bank_loss = mse(np.concatenate([bank.forward(c)[0] for c in chunks], axis=1), y)[0]
+        expected = mse(np.concatenate([model.forward(c)[0] for c in chunks], axis=1), y)[0]
         cfg = TrainConfig(batch_size=batch, lr=0.01, epochs=1, seed=0)
         _, history = train_dyn(model, samples, cfg, window=window, window_stride=stride)
-        assert history[0]["train_loss"] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert history[0]["train_loss"] == bank_loss
+        assert history[0]["train_loss"] == pytest.approx(expected, rel=1e-6, abs=0)
+
+    def test_entry_zero_decides_nothing(self, tiny_dataset, monkeypatch):
+        # train_loop starts its best loss at inf, so entry 0 steers no step:
+        # with entry 0 forced back to a float64 bank pass, only row 0 moves
+        # (epoch 5 stalls here, so the plateau decay fires too)
+        trials, angle_norm, torque_norm = tiny_dataset
+        samples = make_samples(trials[:5], "id", 1, angle_norm, torque_norm)
+        cfg = TrainConfig(batch_size=8, lr=0.1, epochs=8, patience=3, decay_patience=1, seed=1)
+
+        def train():
+            model = BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=8)
+            return train_dyn(model, samples, cfg, window=10, window_stride=2)
+
+        model32, history32 = train()
+        bank_dtypes, bank_forward = [], BiLstmBank.forward
+        monkeypatch.setattr(BiLstmBank, "forward", lambda b, x: bank_dtypes.append(x.dtype)
+                            or bank_forward(b, x.astype(np.float64)))
+        model64, history64 = train()
+        assert bank_dtypes == [np.dtype(np.float32)] * 5  # every entry-0 chunk, now upcast
+        assert history64[0]["train_loss"] != history32[0]["train_loss"]
+        assert history64[1:] == history32[1:]
+        for p64, p32 in zip(model64.params(), model32.params()):
+            assert np.array_equal(p64, p32)
 
     def test_ragged_trials_rejected(self, tiny_dataset):
         trials, angle_norm, torque_norm = tiny_dataset
