@@ -1,11 +1,13 @@
 """Analytic planar 2-link arm dynamics and the synthetic trajectory generator.
 
-Exact inverse/forward dynamics of the standard two-link arm in a vertical
-plane (angles measured from the horizontal x-axis, gravity along -y). These
-closed forms supply the torque ground truth of the surrogates' training
-data.
+Exact inverse dynamics of the standard two-link arm in a vertical plane
+(angles measured from the horizontal x-axis, gravity along -y): the mass
+matrix, Coriolis and gravity terms and tau = M(q) qdd + C(q, qd) + G(q).
+These closed forms supply the torque ground truth of the surrogates'
+training data; the learned forward-dynamics surrogate maps torques back to
+angles, so the package needs no analytic forward dynamics.
 
-All functions broadcast over leading axes: q, qd, qdd, tau may be (2,) or
+All functions broadcast over leading axes: q, qd, qdd may be (2,) or
 (..., 2).
 """
 from __future__ import annotations
@@ -106,19 +108,6 @@ def inverse_dynamics(q, qd, qdd, params: ArmParams) -> np.ndarray:
         + coriolis_vector(q, qd, params)
         + gravity_vector(q, params)
     )
-
-
-def forward_dynamics(q, qd, tau, params: ArmParams) -> np.ndarray:
-    """qdd = M(q)^-1 (tau - C(q, qd) - G(q)); M is always invertible."""
-    tau = np.asarray(tau, dtype=float)
-    rhs = tau - coriolis_vector(q, qd, params) - gravity_vector(q, params)
-    return np.linalg.solve(mass_matrix(q, params), rhs[..., None])[..., 0]
-
-
-def kinetic_energy(q, qd, params: ArmParams) -> np.ndarray:
-    qd = np.asarray(qd, dtype=float)
-    m = mass_matrix(q, params)
-    return 0.5 * np.einsum("...i,...ij,...j->...", qd, m, qd)
 
 
 # --- synthetic trajectories -------------------------------------------------

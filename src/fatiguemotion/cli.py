@@ -233,7 +233,10 @@ def _load_model_dir(modeldir: Path):
         raise DataFormatError(
             f"{modeldir}: ID joints {sorted(id_models)} differ from FD joints {sorted(fd_models)}"
         )
-    angle_norm, torque_norm = (sq.NormalizationParams.from_dict(d) for d in reference[1])
+    try:
+        angle_norm, torque_norm = (sq.NormalizationParams.from_dict(d) for d in reference[1])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{reference[0]}: malformed checkpoint normalization: {exc!r}") from None
     return id_models, fd_models, angle_norm, torque_norm
 
 

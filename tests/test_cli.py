@@ -388,13 +388,23 @@ class TestMalformedArtefacts:
         lambda doc: doc["architecture"].update(n_layers="1"),
         lambda doc: doc.update(meta=[]),
         lambda doc: doc["architecture"].update(seed="1"),
+        "[]",
+        lambda doc: [doc["meta"][k].pop("joints") for k in ("input_norm", "target_norm")],
     ], ids=["architecture-without-n_in", "no-meta", "non-base64-character", "truncated-padding",
             "no-blob", "no-shapes", "params-not-an-object", "blob-not-whole-floats",
-            "architecture-not-an-object", "n_layers-a-string", "meta-not-an-object", "seed-a-string"])
+            "architecture-not-an-object", "n_layers-a-string", "meta-not-an-object", "seed-a-string",
+            "not-an-object", "normalization-without-joints"])
     def test_malformed_checkpoint(self, trained, tmp_path, capsys, edit):
+        # Every checkpoint gets the edit (a string replaces the whole file),
+        # so a normalization they all share gets as far as its decode;
+        # id_elbow.json is the first checkpoint read.
         models = tmp_path / "models"
         shutil.copytree(trained / "models", models)
-        self._edit_json(models / "id_elbow.json", edit)
+        for path in (*models.glob("id_*.json"), *models.glob("fd_*.json")):
+            if isinstance(edit, str):
+                path.write_text(edit)
+            else:
+                self._edit_json(path, edit)
         assert _apply(trained, models, tmp_path / "out") == 2
         assert "id_elbow.json" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -490,8 +500,8 @@ TRAIN_DYN_DIGESTS = {
 TRAIN_PINN_DIGESTS = {
     "supervised/pinn_elbow.json": "11c2b2c99364a3c8d951e54d64febe910c82a21ac16bcde2ff7e9d57acabf0d7",
     "supervised/training_log.csv": "a7d2591b2974f72a8f8161fc848b77e91eade30b3b547770a3d0beb27b4f6962",
-    "unsupervised/pinn_elbow.json": "1b5a98d0acb80c64bfd3ca5d83ac0672be01d2c055ba6d944432aabfac3af87f",
-    "unsupervised/training_log.csv": "6b0c4412cbabb45a2bc15d98d7ec7466ac4ebf4cf45567840f4a8e47e66c320a",
+    "unsupervised/pinn_elbow.json": "8b78e5486b8482686df9a05e676b6fd1e626baee693103fb5586f8c8fc515a6e",
+    "unsupervised/training_log.csv": "8d8d706984053b92945451665d114b7e7b65f06cb31596d795a853a40cdb091a",
 }
 
 # sha256 of the outputs of TestModelCommands.test_apply_fatigue_golden_bytes

@@ -53,6 +53,13 @@ class TestArchitecture:
         m_f, m_r = model.predict(np.linspace(0, 50, 20), np.full(20, 40.0))
         assert np.isfinite(m_f).all() and np.isfinite(m_r).all()
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_predict_is_the_tangent_pass_output(self, activation):
+        model = Pinn3ccModel(ELBOW, t_scale=50.0, spec=PinnSpec(16, activation), seed=2)
+        t, m_a = np.random.default_rng(1).uniform([0, 0], [50, 100], size=(40, 2)).T
+        m, _, _ = model._forward_time_tangent(t, m_a)
+        np.testing.assert_array_equal(np.stack(model.predict(t, m_a), axis=-1), m)
+
     def test_t_scale_validated(self):
         with pytest.raises(ParameterError):
             Pinn3ccModel(ELBOW, t_scale=0.0)
@@ -148,9 +155,24 @@ class TestLossBookkeeping:
             raise AssertionError("backward pass during a forward-only evaluation")
 
         monkeypatch.setattr(Mlp, "backward_tangent", no_backward)
-        monkeypatch.setattr(Mlp, "backward", no_backward)
         assert supervised_loss(model, data, grad=False) == (supervised, None)
         assert supervised_loss(model, colloc, anchor, grad=False) == (unsupervised, None)
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["own-anchor", "boundary-anchor"])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "forward-only"])
+    def test_one_tangent_pass_per_call(self, monkeypatch, anchored, grad):
+        data, load = self.make_data()
+        model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(8, "tanh"), seed=5)
+        batch, anchor = data, None
+        if anchored:
+            batch, anchor = collocation_from_load(load, ELBOW), boundary(0.0, 40.0, 0.0, 60.0)
+        calls = []
+        for name in ("forward", "forward_tangent", "backward_tangent"):
+            original = getattr(Mlp, name)
+            monkeypatch.setattr(Mlp, name, lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        supervised_loss(model, batch, anchor, grad)
+        assert calls == (["forward_tangent", "backward_tangent"] if grad else ["forward_tangent"])
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_untrained_model_evaluated_once(self, monkeypatch, mode):

@@ -65,14 +65,7 @@ class TestDenseForward:
         a = Mlp([2, 8, 1], ["relu", "linear"], np.random.default_rng(5))
         b = Mlp([2, 8, 1], ["relu", "linear"], np.random.default_rng(5))
         x = np.random.default_rng(0).normal(size=(4, 2))
-        ya, _ = a.forward(x)
-        yb, _ = b.forward(x)
-        np.testing.assert_array_equal(ya, yb)
-
-    def test_shape_error_names_layer(self):
-        mlp = Mlp([2, 4, 1], ["relu", "linear"], np.random.default_rng(0))
-        with pytest.raises(ShapeError, match="layer 0"):
-            mlp.forward(np.zeros((3, 5)))
+        np.testing.assert_array_equal(a.forward(x), b.forward(x))
 
     def test_unknown_activation(self):
         with pytest.raises(ParameterError):
@@ -80,27 +73,12 @@ class TestDenseForward:
 
 
 class TestBackward:
-    def test_gradcheck_random_net(self):
-        rng = np.random.default_rng(3)
-        mlp = Mlp([3, 8, 2], ["relu", "linear"], rng)
-        x = rng.normal(size=(6, 3))
-        target = rng.normal(size=(6, 2))
-
-        def loss_fn():
-            y, cache = mlp.forward(x)
-            loss, gy = mse(y, target)
-            grads, _ = mlp.backward(cache, gy)
-            return loss, grads
-
-        fd_gradcheck(mlp.params(), loss_fn)
-
     def test_zero_output_gradient(self):
         rng = np.random.default_rng(4)
         mlp = Mlp([2, 4, 2], ["tanh", "linear"], rng)
-        y, cache = mlp.forward(rng.normal(size=(3, 2)))
-        grads, gx = mlp.backward(cache, np.zeros_like(y))
+        y, ydot, cache = mlp.forward_tangent(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
+        grads = mlp.backward_tangent(cache, np.zeros_like(y), np.zeros_like(ydot))
         assert all(np.all(g == 0) for g in grads)
-        assert np.all(gx == 0)
 
     def test_linear_input_gradient_closed_form(self):
         rng = np.random.default_rng(5)
@@ -124,25 +102,33 @@ class TestTangent:
         xp, xm = x.copy(), x.copy()
         xp[:, 0] += h
         xm[:, 0] -= h
-        fd = (mlp.forward(xp)[0] - mlp.forward(xm)[0]) / (2 * h)
+        fd = (mlp.forward(xp) - mlp.forward(xm)) / (2 * h)
         np.testing.assert_allclose(ydot, fd, rtol=1e-7, atol=1e-10)
 
     def test_backward_tangent_gradcheck(self):
-        rng = np.random.default_rng(7)
-        mlp = Mlp([2, 6, 6, 2], ["tanh", "tanh", "linear"], rng)
-        x = rng.normal(size=(4, 2))
-        v = np.zeros_like(x)
-        v[:, 0] = 1.0
-        t_target = rng.normal(size=(4, 2))
+        _tangent_gradcheck("tanh", np.random.default_rng(7))
 
-        def loss_fn():
-            y, ydot, cache = mlp.forward_tangent(x, v)
-            loss = float(np.mean(y**2) + np.mean((ydot - t_target) ** 2))
-            gy = 2.0 / y.size * y
-            gydot = 2.0 / ydot.size * (ydot - t_target)
-            return loss, mlp.backward_tangent(cache, gy, gydot)
+    def test_backward_tangent_gradcheck_relu(self):
+        # relu'' is zero a.e.: the tangent's gradient flows through relu' only
+        _tangent_gradcheck("relu", np.random.default_rng(3))
 
-        fd_gradcheck(mlp.params(), loss_fn)
+
+def _tangent_gradcheck(activation, rng):
+    """FD gradcheck of a loss of both an Mlp's output and its input tangent."""
+    mlp = Mlp([2, 6, 6, 2], [activation, activation, "linear"], rng)
+    x = rng.normal(size=(4, 2))
+    v = np.zeros_like(x)
+    v[:, 0] = 1.0
+    t_target = rng.normal(size=(4, 2))
+
+    def loss_fn():
+        y, ydot, cache = mlp.forward_tangent(x, v)
+        loss = float(np.mean(y**2) + np.mean((ydot - t_target) ** 2))
+        gy = 2.0 / y.size * y
+        gydot = 2.0 / ydot.size * (ydot - t_target)
+        return loss, mlp.backward_tangent(cache, gy, gydot)
+
+    fd_gradcheck(mlp.params(), loss_fn)
 
 
 class TestLstmCell:
@@ -332,6 +318,18 @@ def _plateau_loss(model, idx, grad=True):
     return loss, [np.array([2 * (model.w[0] - 1.0)])] if grad else None
 
 
+def _mlp_mse(x, y):
+    """train_loop's loss_fn for an Mlp fit to y by MSE, trained through the
+    tangent pass with a zero tangent."""
+
+    def loss_fn(m, idx, grad=True):
+        pred, _, cache = m.forward_tangent(x[idx], 0.0)
+        loss, gy = mse(pred, y[idx])
+        return loss, m.backward_tangent(cache, gy, np.zeros_like(gy)) if grad else None
+
+    return loss_fn
+
+
 class TestTrainLoop:
     def test_early_stop_on_plateau(self):
         model = _QuadraticModel()
@@ -352,14 +350,8 @@ class TestTrainLoop:
             mlp = Mlp([2, 8, 1], ["relu", "linear"], np.random.default_rng(1))
             x = rng.normal(size=(16, 2))
             y = rng.normal(size=(16, 1))
-
-            def loss_fn(m, idx, grad=True):
-                pred, cache = m.forward(x[idx])
-                loss, gy = mse(pred, y[idx])
-                return loss, m.backward(cache, gy)[0] if grad else None
-
             cfg = TrainConfig(batch_size=4, lr=0.01, epochs=20, patience=50, seed=3)
-            return train_loop(mlp, 16, loss_fn, cfg)
+            return train_loop(mlp, 16, _mlp_mse(x, y), cfg)
 
         m1, h1 = make()
         m2, h2 = make()
@@ -371,23 +363,17 @@ class TestTrainLoop:
         class CountingMlp(Mlp):
             backward_calls = 0
 
-            def backward(self, caches, gy):
+            def backward_tangent(self, caches, gy, gydot):
                 self.backward_calls += 1
-                return super().backward(caches, gy)
+                return super().backward_tangent(caches, gy, gydot)
 
         rng = np.random.default_rng(5)
         x = rng.normal(size=(10, 3))
         y = rng.normal(size=(10, 1))
         mlp = CountingMlp([3, 6, 1], ["tanh", "linear"], np.random.default_rng(2))
-        initial_loss = float(np.mean((mlp.forward(x)[0] - y) ** 2))
-
-        def loss_fn(m, idx, grad=True):
-            pred, cache = m.forward(x[idx])
-            loss, gy = mse(pred, y[idx])
-            return loss, m.backward(cache, gy)[0] if grad else None
-
+        initial_loss = float(np.mean((mlp.forward(x) - y) ** 2))
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=3, patience=50, seed=0)
-        _, history = train_loop(mlp, 10, loss_fn, cfg)
+        _, history = train_loop(mlp, 10, _mlp_mse(x, y), cfg)
         assert history[0]["train_loss"] == initial_loss
         assert mlp.backward_calls == 3 * 3  # 3 epochs x 3 batches, none for entry 0
 
