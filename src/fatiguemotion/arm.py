@@ -215,7 +215,9 @@ def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict |
 
 def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
     """(trials, arm parameters, manifest) of a :func:`save_dataset` directory;
-    only each trial's angle and torque CSVs are read."""
+    only each trial's angle and torque CSVs are read. A torque CSV whose joint
+    names, frame count or dt differ from its angle CSV's raises
+    DataFormatError naming both files."""
     datadir = Path(datadir)
     path = datadir / "manifest.json"
     with open(path) as fh:
@@ -229,6 +231,10 @@ def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
         raise DataFormatError(f"{path}: malformed dataset manifest: {exc}") from None
     trials = []
     for stem in stems:
-        trials.append(ArmTrial(load_sequence(datadir / f"{stem}_angles.csv"),
-                               load_sequence(datadir / f"{stem}_torques.csv")))
+        paths = datadir / f"{stem}_angles.csv", datadir / f"{stem}_torques.csv"
+        trial = ArmTrial(*map(load_sequence, paths))
+        layouts = [(s.joint_names, s.n_frames, s.dt) for s in (trial.motion, trial.torque)]
+        if layouts[0] != layouts[1]:
+            raise DataFormatError(f"{paths[0]} and {paths[1]} differ in (joints, frames, dt): {layouts}")
+        trials.append(trial)
     return trials, params, manifest

@@ -183,7 +183,7 @@ def _cmd_train_dyn(args) -> dict:
     n = len(joint_names)
     for joint, j, kind in jobs:
         samples = sg.make_samples(train_trials, kind, j, angle_norm, torque_norm)
-        model = sg.BiLstmModel(n, 1, spec, kind=kind, seed=args.seed * 100 + _SEED_OFFSET[kind] + j)
+        model = sg.BiLstmModel(n, spec, kind=kind, seed=args.seed * 100 + _SEED_OFFSET[kind] + j)
         cfg = dataclasses.replace(base_cfg, seed=args.seed * 10 + j)
         model, history = sg.train_dyn(model, samples, cfg, window=args.window,
                                       window_stride=args.window_stride)

@@ -127,15 +127,14 @@ class PinnData:
         )
 
 
-def data_from_trajectory(traj: Cc3Trajectory, load: LoadProfile, indices=None) -> PinnData:
-    """Supervised samples along a simulated trajectory (optionally subsampled)."""
-    idx = np.arange(traj.times.size) if indices is None else np.asarray(indices)
+def data_from_trajectory(traj: Cc3Trajectory, load: LoadProfile, indices) -> PinnData:
+    """Supervised samples at the sample ``indices`` of a simulated trajectory."""
     return PinnData(
-        t=traj.times[idx],
-        m_a=traj.M_A[idx],
-        tl=load.values[idx],
-        m_f=traj.M_F[idx],
-        m_r=traj.M_R[idx],
+        t=traj.times[indices],
+        m_a=traj.M_A[indices],
+        tl=load.values[indices],
+        m_f=traj.M_F[indices],
+        m_r=traj.M_R[indices],
     )
 
 

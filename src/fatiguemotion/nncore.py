@@ -300,6 +300,10 @@ def mse(pred: np.ndarray, target: np.ndarray):
 
 # --- optimizer ----------------------------------------------------------------
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction over one flat moment buffer; updates parameter arrays in place.
 
@@ -307,11 +311,8 @@ class Adam:
     concatenation, so the moments and the update are float64 throughout.
     """
 
-    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.shapes = [p.shape for p in params]
         self.ends = np.cumsum([p.size for p in params])
@@ -325,13 +326,13 @@ class Adam:
         if not np.isfinite(g).all():
             raise NumericError("adam: NaN/Inf gradient, training aborted")
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        update = self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.eps)
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * g * g
+        update = self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + ADAM_EPS)
         for p, end in zip(params, self.ends):
             p -= update[end - p.size:end].reshape(p.shape)
 

@@ -89,11 +89,9 @@ class PipelineConfig:
             if name not in self.id_models or name not in self.fd_models:
                 raise ParameterError(f"joint {name!r}: missing ID or FD model")
             for model in (self.id_models[name], self.fd_models[name]):
-                if model.n_in != n_joints or model.n_out != 1:
+                if model.n_in != n_joints:
                     raise ShapeError(
-                        f"joint {name!r}: models must map {n_joints} channels to 1, "
-                        f"got {model.n_in} -> {model.n_out}"
-                    )
+                        f"joint {name!r}: models must read {n_joints} channels, got {model.n_in}")
         for name in self.profiles:
             if name not in self.angle_norm.joints:
                 raise ParameterError(f"profile for unknown joint {name!r}")
@@ -155,7 +153,8 @@ class FatigueReport:
 
 def load_traces(path) -> dict[str, JointFatigueTrace]:
     """The per-joint traces of a saved report: RC_hat, plus all three pools
-    or none (fixed mode); anything else raises DataFormatError naming the file."""
+    or none (fixed mode), each a 1-D float array; anything else raises
+    DataFormatError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("traces"), dict):
@@ -167,7 +166,13 @@ def load_traces(path) -> dict[str, JointFatigueTrace]:
         pools = [k for k in ("m_a", "m_f", "m_r") if k in tr]
         if pools and len(pools) != 3:
             raise DataFormatError(f"{path}: trace {name!r} has {pools}, needs all of m_a, m_f, m_r or none")
-        traces[name] = JointFatigueTrace(np.array(tr["rc_hat"]), *(np.array(tr[k]) for k in pools))
+        try:
+            arrays = [np.array(tr[k], dtype=float) for k in ("rc_hat", *pools)]
+        except (TypeError, ValueError):  # a string, or a ragged list
+            arrays = None
+        if arrays is None or any(a.ndim != 1 for a in arrays):
+            raise DataFormatError(f"{path}: trace {name!r}: values must be lists of numbers")
+        traces[name] = JointFatigueTrace(*arrays)
     return traces
 
 
@@ -181,8 +186,8 @@ def apply_fatigue(motion: MotionSequence, config: PipelineConfig):
     t_len = motion.n_frames
 
     x = config.angle_norm.apply(motion.frames)
-    # (N, T, 1, 1) -> (T, N): one torque channel per joint-specific model
-    tau_norm = predict_models([config.id_models[n] for n in order], x[:, None, :])[:, :, 0, 0].T
+    # (N, T, 1) -> (T, N): one torque channel per joint-specific model
+    tau_norm = predict_models([config.id_models[n] for n in order], x[:, None, :])[:, :, 0].T
     tau_raw = config.torque_norm.invert(tau_norm)
 
     tau_mod = tau_raw.copy()
@@ -205,7 +210,7 @@ def apply_fatigue(motion: MotionSequence, config: PipelineConfig):
 
     # Batch entry 0 is the unmodulated round trip, entry 1 the fatigued motion.
     fd_in = np.stack([tau_norm, config.torque_norm.apply(tau_mod)], axis=1)
-    angles_norm = predict_models([config.fd_models[n] for n in order], fd_in)[:, :, :, 0]
+    angles_norm = predict_models([config.fd_models[n] for n in order], fd_in)
     baseline = motion.with_frames(config.angle_norm.invert(angles_norm[:, :, 0].T))
     fatigued = motion.with_frames(config.angle_norm.invert(angles_norm[:, :, 1].T))
 

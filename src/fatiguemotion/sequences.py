@@ -183,13 +183,11 @@ class NormalizationParams:
 
 
 def fit_normalizer(seqs) -> NormalizationParams:
-    """Per-joint min/max over one sequence or an iterable of sequences.
+    """Per-joint min/max over an iterable of sequences.
 
     Statistics should be fit on training data only; degenerate (constant)
     channels are rejected.
     """
-    if isinstance(seqs, MotionSequence):
-        seqs = [seqs]
     seqs = list(seqs)
     if not seqs:
         raise ParameterError("no sequences to fit")
@@ -201,8 +199,8 @@ def fit_normalizer(seqs) -> NormalizationParams:
     return NormalizationParams(names, stacked.min(axis=0), stacked.max(axis=0))
 
 
-def torque_to_activation(tau, tau_max):
-    """Torque demand as %MVC: clamp(|tau| / tau_max * 100, 0, 100).
+def torque_to_activation(tau, tau_max) -> np.ndarray:
+    """Torque demand as %MVC: clamp(|tau| / tau_max * 100, 0, 100), elementwise.
 
     Sign is a direction, not an effort magnitude, so |tau| is used; the
     fatigue stage re-applies the sign when modulating.
@@ -210,8 +208,7 @@ def torque_to_activation(tau, tau_max):
     tau_max = float(tau_max)
     if not tau_max > 0:
         raise ParameterError(f"tau_max must be > 0, got {tau_max}")
-    act = np.clip(np.abs(np.asarray(tau, dtype=float)) / tau_max * 100.0, 0.0, 100.0)
-    return float(act) if act.ndim == 0 else act
+    return np.clip(np.abs(np.asarray(tau, dtype=float)) / tau_max * 100.0, 0.0, 100.0)
 
 
 def split_train_test(seqs, fraction: float, seed: int):

@@ -3,11 +3,11 @@
 The inverse-dynamics (ID) model reads all joint-angle channels and predicts
 one joint's torque per frame; the forward-dynamics (FD) model reads all
 torque channels and predicts one joint's angle. Both kinds are one
-:class:`BiLstmModel` with a single output, built, fed (:func:`make_samples`)
-and trained (:func:`train_dyn`) the same way. Both use the same stack:
-bidirectional LSTM layers whose per-frame output is the concatenation of the
-forward and backward hidden states (linear on the first layer, relu on the
-rest), closed by a linear dense head.
+:class:`BiLstmModel` with one output, (T, B, n_in) -> (T, B), built, fed
+(:func:`make_samples`) and trained (:func:`train_dyn`) the same way. Both
+use the same stack: bidirectional LSTM layers whose per-frame output is the
+concatenation of the forward and backward hidden states (linear on the
+first layer, relu on the rest), closed by a linear dense head.
 
 Training runs one model at a time through :meth:`BiLstmModel.forward`, which
 keeps the gate and cell-state caches BPTT needs. Inference and the initial
@@ -17,8 +17,8 @@ of size K = 2N, so one Python loop over time per layer steps every model and
 both directions with one batched matmul. The bank keeps no caches and
 allocates nothing per step; per :data:`BANK_CHUNK` steps it projects the
 input, and per :data:`BANK_CHUNK` rows of h (steps times batch) it stages
-h and copies it in bulk into one (N, T, B, 2H) layer output.
-:meth:`BiLstmModel.predict_sequence` is the N = 1 case.
+h and copies it in bulk into one (N, T, B, 2H) layer output. Its result is
+(N, T, B); :meth:`BiLstmModel.predict_sequence` is the N = 1, B = 1 case.
 
 Inputs and targets are min-max normalized to [0,1], and training minimizes
 the per-frame MSE of the normalized target.
@@ -112,14 +112,13 @@ class BiLstmLayer:
 
 
 class BiLstmModel:
-    """Stacked bidirectional layers plus a per-frame linear head."""
+    """Stacked bidirectional layers plus a per-frame linear head with one output."""
 
-    def __init__(self, n_in: int, n_out: int, spec: BiLstmSpec, kind: str | None = None, seed: int = 0):
-        if n_in < 1 or n_out < 1:
-            raise ParameterError(f"n_in and n_out must be >= 1, got {n_in} and {n_out}")
+    def __init__(self, n_in: int, spec: BiLstmSpec, kind: str | None = None, seed: int = 0):
+        if n_in < 1:
+            raise ParameterError(f"n_in must be >= 1, got {n_in}")
         rng = np.random.default_rng(seed)
         self.n_in = n_in
-        self.n_out = n_out
         self.spec = spec
         self.kind = kind
         self.seed = seed
@@ -130,7 +129,7 @@ class BiLstmModel:
             layer = BiLstmLayer(width, spec.hidden, act, rng)
             self.layers.append(layer)
             width = layer.n_out
-        self.head = DenseLayer(width, n_out, "linear", rng)
+        self.head = DenseLayer(width, 1, "linear", rng)
 
     def params(self):
         out = []
@@ -140,7 +139,7 @@ class BiLstmModel:
         return out
 
     def forward(self, x: np.ndarray):
-        """x: (T, B, n_in) -> (T, B, n_out) with cache for backprop, in x's
+        """x: (T, B, n_in) -> (T, B) with cache for backprop, in x's
         float dtype (:func:`nncore.as_float`)."""
         x = nncore.as_float(x)
         if x.ndim != 3 or x.shape[2] != self.n_in:
@@ -154,11 +153,11 @@ class BiLstmModel:
         t_len, batch, width = x.shape
         y_flat, head_cache = self.head.forward(x.reshape(t_len * batch, width))
         nncore.ensure_finite("bilstm forward", y_flat)
-        return y_flat.reshape(t_len, batch, self.n_out), (caches, head_cache, (t_len, batch, width))
+        return y_flat.reshape(t_len, batch), (caches, head_cache, (t_len, batch, width))
 
     def backward(self, cache, dy: np.ndarray):
         caches, head_cache, (t_len, batch, width) = cache
-        head_grads, dflat = self.head.backward(head_cache, dy.reshape(t_len * batch, self.n_out))
+        head_grads, dflat = self.head.backward(head_cache, dy.reshape(t_len * batch, 1))
         dx = dflat.reshape(t_len, batch, width)
         grads = head_grads
         for layer, c in zip(reversed(self.layers), reversed(caches)):
@@ -167,17 +166,16 @@ class BiLstmModel:
         return grads, dx
 
     def predict_sequence(self, frames: np.ndarray) -> np.ndarray:
-        """Normalized (T, n_in) frames -> (T,) trace (or (T, n_out) if wider)."""
+        """Normalized (T, n_in) frames -> (T,) trace."""
         frames = np.asarray(frames, dtype=float)
         if frames.ndim != 2 or frames.shape[1] != self.n_in:
             raise ShapeError(f"expected (T, {self.n_in}) frames, got {frames.shape}")
-        y = BiLstmBank([self]).forward(frames[:, None, :])[0, :, 0, :]
-        return y[:, 0] if self.n_out == 1 else y
+        return BiLstmBank([self]).forward(frames[:, None, :])[0, :, 0]
 
 
-def _architecture(model: BiLstmModel) -> tuple[int, int, int, int]:
-    """(n_in, n_out, n_layers, hidden): models with equal tuples can share a bank."""
-    return (model.n_in, model.n_out, model.spec.n_layers, model.spec.hidden)
+def _architecture(model: BiLstmModel) -> tuple[int, int, int]:
+    """(n_in, n_layers, hidden): models with equal tuples can share a bank."""
+    return (model.n_in, model.spec.n_layers, model.spec.hidden)
 
 
 class BiLstmBank:
@@ -209,9 +207,9 @@ class BiLstmBank:
             raise ParameterError("a bank needs at least one model")
         arch = _architecture(models[0])
         if any(_architecture(m) != arch for m in models):
-            raise ShapeError("bank models must share (n_in, n_out, n_layers, hidden)")
+            raise ShapeError("bank models must share (n_in, n_layers, hidden)")
         self.n_models = len(models)
-        self.n_in, self.n_out, _, self.hidden = arch
+        self.n_in, _, self.hidden = arch
         self.layers = []
         for i, layer in enumerate(models[0].layers):
             cells = [m.layers[i].fwd for m in models] + [m.layers[i].bwd for m in models]
@@ -219,11 +217,11 @@ class BiLstmBank:
             wh_t = np.stack([cell.Wh.T for cell in cells])       # (K, H, 4H)
             b = np.stack([cell.b for cell in cells])[:, None, :]  # (K, 1, 4H)
             self.layers.append((wx_t, wh_t, b, layer.activation))
-        self.head_w_t = np.stack([m.head.W.T for m in models])  # (N, 2H, n_out)
-        self.head_b = np.stack([m.head.b for m in models])[:, None, :]  # (N, 1, n_out)
+        self.head_w_t = np.stack([m.head.W.T for m in models])  # (N, 2H, 1)
+        self.head_b = np.stack([m.head.b for m in models])[:, None, :]  # (N, 1, 1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """x: (T, B, n_in), shared by every model -> (N, T, B, n_out)."""
+        """x: (T, B, n_in), shared by every model -> (N, T, B), one trace per model."""
         x = nncore.as_float(x)
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeError(f"bank expects (T, B, {self.n_in}), got {x.shape}")
@@ -239,7 +237,7 @@ class BiLstmBank:
         y = (np.matmul(out.reshape(n, t_len * batch, width), self.head_w_t.astype(dtype, copy=False))
              + self.head_b.astype(dtype, copy=False))
         nncore.ensure_finite("bilstm bank forward", y)
-        return y.reshape(n, t_len, batch, self.n_out)
+        return y.reshape(n, t_len, batch)
 
     def _layer(self, inp, wx_t, wh_t, b) -> np.ndarray:
         """One bidirectional layer for all N models: (N, T, B, 2H).
@@ -284,16 +282,14 @@ class BiLstmBank:
 
 
 def predict_models(models, x: np.ndarray) -> np.ndarray:
-    """Every model on the shared input x (T, B, n_in) -> (N, T, B, n_out).
+    """Every model on the shared input x (T, B, n_in) -> (N, T, B).
 
     Models of one architecture share a bank, so a mixed set runs one bank
-    per architecture. All models must have the same n_out.
+    per architecture.
     """
     models = list(models)
     if not models:
         raise ParameterError("no models to run")
-    if len({m.n_out for m in models}) != 1:
-        raise ShapeError("models must share n_out to be predicted together")
     groups: dict[tuple, list[int]] = {}
     for i, m in enumerate(models):
         groups.setdefault(_architecture(m), []).append(i)
@@ -311,7 +307,7 @@ class SurrogateSample:
     """One trial for one joint-specific model: normalized input and target."""
 
     x: np.ndarray  # (T, n_joints) normalized input
-    y: np.ndarray  # (T, 1) normalized target channel
+    y: np.ndarray  # (T,) normalized target channel
 
 
 def model_io(kind: str, angles, torques):
@@ -332,7 +328,7 @@ def make_samples(trials, kind: str, joint_index: int, angle_norm: NormalizationP
     for tr in trials:
         x, y = model_io(kind, tr.motion, tr.torque)
         samples.append(SurrogateSample(x=input_norm.apply(x.frames),
-                                       y=target_norm.apply(y.frames)[:, [joint_index]]))
+                                       y=target_norm.apply(y.frames)[:, joint_index]))
     return samples
 
 
@@ -395,24 +391,16 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
 
 # --- checkpoints --------------------------------------------------------------
 
-def save_model(path, model: BiLstmModel, joint: str | None = None,
-               input_norm: NormalizationParams | None = None,
-               target_norm: NormalizationParams | None = None,
-               tau_max: float | None = None) -> None:
-    meta = {}
-    if joint is not None:
-        meta["joint"] = joint
-    if input_norm is not None:
-        meta["input_norm"] = input_norm.to_dict()
-    if target_norm is not None:
-        meta["target_norm"] = target_norm.to_dict()
-    if tau_max is not None:
-        meta["tau_max"] = tau_max
+def save_model(path, model: BiLstmModel, joint: str, input_norm: NormalizationParams,
+               target_norm: NormalizationParams, tau_max: float) -> None:
+    """A checkpoint of ``model`` and its meta; the architecture records ``"n_out": 1``."""
+    meta = {"joint": joint, "input_norm": input_norm.to_dict(),
+            "target_norm": target_norm.to_dict(), "tau_max": tau_max}
     architecture = {
         "model": "bilstm",
         "kind": model.kind,
         "n_in": model.n_in,
-        "n_out": model.n_out,
+        "n_out": 1,
         "n_layers": model.spec.n_layers,
         "hidden": model.spec.hidden,
         "seed": model.seed,
@@ -428,8 +416,10 @@ def load_model(path) -> tuple[BiLstmModel, dict]:
     n_in, n_out, n_layers, hidden = nncore.architecture_fields(
         path, arch, ("n_in", "n_out", "n_layers", "hidden"))
     seed = arch.get("seed", 0)
-    if not all(type(v) is int for v in (n_in, n_out, n_layers, hidden, seed)):
-        raise DataFormatError(f"{path}: n_in, n_out, n_layers, hidden and seed must be integers")
-    model = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, hidden), kind=arch.get("kind"), seed=seed)
+    if not all(type(v) is int for v in (n_in, n_layers, hidden, seed)):
+        raise DataFormatError(f"{path}: n_in, n_layers, hidden and seed must be integers")
+    if type(n_out) is not int or n_out != 1:
+        raise DataFormatError(f"{path}: a surrogate has one output, got n_out {n_out!r}")
+    model = BiLstmModel(n_in, BiLstmSpec(n_layers, hidden), kind=arch.get("kind"), seed=seed)
     nncore.copy_params(model.params(), doc["params"], path)
     return model, doc["meta"]

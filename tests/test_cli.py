@@ -390,10 +390,11 @@ class TestMalformedArtefacts:
         lambda doc: doc["architecture"].update(seed="1"),
         "[]",
         lambda doc: [doc["meta"][k].pop("joints") for k in ("input_norm", "target_norm")],
+        lambda doc: doc["architecture"].update(n_out=2),
     ], ids=["architecture-without-n_in", "no-meta", "non-base64-character", "truncated-padding",
             "no-blob", "no-shapes", "params-not-an-object", "blob-not-whole-floats",
             "architecture-not-an-object", "n_layers-a-string", "meta-not-an-object", "seed-a-string",
-            "not-an-object", "normalization-without-joints"])
+            "not-an-object", "normalization-without-joints", "n_out-2"])
     def test_malformed_checkpoint(self, trained, tmp_path, capsys, edit):
         # Every checkpoint gets the edit (a string replaces the whole file),
         # so a normalization they all share gets as far as its decode;
@@ -413,7 +414,10 @@ class TestMalformedArtefacts:
         lambda doc: doc.pop("traces"),
         lambda doc: doc["traces"]["elbow"].pop("rc_hat"),
         lambda doc: [doc["traces"]["elbow"].pop(k) for k in ("m_f", "m_r")],
-    ], ids=["no-traces", "no-rc-hat", "m_a-without-m_f-m_r"])
+        lambda doc: doc["traces"]["elbow"].update(rc_hat=["x"] * len(doc["traces"]["elbow"]["rc_hat"])),
+        lambda doc: doc["traces"]["elbow"].update(m_a=[[v] * (i % 2 + 1) for i, v in
+                                                       enumerate(doc["traces"]["elbow"]["m_a"])]),
+    ], ids=["no-traces", "no-rc-hat", "m_a-without-m_f-m_r", "rc-hat-strings", "m_a-ragged"])
     def test_malformed_report(self, trained, tmp_path, capsys, edit):
         assert _apply(trained, trained / "models", tmp_path / "apply") == 0
         self._edit_json(tmp_path / "apply" / "report.json", edit)
@@ -421,6 +425,23 @@ class TestMalformedArtefacts:
                     "--run", f"tired={tmp_path / 'apply'}", "--out", str(tmp_path / "curves")])
         assert code == 2
         assert "report.json" in capsys.readouterr().err
+        assert not (tmp_path / "curves").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [lines[0], "sh,el", *lines[2:]],
+        lambda lines: lines[:-1],
+        lambda lines: ["# dt=0.025", *lines[1:]],
+    ], ids=["joint-names", "one-row-short", "dt"])
+    def test_torques_disagree_with_angles(self, trained, tmp_path, capsys, edit):
+        data = tmp_path / "data"
+        shutil.copytree(trained / "data", data)
+        path = data / "trial002_torques.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code = run(["train-dyn", "--data", str(data), "--out", str(tmp_path / "models"), *TINY_DYN])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "trial002_torques.csv" in err and "trial002_angles.csv" in err
+        assert not (tmp_path / "models").exists()
 
     def test_checkpoint_without_tau_max(self, trained, tmp_path):
         # tau_max is derived from the torque normalization, which every

@@ -135,7 +135,7 @@ class TestLossBookkeeping:
     def make_data(self, n=30):
         load = LoadProfile.constant(50.0, 120.0, 120.0 / (n - 1))
         traj = simulate(None, load, ELBOW)
-        return data_from_trajectory(traj, load), load
+        return data_from_trajectory(traj, load, np.arange(n)), load
 
     def test_additivity(self):
         data, _ = self.make_data()

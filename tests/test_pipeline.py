@@ -33,7 +33,7 @@ from fatiguemotion.surrogates import (
 def _models(n_models, n_layers, n_in=3, hidden=4, seed=0):
     """Untrained models with non-zero biases, so every parameter matters."""
     rng = np.random.default_rng(seed)
-    models = [BiLstmModel(n_in, 1, BiLstmSpec(n_layers, hidden), seed=seed + i) for i in range(n_models)]
+    models = [BiLstmModel(n_in, BiLstmSpec(n_layers, hidden), seed=seed + i) for i in range(n_models)]
     for model in models:
         for p in model.params():
             if p.ndim == 1:
@@ -57,7 +57,7 @@ class TestBank:
         for t_len in (1, BANK_CHUNK - 1, BANK_CHUNK, BANK_CHUNK + 1, 2000):
             x = rng.normal(size=(t_len, batch, 3))
             y = bank.forward(x)
-            assert y.shape == (n_models, t_len, batch, 1)
+            assert y.shape == (n_models, t_len, batch)
             np.testing.assert_allclose(y, _reference(models, x), rtol=0, atol=1e-12)
 
     # sha256 of BiLstmBank.forward(x).tobytes() for two 2-layer H=32 models
@@ -115,11 +115,11 @@ class TestBank:
     def test_predict_sequence_is_the_single_model_bank(self):
         (model,) = _models(1, 2)
         frames = np.random.default_rng(1).normal(size=(50, 3))
-        expected = model.forward(frames[:, None, :])[0][:, 0, 0]
+        expected = model.forward(frames[:, None, :])[0][:, 0]
         np.testing.assert_allclose(model.predict_sequence(frames), expected, rtol=0, atol=1e-12)
 
     def test_mixed_architectures_run_one_bank_each(self):
-        models = _models(2, 1) + [BiLstmModel(3, 1, BiLstmSpec(2, 6), seed=9)] + _models(1, 1, seed=5)
+        models = _models(2, 1) + [BiLstmModel(3, BiLstmSpec(2, 6), seed=9)] + _models(1, 1, seed=5)
         x = np.random.default_rng(2).normal(size=(40, 2, 3))
         np.testing.assert_allclose(predict_models(models, x), _reference(models, x), rtol=0, atol=1e-12)
 
@@ -138,8 +138,8 @@ def chain():
     trial = generate_dataset(ArmParams(), 1, 150, 0.05, seed=4)[0]
     angle_norm = fit_normalizer([trial.motion])
     torque_norm = fit_normalizer([trial.torque])
-    id_models = {name: BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=i) for i, name in enumerate(trial.motion.joint_names)}
-    fd_models = {name: BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="fd", seed=10 + i) for i, name in enumerate(trial.motion.joint_names)}
+    id_models = {name: BiLstmModel(2, BiLstmSpec(2, 5), kind="id", seed=i) for i, name in enumerate(trial.motion.joint_names)}
+    fd_models = {name: BiLstmModel(2, BiLstmSpec(2, 5), kind="fd", seed=10 + i) for i, name in enumerate(trial.motion.joint_names)}
     profiles = {
         "shoulder": cc.FatigueProfile("shoulder", F=0.3, R=0.02, lam=0.7),
         "elbow": cc.FatigueProfile("elbow", F=0.5, R=0.01),
@@ -167,7 +167,7 @@ class TestApplyFatigue:
         order = motion.joint_names
 
         def run(models, x):
-            return np.column_stack([models[n].forward(x[:, None, :])[0][:, 0, 0] for n in order])
+            return np.column_stack([models[n].forward(x[:, None, :])[0][:, 0] for n in order])
 
         tau_norm = run(config.id_models, config.angle_norm.apply(motion.frames))
         np.testing.assert_allclose(report.torques, config.torque_norm.invert(tau_norm), rtol=0, atol=1e-9)
@@ -198,7 +198,7 @@ class TestApplyFatigue:
 
     def test_model_width_checked(self, chain):
         _, config = chain
-        fd_models = dict(config.fd_models, elbow=BiLstmModel(3, 1, BiLstmSpec(1, 4), kind="fd"))
+        fd_models = dict(config.fd_models, elbow=BiLstmModel(3, BiLstmSpec(1, 4), kind="fd"))
         with pytest.raises(ShapeError):
             PipelineConfig(config.angle_norm, config.torque_norm, config.id_models, fd_models)
 

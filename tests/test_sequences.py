@@ -120,7 +120,7 @@ class TestSequenceInvariants:
 class TestNormalization:
     def test_linear_map(self):
         seq = make_seq([[2.0, 1.0], [4.0, 2.0], [6.0, 3.0]])
-        params = fit_normalizer(seq)
+        params = fit_normalizer([seq])
         normed = params.apply(seq.frames)
         np.testing.assert_allclose(normed[:, 0], [0.0, 0.5, 1.0])
         np.testing.assert_allclose(normed[:, 1], [0.0, 0.5, 1.0])
@@ -129,14 +129,14 @@ class TestNormalization:
         rng = np.random.default_rng(11)
         for _ in range(20):
             seq = make_seq(rng.normal(scale=rng.uniform(0.1, 50), size=(12, 2)))
-            params = fit_normalizer(seq)
+            params = fit_normalizer([seq])
             back = params.invert(params.apply(seq.frames))
             np.testing.assert_allclose(back, seq.frames, rtol=1e-12, atol=0)
 
     def test_degenerate_channel(self):
         seq = make_seq([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
         with pytest.raises(DegenerateChannelError, match="'a'"):
-            fit_normalizer(seq)
+            fit_normalizer([seq])
 
     def test_fit_over_multiple_sequences(self):
         a = make_seq([[0.0, 0.0], [1.0, 1.0]])
@@ -160,9 +160,8 @@ class TestNormalization:
 
 class TestActivation:
     def test_examples(self):
-        assert torque_to_activation(0.0, 50.0) == 0.0
-        assert torque_to_activation(-25.0, 50.0) == 50.0
-        assert torque_to_activation(80.0, 50.0) == 100.0
+        act = torque_to_activation(np.array([0.0, -25.0, 80.0]), 50.0)
+        np.testing.assert_array_equal(act, [0.0, 50.0, 100.0])
 
     def test_domain(self):
         with pytest.raises(ParameterError):

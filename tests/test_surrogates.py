@@ -70,7 +70,7 @@ class TestBiLstmLayer:
 
 class TestBuilders:
     def test_default_architecture(self):
-        model = BiLstmModel(32, 1, BiLstmSpec(), kind="id")
+        model = BiLstmModel(32, BiLstmSpec(), kind="id")
         assert len(model.layers) == 5
         assert model.layers[0].fwd.n_hidden == 128
         assert model.layers[0].activation == "linear"
@@ -79,18 +79,18 @@ class TestBuilders:
         assert model.kind == "id"
 
     def test_desk_config(self):
-        model = BiLstmModel(2, 1, DESK_SPEC, kind="fd")
+        model = BiLstmModel(2, DESK_SPEC, kind="fd")
         assert len(model.layers) == 2
         assert model.layers[0].fwd.n_hidden == 32
         assert model.kind == "fd"
 
     def test_id_fd_symmetric(self):
-        a = BiLstmModel(4, 1, DESK_SPEC, kind="id", seed=1)
-        b = BiLstmModel(4, 1, DESK_SPEC, kind="fd", seed=1)
+        a = BiLstmModel(4, DESK_SPEC, kind="id", seed=1)
+        b = BiLstmModel(4, DESK_SPEC, kind="fd", seed=1)
         assert [p.shape for p in a.params()] == [p.shape for p in b.params()]
 
     def test_disjoint_direction_parameters(self):
-        model = BiLstmModel(2, 1, DESK_SPEC, kind="id")
+        model = BiLstmModel(2, DESK_SPEC, kind="id")
         for layer in model.layers:
             assert not any(pf is pb for pf in layer.fwd.params() for pb in layer.bwd.params())
 
@@ -98,29 +98,26 @@ class TestBuilders:
         with pytest.raises(ParameterError):
             BiLstmSpec(n_layers=0, hidden=8)
         with pytest.raises(ParameterError):
-            BiLstmModel(0, 1, DESK_SPEC, kind="id")
-        with pytest.raises(ParameterError):
-            BiLstmModel(2, 0, DESK_SPEC, kind="id")
+            BiLstmModel(0, DESK_SPEC, kind="id")
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_closed_form_param_count(self, n_layers):
         # each direction of a layer holds Wx, Wh and b: 4h*(w + h + 1), with
-        # input width w = n_in on the first layer and 2h after it; the head
-        # adds 2h*n_out + n_out
+        # input width w = n_in on the first layer and 2h after it; the
+        # one-output head adds 2h + 1
         for n_in in (1, 2, 5):
-            for n_out in (1, 3):
-                for h in (1, 4, 7):
-                    model = BiLstmModel(n_in, n_out, BiLstmSpec(n_layers, h))
-                    lstm = 8 * h * (n_in + h + 1) + (n_layers - 1) * 8 * h * (3 * h + 1)
-                    assert sum(p.size for p in model.params()) == lstm + 2 * h * n_out + n_out
+            for h in (1, 4, 7):
+                model = BiLstmModel(n_in, BiLstmSpec(n_layers, h))
+                lstm = 8 * h * (n_in + h + 1) + (n_layers - 1) * 8 * h * (3 * h + 1)
+                assert sum(p.size for p in model.params()) == lstm + 2 * h + 1
 
 
 class TestModelForward:
     def test_full_model_gradcheck(self):
         rng = np.random.default_rng(3)
-        model = BiLstmModel(2, 1, BiLstmSpec(2, 4), seed=5)
+        model = BiLstmModel(2, BiLstmSpec(2, 4), seed=5)
         x = rng.normal(size=(8, 2, 2))
-        target = rng.normal(size=(8, 2, 1))
+        target = rng.normal(size=(8, 2))
 
         def loss_fn():
             y, cache = model.forward(x)
@@ -135,9 +132,9 @@ class TestModelForward:
         # every cached array, gradient and dx is float32, and each gradient is
         # within a relative 1e-5 of its largest float64 value (measured <= 4e-7)
         rng = np.random.default_rng(3)
-        model = BiLstmModel(2, 1, BiLstmSpec(2, 4), seed=5)
+        model = BiLstmModel(2, BiLstmSpec(2, 4), seed=5)
         x = rng.normal(size=(8, 2, 2))
-        target = rng.normal(size=(8, 2, 1))
+        target = rng.normal(size=(8, 2))
         results = {}
         for dtype in (np.float64, np.float32):
             y, cache = model.forward(x.astype(dtype))
@@ -152,22 +149,22 @@ class TestModelForward:
             assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
     def test_predict_deterministic(self):
-        model = BiLstmModel(2, 1, DESK_SPEC, kind="id", seed=2)
+        model = BiLstmModel(2, DESK_SPEC, kind="id", seed=2)
         x = np.random.default_rng(0).uniform(size=(20, 2))
         np.testing.assert_array_equal(model.predict_sequence(x), model.predict_sequence(x))
 
     def test_constant_input_finite(self):
-        model = BiLstmModel(2, 1, DESK_SPEC, kind="fd", seed=3)
+        model = BiLstmModel(2, DESK_SPEC, kind="fd", seed=3)
         out = model.predict_sequence(np.full((16, 2), 0.5))
         assert np.isfinite(out).all() and out.shape == (16,)
 
     def test_width_mismatch(self):
-        model = BiLstmModel(3, 1, DESK_SPEC, kind="id")
+        model = BiLstmModel(3, DESK_SPEC, kind="id")
         with pytest.raises(ShapeError):
             model.predict_sequence(np.zeros((10, 2)))
 
     def test_empty_sequence(self):
-        model = BiLstmModel(2, 1, DESK_SPEC, kind="id")
+        model = BiLstmModel(2, DESK_SPEC, kind="id")
         with pytest.raises(ShapeError):
             model.forward(np.zeros((0, 1, 2)))
 
@@ -180,15 +177,15 @@ class TestSamples:
         for a, b, tr in zip(id_s, fd_s, trials):
             np.testing.assert_array_equal(a.x, angle_norm.apply(tr.motion.frames))
             np.testing.assert_array_equal(b.x, torque_norm.apply(tr.torque.frames))
-            np.testing.assert_array_equal(a.y, b.x[:, [1]])
-            np.testing.assert_array_equal(b.y, a.x[:, [1]])
-            assert a.y.shape == (tr.motion.n_frames, 1)
+            np.testing.assert_array_equal(a.y, b.x[:, 1])
+            np.testing.assert_array_equal(b.y, a.x[:, 1])
+            assert a.y.shape == (tr.motion.n_frames,)
 
     def test_both_kinds_carry_kinematics_and_target_scaling(self, tiny_dataset):
         trials, angle_norm, torque_norm = tiny_dataset
         for kind, target_norm in (("id", torque_norm), ("fd", angle_norm)):
             s = make_samples(trials[:1], kind, 0, angle_norm, torque_norm)[0]
-            np.testing.assert_allclose(s.y[:, 0] * target_norm.span[0] + target_norm.lo[0],
+            np.testing.assert_allclose(s.y * target_norm.span[0] + target_norm.lo[0],
                                        (trials[0].torque if kind == "id" else trials[0].motion).frames[:, 0])
 
     def test_unknown_kind(self, tiny_dataset):
@@ -201,7 +198,7 @@ class TestTraining:
     def test_loss_decreases(self, tiny_dataset):
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:4], "id", 0, angle_norm, torque_norm)
-        model = BiLstmModel(2, 1, BiLstmSpec(1, 8), kind="id", seed=0)
+        model = BiLstmModel(2, BiLstmSpec(1, 8), kind="id", seed=0)
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=20, patience=50, seed=0)
         model, history = train_dyn(model, samples, cfg)
         assert history[-1]["train_loss"] < 0.5 * history[1]["train_loss"]
@@ -209,7 +206,7 @@ class TestTraining:
     def test_history_fields(self, tiny_dataset):
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:4], "fd", 1, angle_norm, torque_norm)
-        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="fd", seed=0)
+        model = BiLstmModel(2, BiLstmSpec(1, 6), kind="fd", seed=0)
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=5, patience=50, seed=0)
         model, history = train_dyn(model, samples, cfg)
         for entry in history:
@@ -218,7 +215,7 @@ class TestTraining:
     def test_windowed_training_runs(self, tiny_dataset):
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:4], "id", 0, angle_norm, torque_norm)
-        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=0)
+        model = BiLstmModel(2, BiLstmSpec(1, 6), kind="id", seed=0)
         cfg = TrainConfig(batch_size=8, lr=0.01, epochs=3, patience=50, seed=0)
         model, history = train_dyn(model, samples, cfg, window=12, window_stride=3)
         assert len(history) == 4
@@ -228,7 +225,7 @@ class TestTraining:
         samples = make_samples(trials[:3], "id", 0, angle_norm, torque_norm)
 
         def run():
-            model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=4)
+            model = BiLstmModel(2, BiLstmSpec(1, 6), kind="id", seed=4)
             cfg = TrainConfig(batch_size=2, lr=0.01, epochs=6, patience=50, seed=9)
             return train_dyn(model, samples, cfg)
 
@@ -241,7 +238,7 @@ class TestTraining:
     def test_entry_zero_is_forward_only_in_batches(self, tiny_dataset, monkeypatch):
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:5], "id", 1, angle_norm, torque_norm)
-        model = BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=6)
+        model = BiLstmModel(2, BiLstmSpec(2, 5), kind="id", seed=6)
         window, stride = 10, 2
         x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
         y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
@@ -277,7 +274,7 @@ class TestTraining:
         # weights stay float64, and the checkpoint decodes to float64 arrays.
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:5], "id", 0, angle_norm, torque_norm)
-        model = BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=7)
+        model = BiLstmModel(2, BiLstmSpec(2, 5), kind="id", seed=7)
         window, stride, batch = 10, 2, 8
         x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1,
                      dtype=np.float32)
@@ -297,7 +294,8 @@ class TestTraining:
         assert history[2]["train_loss"] < history[0]["train_loss"]
         assert all(p.dtype == np.float64 for p in model.params())
 
-        save_model(tmp_path / "id_shoulder.json", model)
+        save_model(tmp_path / "id_shoulder.json", model, "shoulder", angle_norm, torque_norm,
+                   torque_norm.abs_max("shoulder"))
         enc = json.loads((tmp_path / "id_shoulder.json").read_text())["params"]
         assert enc["dtype"] == "float64"
         loaded, _ = load_model(tmp_path / "id_shoulder.json")
@@ -313,7 +311,7 @@ class TestTraining:
         # (measured <= 7e-12: the MSE averages the differences out).
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:5], "fd", 0, angle_norm, torque_norm)
-        model = BiLstmModel(2, 1, BiLstmSpec(2, hidden), kind="fd", seed=2)
+        model = BiLstmModel(2, BiLstmSpec(2, hidden), kind="fd", seed=2)
         window, stride, batch = 10, 2, 13
         x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1,
                      dtype=np.float32)
@@ -337,7 +335,7 @@ class TestTraining:
         cfg = TrainConfig(batch_size=8, lr=0.1, epochs=8, patience=3, decay_patience=1, seed=1)
 
         def train():
-            model = BiLstmModel(2, 1, BiLstmSpec(2, 5), kind="id", seed=8)
+            model = BiLstmModel(2, BiLstmSpec(2, 5), kind="id", seed=8)
             return train_dyn(model, samples, cfg, window=10, window_stride=2)
 
         model32, history32 = train()
@@ -355,12 +353,12 @@ class TestTraining:
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:2], "id", 0, angle_norm, torque_norm)
         samples[1].x = samples[1].x[:-1]
-        model = BiLstmModel(2, 1, BiLstmSpec(1, 4), kind="id")
+        model = BiLstmModel(2, BiLstmSpec(1, 4), kind="id")
         with pytest.raises(ShapeError):
             train_dyn(model, samples, TrainConfig(epochs=1))
 
     def test_empty_dataset(self):
-        model = BiLstmModel(2, 1, BiLstmSpec(1, 4), kind="id")
+        model = BiLstmModel(2, BiLstmSpec(1, 4), kind="id")
         with pytest.raises(ParameterError):
             train_dyn(model, [], TrainConfig())
 
@@ -368,10 +366,11 @@ class TestTraining:
 class TestCheckpoints:
     def test_round_trip_with_metadata(self, tiny_dataset, tmp_path):
         trials, angle_norm, torque_norm = tiny_dataset
-        model = BiLstmModel(2, 1, BiLstmSpec(1, 6), kind="id", seed=11)
+        model = BiLstmModel(2, BiLstmSpec(1, 6), kind="id", seed=11)
         path = tmp_path / "id_elbow.json"
         save_model(path, model, joint="elbow", input_norm=angle_norm,
                    target_norm=torque_norm, tau_max=3.5)
+        assert json.loads(path.read_text())["architecture"]["n_out"] == 1
         loaded, meta = load_model(path)
         assert meta["joint"] == "elbow"
         assert meta["tau_max"] == 3.5
@@ -380,10 +379,11 @@ class TestCheckpoints:
         np.testing.assert_array_equal(loaded.predict_sequence(x), model.predict_sequence(x))
 
     @pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
-    def test_mismatched_params_rejected(self, tmp_path, damage):
-        model = BiLstmModel(2, 1, BiLstmSpec(2, 3), kind="id", seed=1)
+    def test_mismatched_params_rejected(self, tiny_dataset, tmp_path, damage):
+        _, angle_norm, torque_norm = tiny_dataset
+        model = BiLstmModel(2, BiLstmSpec(2, 3), kind="id", seed=1)
         path = tmp_path / "id_elbow.json"
-        save_model(path, model, joint="elbow")
+        save_model(path, model, "elbow", angle_norm, torque_norm, torque_norm.abs_max("elbow"))
         params = [p.copy() for p in model.params()]
         if damage == "missing":
             params = params[:-1]
