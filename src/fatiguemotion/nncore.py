@@ -19,6 +19,13 @@ ODE-residual loss differentiate a network output with respect to its time
 input and still train by backprop; rows whose loss does not involve the
 tangent get a zero tangent gradient.
 
+The LSTM's BPTT (:meth:`LstmCell.backward`) works on whole contiguous
+(B, 4H) gate rows, with the factors that do not depend on the recurrence
+laid out per block of :data:`BPTT_BLOCK` steps: an elementwise op on one of
+a row's four strided (B, H) gate lanes costs about as much as on the whole
+row. Every product keeps its operands and their order, so the gradients
+are bit for bit those of the per-lane chain rule.
+
 Single-threaded training with a fixed seed is bit-reproducible; a trained
 model is immutable for inference and safe to share.
 """
@@ -91,8 +98,7 @@ def glorot_uniform(n_out: int, n_in: int, rng) -> np.ndarray:
 class DenseLayer:
     """Fully connected layer y = act(x W^T + b), x of shape (B, n_in)."""
 
-    def __init__(self, n_in: int, n_out: int, activation: str = "linear", rng=None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, n_in: int, n_out: int, activation: str, rng):
         _act(activation, np.zeros(1))  # validate name
         self.n_in = n_in
         self.n_out = n_out
@@ -122,10 +128,9 @@ class DenseLayer:
 class Mlp:
     """Stack of dense layers; ``sizes`` = [n_in, h1, ..., n_out]."""
 
-    def __init__(self, sizes, activations, rng=None):
+    def __init__(self, sizes, activations, rng):
         if len(activations) != len(sizes) - 1:
             raise ParameterError("need one activation per weight layer")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.sizes = list(sizes)
         self.layers = [
             DenseLayer(sizes[i], sizes[i + 1], activations[i], rng) for i in range(len(sizes) - 1)
@@ -179,6 +184,12 @@ class Mlp:
 
 # --- LSTM cell ---------------------------------------------------------------
 
+# Time steps whose recurrence-free BPTT factors LstmCell.backward lays out
+# at once, ahead of those steps: 8-16 measured fastest at T 96, B 32, H 32;
+# the whole window at once lost on cache.
+BPTT_BLOCK = 8
+
+
 class LstmCell:
     """Standard LSTM (input/forget/candidate/output gates) over (T, B, D) input.
 
@@ -186,14 +197,25 @@ class LstmCell:
     sigmoid gates evaluate in one call. The input projection for all
     timesteps is computed in one matmul; only the hidden recurrence loops
     over time. :meth:`forward` keeps the gates and cell states that BPTT
-    needs, writing each step's gates, c and h straight into row t, so it is
-    the training path. Inference runs cells through ``surrogates.BiLstmBank``,
-    which stacks many cells on a leading axis, keeps no caches and shares the
-    per-step gate math (:func:`lstm_gates`).
+    needs, so it is the training path: each step runs the recurrent matmul
+    into one preallocated z against a C-contiguous copy of Wh^T, made once
+    per call (the transposed view takes a slower BLAS kernel), steps one
+    fixed gate buffer and copies it into row t of the gate cache, and writes
+    c and h straight into row t. Inference runs cells through
+    ``surrogates.BiLstmBank``, which stacks many cells on a leading axis,
+    keeps no caches and shares the per-step gate math (:func:`lstm_gates`).
+
+    :meth:`backward` computes on whole (B, 4H) rows rather than on the four
+    strided (B, H) gate lanes, each of which costs about as much per
+    elementwise op as a whole row (B 32, H 32: about 2 us against 0.5 us).
+    Per block of :data:`BPTT_BLOCK` steps it lays out the rows that do not
+    depend on dh or dc; a step then fills one lane buffer [dc, dc, dh, dc]
+    and multiplies its dz row by it and by two factor rows, with the same
+    operands in the same order as the per-lane chain rule, so the gradients
+    are the per-lane form's bits in both dtypes.
     """
 
-    def __init__(self, n_in: int, n_hidden: int, rng=None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, n_in: int, n_hidden: int, rng):
         self.n_in = n_in
         self.n_hidden = n_hidden
         self.Wx = glorot_uniform(4 * n_hidden, n_in, rng)
@@ -210,13 +232,18 @@ class LstmCell:
         t_len, batch, _ = x.shape
         hdim, dtype = self.n_hidden, x.dtype
         zx = x @ self.Wx.T.astype(dtype, copy=False) + self.b.astype(dtype, copy=False)
-        wh_t = self.Wh.T.astype(dtype, copy=False)
+        wh_t = np.ascontiguousarray(self.Wh.T, dtype)
         gates = np.empty((t_len, batch, 4 * hdim), dtype)
         cs = np.empty((t_len, batch, hdim), dtype)
         hs = np.empty((t_len, batch, hdim), dtype)
+        z, gate = np.empty((2, batch, 4 * hdim), dtype)
+        views = gate_views(z, gate, hdim)
         c = h = np.zeros((batch, hdim), dtype)
         for t in range(t_len):
-            lstm_gates(gate_views(zx[t] + h @ wh_t, gates[t], hdim), c, cs[t], hs[t])
+            np.matmul(h, wh_t, out=z)
+            z += zx[t]
+            lstm_gates(views, c, cs[t], hs[t])
+            gates[t] = gate
             c, h = cs[t], hs[t]
         return hs, (x, gates, cs, hs)
 
@@ -226,26 +253,7 @@ class LstmCell:
         t_len, batch, _ = x.shape
         hdim, dtype = self.n_hidden, x.dtype
         wx, wh = self.Wx.astype(dtype, copy=False), self.Wh.astype(dtype, copy=False)
-        dz_all = np.empty((t_len, batch, 4 * hdim), dtype)
-        dh_next = np.zeros((batch, hdim), dtype)
-        dc_next = np.zeros((batch, hdim), dtype)
-        for t in range(t_len - 1, -1, -1):
-            gate = gates[t]
-            i = gate[:, :hdim]
-            f = gate[:, hdim : 2 * hdim]
-            o = gate[:, 2 * hdim : 3 * hdim]
-            g = gate[:, 3 * hdim :]
-            c_prev = cs[t - 1] if t > 0 else 0.0
-            tanh_c = np.tanh(cs[t])
-            dh = dh_seq[t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c**2)
-            dz = dz_all[t]
-            dz[:, :hdim] = (dc * g) * i * (1.0 - i)
-            dz[:, hdim : 2 * hdim] = (dc * c_prev) * f * (1.0 - f)
-            dz[:, 2 * hdim : 3 * hdim] = (dh * tanh_c) * o * (1.0 - o)
-            dz[:, 3 * hdim :] = (dc * i) * (1.0 - g**2)
-            dh_next = dz @ wh
-            dc_next = dc * f
+        dz_all = _bptt_rows(gates, cs, dh_seq, wh)
         h_prev = np.concatenate([np.zeros((1, batch, hdim), dtype), hs[:-1]], axis=0)
         flat_dz = dz_all.reshape(-1, 4 * hdim)
         dWx = flat_dz.T @ x.reshape(-1, self.n_in)
@@ -253,6 +261,57 @@ class LstmCell:
         db = flat_dz.sum(axis=0)
         dx = dz_all @ wx
         return dx, [dWx, dWh, db]
+
+
+def _bptt_rows(gates, cs, dh_seq, wh) -> np.ndarray:
+    """d(loss)/dz of every step, (T, B, 4H), from the gate and cell-state
+    caches, d(loss)/dh_t and the recurrent weight Wh in the caches' dtype.
+
+    Its block buffers are freed on return, before the caller's weight
+    gradients allocate, so they add nothing to the peak of a backward call.
+    """
+    t_len, batch, four_h = gates.shape
+    hdim, dtype = four_h // 4, gates.dtype
+    span = min(BPTT_BLOCK, t_len)
+    # dz_all[t] starts as [g, c_prev, tanh(c), i] and is multiplied in place
+    # by [dc, dc, dh, dc], by r1 = [i, f, o, 1 - g^2] and by r2 =
+    # [1 - i, 1 - f, 1 - o, 1]: each lane's products in the order of the
+    # per-lane chain rule, so the bits are those of the per-lane form
+    dz_all = np.empty((t_len, batch, 4 * hdim), dtype)
+    r1, r2 = np.empty((2, span, batch, 4 * hdim), dtype)
+    dtanh_c, f = np.empty((2, span, batch, hdim), dtype)
+    lane = np.empty((batch, 4, hdim), dtype)
+    lane_rows = lane.reshape(batch, 4 * hdim)
+    dh, dc, dh_next, tmp = np.zeros((4, batch, hdim), dtype)
+    for t0 in range((t_len - 1) // span * span, -1, -span):
+        n = min(span, t_len - t0)
+        gate, rows = gates[t0 : t0 + n], dz_all[t0 : t0 + n]
+        lag = int(t0 == 0)  # step 0 has no previous cell state: c_prev = 0
+        rows[..., :hdim] = gate[..., 3 * hdim :]
+        rows[:lag, :, hdim : 2 * hdim] = 0.0
+        rows[lag:, :, hdim : 2 * hdim] = cs[t0 + lag - 1 : t0 + n - 1]
+        tanh_c = np.tanh(cs[t0 : t0 + n], out=rows[..., 2 * hdim : 3 * hdim])
+        rows[..., 3 * hdim :] = gate[..., :hdim]
+        r1[:n] = gate
+        np.subtract(1.0, np.square(gate[..., 3 * hdim :], out=r1[:n, :, 3 * hdim :]),
+                    out=r1[:n, :, 3 * hdim :])
+        np.subtract(1.0, gate, out=r2[:n])
+        r2[:n, :, 3 * hdim :] = 1.0
+        np.subtract(1.0, np.square(tanh_c, out=dtanh_c[:n]), out=dtanh_c[:n])
+        f[:n] = gate[..., hdim : 2 * hdim]
+        for j in range(n - 1, -1, -1):
+            t = t0 + j
+            np.add(dh_seq[t], dh_next, out=dh)
+            dc += np.multiply(np.multiply(dh, gates[t, :, 2 * hdim : 3 * hdim], out=tmp), dtanh_c[j], out=tmp)
+            lane[...] = dc[:, None]
+            lane[:, 2] = dh
+            dz = rows[j]
+            dz *= lane_rows
+            dz *= r1[j]
+            dz *= r2[j]
+            np.matmul(dz, wh, out=dh_next)
+            dc *= f[j]
+    return dz_all
 
 
 # |z| bound of the sigmoid lanes: exp stays finite (float32 overflows past 88)

@@ -153,8 +153,8 @@ class FatigueReport:
 
 def load_traces(path) -> dict[str, JointFatigueTrace]:
     """The per-joint traces of a saved report: RC_hat, plus all three pools
-    or none (fixed mode), each a 1-D float array; anything else raises
-    DataFormatError naming the file."""
+    or none (fixed mode), each a list of finite JSON numbers read as a 1-D
+    float array; anything else raises DataFormatError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("traces"), dict):
@@ -166,12 +166,16 @@ def load_traces(path) -> dict[str, JointFatigueTrace]:
         pools = [k for k in ("m_a", "m_f", "m_r") if k in tr]
         if pools and len(pools) != 3:
             raise DataFormatError(f"{path}: trace {name!r} has {pools}, needs all of m_a, m_f, m_r or none")
+        # JSON numbers only (null, strings, booleans and lists are not), and
+        # finite: json.load reads NaN and Infinity, and an integer may not fit
+        values = [tr[k] for k in ("rc_hat", *pools)]
+        numbers = all(isinstance(v, list) and all(type(e) in (int, float) for e in v) for v in values)
         try:
-            arrays = [np.array(tr[k], dtype=float) for k in ("rc_hat", *pools)]
-        except (TypeError, ValueError):  # a string, or a ragged list
+            arrays = [np.array(v, dtype=float) for v in values] if numbers else None
+        except OverflowError:
             arrays = None
-        if arrays is None or any(a.ndim != 1 for a in arrays):
-            raise DataFormatError(f"{path}: trace {name!r}: values must be lists of numbers")
+        if arrays is None or not all(np.isfinite(a).all() for a in arrays):
+            raise DataFormatError(f"{path}: trace {name!r}: values must be lists of finite numbers")
         traces[name] = JointFatigueTrace(*arrays)
     return traces
 

@@ -417,7 +417,13 @@ class TestMalformedArtefacts:
         lambda doc: doc["traces"]["elbow"].update(rc_hat=["x"] * len(doc["traces"]["elbow"]["rc_hat"])),
         lambda doc: doc["traces"]["elbow"].update(m_a=[[v] * (i % 2 + 1) for i, v in
                                                        enumerate(doc["traces"]["elbow"]["m_a"])]),
-    ], ids=["no-traces", "no-rc-hat", "m_a-without-m_f-m_r", "rc-hat-strings", "m_a-ragged"])
+        lambda doc: doc["traces"]["elbow"]["rc_hat"].__setitem__(3, None),
+        lambda doc: doc["traces"]["elbow"]["rc_hat"].__setitem__(3, "1.5"),
+        lambda doc: doc["traces"]["elbow"]["m_f"].__setitem__(3, float("nan")),
+        lambda doc: doc["traces"]["elbow"]["rc_hat"].__setitem__(3, True),
+        lambda doc: doc["traces"]["elbow"]["rc_hat"].__setitem__(3, 10**400),
+    ], ids=["no-traces", "no-rc-hat", "m_a-without-m_f-m_r", "rc-hat-strings", "m_a-ragged",
+            "rc-hat-null", "rc-hat-numeric-string", "m_f-nan", "rc-hat-bool", "rc-hat-beyond-float"])
     def test_malformed_report(self, trained, tmp_path, capsys, edit):
         assert _apply(trained, trained / "models", tmp_path / "apply") == 0
         self._edit_json(tmp_path / "apply" / "report.json", edit)

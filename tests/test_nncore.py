@@ -6,6 +6,7 @@ import pytest
 
 from fatiguemotion.errors import NumericError, ParameterError, ShapeError
 from fatiguemotion.nncore import (
+    BPTT_BLOCK,
     Adam,
     DenseLayer,
     LstmCell,
@@ -47,7 +48,7 @@ def fd_gradcheck(params, loss_fn, h=1e-5, rtol=1e-4, floor=1e-6, max_coords=None
 
 class TestDenseForward:
     def test_identity_layer(self):
-        layer = DenseLayer(3, 3, "linear")
+        layer = DenseLayer(3, 3, "linear", np.random.default_rng(0))
         layer.W = np.eye(3)
         layer.b = np.zeros(3)
         x = np.array([[1.0, -2.0, 0.5]])
@@ -55,7 +56,7 @@ class TestDenseForward:
         np.testing.assert_array_equal(y, x)
 
     def test_relu(self):
-        layer = DenseLayer(2, 2, "relu")
+        layer = DenseLayer(2, 2, "relu", np.random.default_rng(0))
         layer.W = np.eye(2)
         layer.b = np.zeros(2)
         y, _ = layer.forward(np.array([[-1.0, 2.0]]))
@@ -69,7 +70,7 @@ class TestDenseForward:
 
     def test_unknown_activation(self):
         with pytest.raises(ParameterError):
-            DenseLayer(2, 2, "swish")
+            DenseLayer(2, 2, "swish", np.random.default_rng(0))
 
 
 class TestBackward:
@@ -180,14 +181,96 @@ class TestLstmCell:
             assert abs(fd - dx[ix]) / max(abs(fd), 1e-9) < 1e-6
 
     def test_shape_validation(self):
-        cell = LstmCell(3, 4)
+        cell = LstmCell(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             cell.forward(np.zeros((5, 2, 2)))
 
 
-def _composed_gates(z, c, hdim):
+def _per_lane_backward(cell, cache, dh_seq):
+    """LstmCell.backward's BPTT as one chain-rule expression per gate lane and
+    step: the reference the row-wise form must match bit for bit."""
+    x, gates, cs, hs = cache
+    t_len, batch, _ = x.shape
+    hdim, dtype = cell.n_hidden, x.dtype
+    wx, wh = cell.Wx.astype(dtype, copy=False), cell.Wh.astype(dtype, copy=False)
+    dz_all = np.empty((t_len, batch, 4 * hdim), dtype)
+    dh_next = np.zeros((batch, hdim), dtype)
+    dc_next = np.zeros((batch, hdim), dtype)
+    for t in range(t_len - 1, -1, -1):
+        gate = gates[t]
+        i = gate[:, :hdim]
+        f = gate[:, hdim : 2 * hdim]
+        o = gate[:, 2 * hdim : 3 * hdim]
+        g = gate[:, 3 * hdim :]
+        c_prev = cs[t - 1] if t > 0 else 0.0
+        tanh_c = np.tanh(cs[t])
+        dh = dh_seq[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        dz = dz_all[t]
+        dz[:, :hdim] = (dc * g) * i * (1.0 - i)
+        dz[:, hdim : 2 * hdim] = (dc * c_prev) * f * (1.0 - f)
+        dz[:, 2 * hdim : 3 * hdim] = (dh * tanh_c) * o * (1.0 - o)
+        dz[:, 3 * hdim :] = (dc * i) * (1.0 - g**2)
+        dh_next = dz @ wh
+        dc_next = dc * f
+    h_prev = np.concatenate([np.zeros((1, batch, hdim), dtype), hs[:-1]], axis=0)
+    flat_dz = dz_all.reshape(-1, 4 * hdim)
+    dWx = flat_dz.T @ x.reshape(-1, cell.n_in)
+    dWh = flat_dz.T @ h_prev.reshape(-1, hdim)
+    return dz_all @ wx, [dWx, dWh, flat_dz.sum(axis=0)]
+
+
+def _saturating_cell(n_in, hdim, seed):
+    """A cell whose bias drives lane 0 of every gate to z = 1000 and lane 1 to
+    z = -1000, far past both dtypes' sigmoid clips, at every step."""
+    cell = LstmCell(n_in, hdim, np.random.default_rng(seed))
+    cell.b[::hdim] = 1000.0
+    cell.b[1::hdim] = -1000.0
+    return cell
+
+
+class TestLstmCellRows:
+    """The training forward and the row-wise BPTT against one expression per step and lane."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    @pytest.mark.parametrize("t_len", [1, BPTT_BLOCK - 1, BPTT_BLOCK, BPTT_BLOCK + 1, 96])
+    def test_backward_bits_match_the_per_lane_loop(self, t_len, batch, dtype):
+        n_in, hdim = 4, 8
+        rng = np.random.default_rng(t_len * 100 + batch)
+        cell = _saturating_cell(n_in, hdim, t_len)
+        x = rng.normal(size=(t_len, batch, n_in)).astype(dtype)
+        dh_seq = rng.normal(size=(t_len, batch, hdim)).astype(dtype)
+        _, cache = cell.forward(x)
+        gate = cache[1]
+        assert (gate[..., [0, hdim, 2 * hdim, 3 * hdim]] == 1.0).all()
+        assert (gate[..., [1, hdim + 1, 2 * hdim + 1]] < 1e-30).all() and (gate[..., 3 * hdim + 1] == -1.0).all()
+        dx, grads = cell.backward(cache, dh_seq)
+        want_dx, want_grads = _per_lane_backward(cell, cache, dh_seq)
+        for got, want in zip((dx, *grads), (want_dx, *want_grads)):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    def test_forward_caches_are_the_composed_steps(self, batch, dtype):
+        t_len, n_in, hdim = BPTT_BLOCK + 1, 4, 8
+        cell = _saturating_cell(n_in, hdim, batch)
+        x = np.random.default_rng(batch).normal(size=(t_len, batch, n_in)).astype(dtype)
+        hs, (x_cache, gates, cs, hs_cache) = cell.forward(x)
+        assert hs is hs_cache and np.array_equal(x_cache, x)
+        zx = x @ cell.Wx.T.astype(dtype) + cell.b.astype(dtype)
+        wh_t = np.ascontiguousarray(cell.Wh.T, dtype)
+        clip = 500.0 if dtype == np.float64 else 80.0
+        c = h = np.zeros((batch, hdim), dtype)
+        for t in range(t_len):
+            gate, c, h = _composed_gates(zx[t] + h @ wh_t, c, hdim, clip)
+            for got, want in zip((gates[t], cs[t], hs[t]), (gate, c, h)):
+                assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def _composed_gates(z, c, hdim, clip=500.0):
     """The LSTM step as one expression: sigmoid i/f/o lanes, tanh g lanes."""
-    sig = 1.0 / (1.0 + np.exp(-np.clip(z[..., : 3 * hdim], -500.0, 500.0)))
+    sig = 1.0 / (1.0 + np.exp(-np.clip(z[..., : 3 * hdim], -clip, clip)))
     g = np.tanh(z[..., 3 * hdim :])
     c_new = sig[..., :hdim] * g + sig[..., hdim : 2 * hdim] * c
     return np.concatenate([sig, g], axis=-1), c_new, sig[..., 2 * hdim :] * np.tanh(c_new)
