@@ -129,7 +129,11 @@ class LoadProfile:
         if not (math.isfinite(dt) and dt > 0):
             raise ParameterError(f"dt must be finite and > 0, got {dt}")
         n = int(round(duration / dt)) + 1
-        return cls(np.full(n, float(tl)), dt)
+        try:
+            values = np.full(n, float(tl))
+        except (ValueError, MemoryError) as exc:  # numpy refuses the frame count
+            raise ParameterError(f"{duration} s at dt {dt} is {n} frames: {exc}") from None
+        return cls(values, dt)
 
     @property
     def times(self) -> np.ndarray:
@@ -303,13 +307,15 @@ def save_profiles(profiles, path) -> None:
 
 _PROFILE_KEYS = {"joint", "F", "R", "LD", "LR", "lambda"}
 _REQUIRED_PROFILE_KEYS = {"joint", "F", "R", "lambda"}
+_NUMERIC_PROFILE_KEYS = ("F", "R", "LD", "LR", "lambda")
 
 
 def load_profiles(path) -> dict[str, FatigueProfile]:
     """Profiles by joint from a JSON object or array of objects as :func:`save_profiles` writes.
 
-    A malformed entry, an unknown or missing key, or a second profile for one
-    joint raises DataFormatError naming the entry.
+    A malformed entry, an unknown or missing key, a rate or lambda that is
+    not a JSON number (a bool is not), or a second profile for one joint
+    raises DataFormatError naming the entry.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -327,10 +333,13 @@ def load_profiles(path) -> dict[str, FatigueProfile]:
             raise DataFormatError(f"{path}: entry {i}: unknown keys {sorted(unknown)}")
         if missing:
             raise DataFormatError(f"{path}: entry {i}: missing keys {sorted(missing)}")
+        for key in _NUMERIC_PROFILE_KEYS:
+            if key in entry and type(entry[key]) not in (int, float):
+                raise DataFormatError(f"{path}: entry {i}: {key} must be a number, got {entry[key]!r}")
         try:
             profile = FatigueProfile.from_dict(entry)
-        except TypeError as exc:  # a rate or lambda that is not a number
-            raise DataFormatError(f"{path}: entry {i}: {exc}") from None
+        except OverflowError:  # an integer beyond float range
+            raise DataFormatError(f"{path}: entry {i}: a rate or lambda is beyond float range") from None
         if not isinstance(profile.joint, str):
             raise DataFormatError(f"{path}: entry {i}: joint must be a string")
         if profile.joint in profiles:

@@ -19,12 +19,20 @@ ODE-residual loss differentiate a network output with respect to its time
 input and still train by backprop; rows whose loss does not involve the
 tangent get a zero tangent gradient.
 
-The LSTM's BPTT (:meth:`LstmCell.backward`) works on whole contiguous
-(B, 4H) gate rows, with the factors that do not depend on the recurrence
-laid out per block of :data:`BPTT_BLOCK` steps: an elementwise op on one of
-a row's four strided (B, H) gate lanes costs about as much as on the whole
-row. Every product keeps its operands and their order, so the gradients
-are bit for bit those of the per-lane chain rule.
+Every LSTM step runs on contiguous memory, in as few passes as the math
+needs: an elementwise op on one of a (B, 4H) row's four strided (B, H) gate
+lanes costs about as much as on the whole row. The training forward
+(:meth:`LstmCell.forward`) keeps its pre-activations, gates and gate cache
+lane-major, (4, B, H) per step, so each lane is a contiguous block. Both it
+and the inference bank step copies of the weights whose sigmoid lanes (i, f,
+o) are negated, made by the one :func:`sigmoid_lanes_negated`:
+:func:`lstm_gates` reads their pre-activations as -z, exactly, and takes the
+sigmoid in four passes with a one-sided clip that keeps every bit of the
+two-sided form. The BPTT (:meth:`LstmCell.backward`) works on whole
+contiguous (B, 4H) gate rows, with the factors that do not depend on the
+recurrence laid out per block of :data:`BPTT_BLOCK` steps from the
+lane-major cache. Every product keeps its operands and their order, so the
+gradients are bit for bit those of the per-lane chain rule.
 
 Single-threaded training with a fixed seed is bit-reproducible; a trained
 model is immutable for inference and safe to share.
@@ -197,22 +205,31 @@ class LstmCell:
     sigmoid gates evaluate in one call. The input projection for all
     timesteps is computed in one matmul; only the hidden recurrence loops
     over time. :meth:`forward` keeps the gates and cell states that BPTT
-    needs, so it is the training path: each step runs the recurrent matmul
-    into one preallocated z against a C-contiguous copy of Wh^T, made once
-    per call (the transposed view takes a slower BLAS kernel), steps one
-    fixed gate buffer and copies it into row t of the gate cache, and writes
-    c and h straight into row t. Inference runs cells through
-    ``surrogates.BiLstmBank``, which stacks many cells on a leading axis,
-    keeps no caches and shares the per-step gate math (:func:`lstm_gates`).
+    needs, so it is the training path. Once per call it copies Wx^T
+    C-contiguous (the transposed view takes a BLAS kernel 2-3x slower at B
+    32) and Wh^T as a (4, H, H) stack of per-gate blocks, and negates the
+    i, f and o columns of both and of b (:func:`sigmoid_lanes_negated`). It
+    lays the projection out lane-major, (T, 4, B, H). Each step runs the
+    per-gate recurrent matmul into one preallocated (4, B, H) z, steps one
+    fixed gate buffer and copies it into the (T, 4, B, H) gate cache, and
+    writes c and h straight into row t. Both matmuls' bits depend on the
+    BLAS kernel their layout takes: with OpenBLAS 0.3.31 they equal the
+    transposed and (H, 4H) forms' at the desk shapes (H 32, B >= 10), not
+    at every B and H. Inference runs cells through
+    ``surrogates.BiLstmBank``, which stacks many cells on a leading axis in
+    (K, B, 4H) rows, keeps no caches and shares the per-step gate math
+    (:func:`lstm_gates`).
 
     :meth:`backward` computes on whole (B, 4H) rows rather than on the four
     strided (B, H) gate lanes, each of which costs about as much per
     elementwise op as a whole row (B 32, H 32: about 2 us against 0.5 us).
     Per block of :data:`BPTT_BLOCK` steps it lays out the rows that do not
-    depend on dh or dc; a step then fills one lane buffer [dc, dc, dh, dc]
-    and multiplies its dz row by it and by two factor rows, with the same
-    operands in the same order as the per-lane chain rule, so the gradients
-    are the per-lane form's bits in both dtypes.
+    depend on dh or dc, with one transposing copy of the block's lane-major
+    gates; a step then reads o and f as contiguous lanes of the cache,
+    fills one lane buffer [dc, dc, dh, dc] and multiplies its dz row by it
+    and by two factor rows, with the same operands in the same order as the
+    per-lane chain rule, so the gradients are the per-lane form's bits in
+    both dtypes.
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng):
@@ -231,13 +248,14 @@ class LstmCell:
             raise ShapeError(f"lstm expects (T, B, {self.n_in}), got {x.shape}")
         t_len, batch, _ = x.shape
         hdim, dtype = self.n_hidden, x.dtype
-        zx = x @ self.Wx.T.astype(dtype, copy=False) + self.b.astype(dtype, copy=False)
-        wh_t = np.ascontiguousarray(self.Wh.T, dtype)
-        gates = np.empty((t_len, batch, 4 * hdim), dtype)
+        zx = x @ sigmoid_lanes_negated(self.Wx.T, dtype) + sigmoid_lanes_negated(self.b, dtype)
+        zx = np.ascontiguousarray(zx.reshape(t_len, batch, 4, hdim).swapaxes(1, 2))  # (T, 4, B, H)
+        wh_t = sigmoid_lanes_negated(self.Wh.reshape(4, hdim, hdim).swapaxes(1, 2), dtype, lane_axis=0)
+        gates = np.empty((t_len, 4, batch, hdim), dtype)
         cs = np.empty((t_len, batch, hdim), dtype)
         hs = np.empty((t_len, batch, hdim), dtype)
-        z, gate = np.empty((2, batch, 4 * hdim), dtype)
-        views = gate_views(z, gate, hdim)
+        z, gate = np.empty((2, 4, batch, hdim), dtype)
+        views = gate_views(z, gate, lane_axis=0)
         c = h = np.zeros((batch, hdim), dtype)
         for t in range(t_len):
             np.matmul(h, wh_t, out=z)
@@ -264,14 +282,15 @@ class LstmCell:
 
 
 def _bptt_rows(gates, cs, dh_seq, wh) -> np.ndarray:
-    """d(loss)/dz of every step, (T, B, 4H), from the gate and cell-state
-    caches, d(loss)/dh_t and the recurrent weight Wh in the caches' dtype.
+    """d(loss)/dz of every step, (T, B, 4H), from the lane-major (T, 4, B, H)
+    gate cache, the cell-state cache, d(loss)/dh_t and the recurrent weight
+    Wh in the caches' dtype.
 
     Its block buffers are freed on return, before the caller's weight
     gradients allocate, so they add nothing to the peak of a backward call.
     """
-    t_len, batch, four_h = gates.shape
-    hdim, dtype = four_h // 4, gates.dtype
+    t_len, _, batch, hdim = gates.shape
+    dtype = gates.dtype
     span = min(BPTT_BLOCK, t_len)
     # dz_all[t] starts as [g, c_prev, tanh(c), i] and is multiplied in place
     # by [dc, dc, dh, dc], by r1 = [i, f, o, 1 - g^2] and by r2 =
@@ -279,30 +298,29 @@ def _bptt_rows(gates, cs, dh_seq, wh) -> np.ndarray:
     # per-lane chain rule, so the bits are those of the per-lane form
     dz_all = np.empty((t_len, batch, 4 * hdim), dtype)
     r1, r2 = np.empty((2, span, batch, 4 * hdim), dtype)
-    dtanh_c, f = np.empty((2, span, batch, hdim), dtype)
+    dtanh_c = np.empty((span, batch, hdim), dtype)
     lane = np.empty((batch, 4, hdim), dtype)
     lane_rows = lane.reshape(batch, 4 * hdim)
     dh, dc, dh_next, tmp = np.zeros((4, batch, hdim), dtype)
     for t0 in range((t_len - 1) // span * span, -1, -span):
         n = min(span, t_len - t0)
-        gate, rows = gates[t0 : t0 + n], dz_all[t0 : t0 + n]
+        gate, rows, gate_rows = gates[t0 : t0 + n], dz_all[t0 : t0 + n], r1[:n]
         lag = int(t0 == 0)  # step 0 has no previous cell state: c_prev = 0
-        rows[..., :hdim] = gate[..., 3 * hdim :]
+        gate_rows.reshape(n, batch, 4, hdim)[...] = gate.swapaxes(1, 2)  # [i, f, o, g] rows
+        rows[..., :hdim] = gate[:, 3]
         rows[:lag, :, hdim : 2 * hdim] = 0.0
         rows[lag:, :, hdim : 2 * hdim] = cs[t0 + lag - 1 : t0 + n - 1]
         tanh_c = np.tanh(cs[t0 : t0 + n], out=rows[..., 2 * hdim : 3 * hdim])
-        rows[..., 3 * hdim :] = gate[..., :hdim]
-        r1[:n] = gate
-        np.subtract(1.0, np.square(gate[..., 3 * hdim :], out=r1[:n, :, 3 * hdim :]),
-                    out=r1[:n, :, 3 * hdim :])
-        np.subtract(1.0, gate, out=r2[:n])
+        rows[..., 3 * hdim :] = gate[:, 0]
+        np.subtract(1.0, gate_rows, out=r2[:n])
         r2[:n, :, 3 * hdim :] = 1.0
+        np.subtract(1.0, np.square(gate_rows[..., 3 * hdim :], out=gate_rows[..., 3 * hdim :]),
+                    out=gate_rows[..., 3 * hdim :])
         np.subtract(1.0, np.square(tanh_c, out=dtanh_c[:n]), out=dtanh_c[:n])
-        f[:n] = gate[..., hdim : 2 * hdim]
         for j in range(n - 1, -1, -1):
             t = t0 + j
             np.add(dh_seq[t], dh_next, out=dh)
-            dc += np.multiply(np.multiply(dh, gates[t, :, 2 * hdim : 3 * hdim], out=tmp), dtanh_c[j], out=tmp)
+            dc += np.multiply(np.multiply(dh, gates[t, 2], out=tmp), dtanh_c[j], out=tmp)
             lane[...] = dc[:, None]
             lane[:, 2] = dh
             dz = rows[j]
@@ -310,7 +328,7 @@ def _bptt_rows(gates, cs, dh_seq, wh) -> np.ndarray:
             dz *= r1[j]
             dz *= r2[j]
             np.matmul(dz, wh, out=dh_next)
-            dc *= f[j]
+            dc *= gates[t, 1]
     return dz_all
 
 
@@ -319,9 +337,36 @@ def _bptt_rows(gates, cs, dh_seq, wh) -> np.ndarray:
 _SIGMOID_CLIP = {np.dtype(np.float64): 500.0, np.dtype(np.float32): 80.0}
 
 
-def gate_views(z: np.ndarray, gate: np.ndarray, hdim: int) -> tuple:
-    """(z, gate, z's g lanes, gate's i, f, o, g lanes, the gate dtype's
-    ``_SIGMOID_CLIP``): what :func:`lstm_gates` steps."""
+def sigmoid_lanes_negated(a: np.ndarray, dtype, lane_axis: int = -1, order: str = "C") -> np.ndarray:
+    """A new ``dtype`` copy of the step weights ``a`` (a transposed Wx or Wh,
+    or b, of one cell or of cells stacked on a leading axis) with its i, f
+    and o lanes negated, as :func:`lstm_gates` reads those pre-activations
+    as -z. The four lanes are stacked on ``lane_axis``, as in
+    :func:`gate_views`: 0 for per-gate blocks (4, ...), -1 for the quarters
+    of the last axis. ``order`` is numpy's memory layout of the copy: C by
+    default, "K" to keep ``a``'s, as a matmul's bits depend on the BLAS
+    kernel its operands' layout takes. ``a`` is never written, even where
+    it is already laid out as asked. Negation is exact, and so is every sum
+    and product of negated operands, so those lanes are -z bit for bit."""
+    out = np.array(a, dtype=dtype, order=order)
+    sig = out[:3] if lane_axis == 0 else out[..., : out.shape[-1] // 4 * 3]
+    np.negative(sig, out=sig)
+    return out
+
+
+def gate_views(z: np.ndarray, gate: np.ndarray, lane_axis: int) -> tuple:
+    """(z's and gate's sigmoid span, z's g lanes, gate's i, f, o and g lanes,
+    the gate dtype's ``_SIGMOID_CLIP``): what :func:`lstm_gates` steps.
+
+    The four lanes are stacked on ``lane_axis``: 0 for lane-major (4, ..., H)
+    buffers, whose sigmoid span is the contiguous i, f and o lanes; -1 for
+    (..., 4H) rows, whose sigmoid span is the whole contiguous buffer, as
+    the i, f and o lanes of a row are strided: the g lanes' sigmoid is
+    overwritten by their tanh.
+    """
+    if lane_axis == 0:
+        return z[:3], gate[:3], z[3], gate[0], gate[1], gate[2], gate[3], _SIGMOID_CLIP[gate.dtype]
+    hdim = z.shape[-1] // 4
     return (z, gate, z[..., 3 * hdim :], gate[..., :hdim], gate[..., hdim : 2 * hdim],
             gate[..., 2 * hdim : 3 * hdim], gate[..., 3 * hdim :], _SIGMOID_CLIP[gate.dtype])
 
@@ -329,19 +374,24 @@ def gate_views(z: np.ndarray, gate: np.ndarray, hdim: int) -> tuple:
 def lstm_gates(views: tuple, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray) -> None:
     """One LSTM step from the :func:`gate_views` of z and gate and cell state c (..., H).
 
-    Writes the activated [i, f, o, g] gates into the gate buffer, the new c
-    into ``c_out`` (which may be ``c``) and the new h into ``h_out`` (which
-    may not), allocating nothing; leading axes are free. The operations are
-    those of 1/(1 + exp(-clip(z))), tanh(z_g), f*c + i*g and tanh(c)*o, in
-    that order, so the bits are the composed expression's.
+    z's i, f and o lanes hold the negated pre-activations z' = -z (see
+    :func:`sigmoid_lanes_negated`), its g lanes z itself. Writes the
+    activated [i, f, o, g] gates into the gate buffer, the new c into
+    ``c_out`` (which may be ``c``) and the new h into ``h_out`` (which may
+    not), allocating nothing; leading axes are free. The sigmoid lanes are
+    1/(1 + exp(min(z', clip))): four passes, where sigmoid(z) as
+    1/(1 + exp(-clip(z, -clip, clip))) takes six. The clip's other side
+    never changed a bit: below z' = -clip, 1 + exp(z') rounds to 1 as 1 +
+    exp(-clip) does (clip 80 in float32, 500 in float64), so every z,
+    +-inf included, gets the two-sided form's bits. Then tanh(z_g), f*c +
+    i*g and tanh(c)*o, in that order, so the bits are the composed
+    expression's.
     """
-    z, gate, z_g, i, f, o, g, clip = views
-    np.maximum(z, -clip, out=gate)
-    np.minimum(gate, clip, out=gate)
-    np.negative(gate, out=gate)
-    np.exp(gate, out=gate)
-    np.add(gate, 1.0, out=gate)
-    np.divide(1.0, gate, out=gate)
+    z_sig, gate_sig, z_g, i, f, o, g, clip = views
+    np.minimum(z_sig, clip, out=gate_sig)
+    np.exp(gate_sig, out=gate_sig)
+    np.add(gate_sig, 1.0, out=gate_sig)
+    np.divide(1.0, gate_sig, out=gate_sig)
     np.tanh(z_g, out=g)
     np.add(np.multiply(f, c, out=c_out), np.multiply(i, g, out=h_out), out=c_out)
     np.multiply(np.tanh(c_out, out=h_out), o, out=h_out)

@@ -27,10 +27,12 @@ Training is mixed-precision (Micikevicius et al. 2018): :func:`train_dyn`
 feeds every forward pass float32 windows, so the training forward, its
 caches and BPTT run in float32 (see :mod:`nncore`), and so does the bank's
 forward-only pass behind the initial loss it logs. The MSE and its
-reduction, Adam, the master weights and the checkpoints stay float64. All
-inference is float64: the bank computes in its input's float dtype, and
-``apply-fatigue`` and :meth:`BiLstmModel.predict_sequence` feed it float64,
-as the gradchecks feed the models.
+reduction, Adam, the master weights and the checkpoints stay float64. The
+initial loss runs the bank in chunks of :data:`ENTRY0_CHUNK_BATCHES`
+training batches: fewer, larger passes, within a training batch's memory
+peak. All inference is float64: the bank computes in its input's float
+dtype, and ``apply-fatigue`` and :meth:`BiLstmModel.predict_sequence` feed
+it float64, as the gradchecks feed the models.
 """
 from __future__ import annotations
 
@@ -40,7 +42,8 @@ import numpy as np
 
 from . import nncore
 from .errors import DataFormatError, ParameterError, ShapeError
-from .nncore import DenseLayer, LstmCell, TrainConfig, _act, _act_d, gate_views, lstm_gates
+from .nncore import (DenseLayer, LstmCell, TrainConfig, _act, _act_d, gate_views, lstm_gates,
+                     sigmoid_lanes_negated)
 from .sequences import NormalizationParams
 
 
@@ -63,6 +66,12 @@ DESK_SPEC = BiLstmSpec(n_layers=2, hidden=32)
 # plateau decay settles Adam once the loss stops improving.
 DESK_WINDOW = 96
 DESK_WINDOW_STRIDE = 2
+
+# Training batches per chunk of the forward-only entry-0 pass of train_dyn:
+# chunks of two (64 windows at the desk batch size) took a desk pass 0.76 of
+# the time one-batch chunks took, at a tracemalloc peak of 11.9 MB against a
+# training batch's 17.1 MB (float32, T 96, 848 windows, one BLAS thread).
+ENTRY0_CHUNK_BATCHES = 2
 
 # Time steps the inference bank projects at once, and rows of h (steps times
 # batch, at least one step) it stages at once: it bounds the bank's
@@ -191,7 +200,9 @@ class BiLstmBank:
     output's first half and the backward rows, reversed, to its second half
     at the mirrored steps; a stage bounded in rows stays in cache at any B.
     The weights are copied at construction, so a bank reflects its models'
-    parameters at that moment.
+    parameters at that moment; the i, f and o columns of the copies are
+    negated once (:func:`nncore.sigmoid_lanes_negated`), as
+    :func:`nncore.lstm_gates` reads those pre-activations as -z.
 
     The bank computes in its input's float dtype (:func:`nncore.as_float`):
     the float64 weights are cast once per layer per call, a no-op for
@@ -213,10 +224,13 @@ class BiLstmBank:
         self.layers = []
         for i, layer in enumerate(models[0].layers):
             cells = [m.layers[i].fwd for m in models] + [m.layers[i].bwd for m in models]
+            # np.stack keeps each transposed weight's layout, and the bank's
+            # batched matmuls take the BLAS kernels that layout gives
             wx_t = np.stack([cell.Wx.T for cell in cells])       # (K, width, 4H)
             wh_t = np.stack([cell.Wh.T for cell in cells])       # (K, H, 4H)
             b = np.stack([cell.b for cell in cells])[:, None, :]  # (K, 1, 4H)
-            self.layers.append((wx_t, wh_t, b, layer.activation))
+            self.layers.append((*(sigmoid_lanes_negated(w, np.float64, order="K") for w in (wx_t, wh_t, b)),
+                                layer.activation))
         self.head_w_t = np.stack([m.head.W.T for m in models])  # (N, 2H, 1)
         self.head_b = np.stack([m.head.b for m in models])[:, None, :]  # (N, 1, 1)
 
@@ -254,7 +268,7 @@ class BiLstmBank:
         staged = min(chunk, max(1, BANK_CHUNK // batch))  # steps per stage fill
         zx = np.empty((k, chunk * batch, 4 * hdim), dtype)
         z = np.empty((k, batch, 4 * hdim), dtype)
-        views = gate_views(z, np.empty((k, batch, 4 * hdim), dtype), hdim)
+        views = gate_views(z, np.empty((k, batch, 4 * hdim), dtype), lane_axis=-1)
         stage = np.empty((staged, k, batch, hdim), dtype)
         h, c = np.zeros((2, k, batch, hdim), dtype)
         for s0 in range(0, t_len, chunk):
@@ -334,11 +348,14 @@ def make_samples(trials, kind: str, joint_index: int, angle_norm: NormalizationP
 
 def window_offsets(t_len: int, window: int | None, window_stride: int) -> tuple[int, list[int]]:
     """(window length, start offsets) of the training slices of one t_len-frame
-    trial; no window, or one at least t_len long, is the whole trial."""
+    trial; no window, or one at least t_len long, is the whole trial. A
+    stride below 1 is refused at any trial length."""
+    if window_stride < 1:
+        raise ParameterError(f"window stride must be >= 1, got {window_stride}")
     if window is None or window >= t_len:
         return t_len, [0]
-    if window < 2 or window_stride < 1:
-        raise ParameterError("window must be >= 2 and stride >= 1")
+    if window < 2:
+        raise ParameterError(f"window must be >= 2, got {window}")
     return window, list(range(0, t_len - window + 1, window_stride))
 
 
@@ -355,8 +372,8 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
     float64. Returns (model, history); history entries carry epoch and
     train_loss, the MSE. Entry 0 holds it for the untrained model over every
     window: the float64 MSE, reduced once, of a float32 forward-only pass
-    through :class:`BiLstmBank` in chunks of ``config.batch_size`` windows,
-    with no BPTT caches. It steers nothing (early stopping starts from an
+    through :class:`BiLstmBank` in chunks of :data:`ENTRY0_CHUNK_BATCHES`
+    training batches of windows, with no BPTT caches. It steers nothing (early stopping starts from an
     infinite best loss), so the weights and later entries do not depend on it.
     """
     if not train_samples:
@@ -375,9 +392,9 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
         x = np.stack([xs[i, off : off + window] for i, off in rows], axis=1, dtype=np.float32)
         y = np.stack([ys[i, off : off + window] for i, off in rows], axis=1)
         if not grad:
-            # Batch-sized chunks bound the bank's buffers; the loss below is
-            # still reduced once over every window.
-            bank, step = BiLstmBank([m]), config.batch_size
+            # Chunks of a few batches bound the bank's buffers; the loss below
+            # is still reduced once over every window.
+            bank, step = BiLstmBank([m]), ENTRY0_CHUNK_BATCHES * config.batch_size
             pred = np.concatenate(
                 [bank.forward(x[:, s : s + step])[0] for s in range(0, len(rows), step)], axis=1)
             return nncore.mse(pred, y)[0], None

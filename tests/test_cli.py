@@ -204,13 +204,27 @@ class TestProfileFiles:
         [{**ELBOW_ENTRY, "F": "fast"}],
         [{**ELBOW_ENTRY, "joint": ["elbow"]}],
         "elbow",
+        [{**ELBOW_ENTRY, "F": True}],
+        [{**ELBOW_ENTRY, "lambda": "1"}],
+        [{**ELBOW_ENTRY, "R": None}],
+        [{**ELBOW_ENTRY, "LD": 10**400}],
     ], ids=["missing-lambda", "unknown-key", "non-object-entry", "repeated-joint",
-            "non-numeric-rate", "non-string-joint", "not-a-list"])
+            "non-numeric-rate", "non-string-joint", "not-a-list", "rate-true", "lambda-string",
+            "rate-null", "rate-beyond-float"])
     def test_malformed_file(self, trained, tmp_path, capsys, doc):
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps(doc))
         assert _apply(trained, trained / "models", tmp_path / "out", profiles=path) == 2
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("F", True), ("lambda", "1"), ("R", None), ("LR", [1.0])],
+                             ids=["rate-true", "lambda-string", "rate-null", "rate-list"])
+    def test_non_number_names_entry_and_key(self, tmp_path, key, value):
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([ELBOW_ENTRY, {**ELBOW_ENTRY, "joint": "shoulder", key: value}]))
+        with pytest.raises(DataFormatError, match=rf"profiles\.json: entry 1: {key} must be a number, got "):
+            cc.load_profiles(path)
 
     def test_negative_rate_in_fixed_mode(self, trained, tmp_path):
         path = tmp_path / "profiles.json"
@@ -220,6 +234,14 @@ class TestProfileFiles:
 
 
 class TestUserErrors:
+    def test_sim_3cc_frame_count_numpy_refuses(self, tmp_path, capsys):
+        # 1e21 frames: numpy refuses the array's shape before allocating anything
+        code = run(["sim-3cc", "--F", "0.02", "--R", "0.002", "--t", "1e12", "--dt", "1e-9",
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "frames" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_numeric_load_csv(self, tmp_path, capsys):
         (tmp_path / "tl.csv").write_text("tl\n10\nabc\n")
         code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "1",
@@ -483,7 +505,9 @@ class TestTrainingSettings:
     @pytest.mark.parametrize("extra", [
         ["--epochs", "0"], ["--epochs", "-3"], ["--lr", "-1"], ["--lr", "nan"],
         ["--joint", "knee"], ["--window", "20", "--window-stride", "0"],
-    ], ids=["zero-epochs", "negative-epochs", "negative-lr", "nan-lr", "unknown-joint", "zero-stride"])
+        ["--window", "96", "--window-stride", "0"],
+    ], ids=["zero-epochs", "negative-epochs", "negative-lr", "nan-lr", "unknown-joint", "zero-stride",
+            "zero-stride-window-beyond-trial"])
     def test_train_dyn(self, trained, tmp_path, capsys, extra):
         code = run(["train-dyn", "--data", str(trained / "data"), "--out", str(tmp_path / "out"),
                     *TINY_DYN, *extra])

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fatiguemotion import nncore
 from fatiguemotion.errors import NumericError, ParameterError, ShapeError
 from fatiguemotion.nncore import (
     BPTT_BLOCK,
@@ -19,6 +20,7 @@ from fatiguemotion.nncore import (
     lstm_gates,
     mse,
     save_checkpoint,
+    sigmoid_lanes_negated,
     train_loop,
 )
 
@@ -147,6 +149,21 @@ class TestLstmCell:
 
         fd_gradcheck(cell.params(), loss_fn)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_in, hdim", [(1, 1), (1, 4), (3, 1), (3, 4)])
+    def test_forward_never_writes_the_parameters(self, n_in, hdim, dtype):
+        # at n_in 1 (H 1) the float64 Wx^T (per-gate Wh^T) is already a
+        # C-contiguous view of the parameter: forward must negate a copy
+        rng = np.random.default_rng(n_in * 10 + hdim)
+        cell = LstmCell(n_in, hdim, rng)
+        cell.b[:] = rng.normal(size=4 * hdim)
+        before = [p.copy() for p in cell.params()]
+        x = rng.normal(size=(5, 2, n_in)).astype(dtype)
+        first, second = cell.forward(x)[0], cell.forward(x)[0]
+        assert np.array_equal(first, second)
+        for got, want in zip(cell.params(), before):
+            assert np.array_equal(got, want)
+
     def test_float32_matches_float64_gradients(self):
         # test_bptt_gradcheck's fixture in float32: the caches, gradients and
         # dx stay float32, and each array is within a relative 1e-5 of its
@@ -188,7 +205,8 @@ class TestLstmCell:
 
 def _per_lane_backward(cell, cache, dh_seq):
     """LstmCell.backward's BPTT as one chain-rule expression per gate lane and
-    step: the reference the row-wise form must match bit for bit."""
+    step, reading the lane-major gate cache: the reference the row-wise form
+    must match bit for bit."""
     x, gates, cs, hs = cache
     t_len, batch, _ = x.shape
     hdim, dtype = cell.n_hidden, x.dtype
@@ -197,11 +215,7 @@ def _per_lane_backward(cell, cache, dh_seq):
     dh_next = np.zeros((batch, hdim), dtype)
     dc_next = np.zeros((batch, hdim), dtype)
     for t in range(t_len - 1, -1, -1):
-        gate = gates[t]
-        i = gate[:, :hdim]
-        f = gate[:, hdim : 2 * hdim]
-        o = gate[:, 2 * hdim : 3 * hdim]
-        g = gate[:, 3 * hdim :]
+        i, f, o, g = gates[t]
         c_prev = cs[t - 1] if t > 0 else 0.0
         tanh_c = np.tanh(cs[t])
         dh = dh_seq[t] + dh_next
@@ -242,9 +256,9 @@ class TestLstmCellRows:
         x = rng.normal(size=(t_len, batch, n_in)).astype(dtype)
         dh_seq = rng.normal(size=(t_len, batch, hdim)).astype(dtype)
         _, cache = cell.forward(x)
-        gate = cache[1]
-        assert (gate[..., [0, hdim, 2 * hdim, 3 * hdim]] == 1.0).all()
-        assert (gate[..., [1, hdim + 1, 2 * hdim + 1]] < 1e-30).all() and (gate[..., 3 * hdim + 1] == -1.0).all()
+        gate = cache[1]  # (T, 4, B, H): lane-major
+        assert gate.shape == (t_len, 4, batch, hdim) and (gate[..., 0] == 1.0).all()
+        assert (gate[:, :3, :, 1] < 1e-30).all() and (gate[:, 3, :, 1] == -1.0).all()
         dx, grads = cell.backward(cache, dh_seq)
         want_dx, want_grads = _per_lane_backward(cell, cache, dh_seq)
         for got, want in zip((dx, *grads), (want_dx, *want_grads)):
@@ -258,14 +272,41 @@ class TestLstmCellRows:
         x = np.random.default_rng(batch).normal(size=(t_len, batch, n_in)).astype(dtype)
         hs, (x_cache, gates, cs, hs_cache) = cell.forward(x)
         assert hs is hs_cache and np.array_equal(x_cache, x)
-        zx = x @ cell.Wx.T.astype(dtype) + cell.b.astype(dtype)
+        # C-contiguous weight copies, as forward makes: at small B a transposed
+        # view takes another BLAS kernel, whose bits differ in the last place
+        zx = x @ np.ascontiguousarray(cell.Wx.T, dtype) + cell.b.astype(dtype)
         wh_t = np.ascontiguousarray(cell.Wh.T, dtype)
         clip = 500.0 if dtype == np.float64 else 80.0
         c = h = np.zeros((batch, hdim), dtype)
         for t in range(t_len):
             gate, c, h = _composed_gates(zx[t] + h @ wh_t, c, hdim, clip)
-            for got, want in zip((gates[t], cs[t], hs[t]), (gate, c, h)):
+            lane_major = gate.reshape(batch, 4, hdim).swapaxes(0, 1)
+            for got, want in zip((gates[t], cs[t], hs[t]), (lane_major, c, h)):
                 assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_pre_activations_are_exactly_minus_z(self, dtype, monkeypatch):
+        # forward negates the i, f and o columns of its weight copies; every
+        # step's pre-activations on those lanes are then -z bit for bit, z
+        # being the same products and sums on the weights as they are
+        t_len, batch, n_in, hdim = BPTT_BLOCK + 1, 32, 4, 8
+        rng = np.random.default_rng(11)
+        cell = LstmCell(n_in, hdim, rng)
+        cell.b[:] = rng.normal(size=4 * hdim)
+        x = rng.normal(size=(t_len, batch, n_in)).astype(dtype)
+        seen, step = [], nncore.lstm_gates
+        monkeypatch.setattr(nncore, "lstm_gates",
+                            lambda views, *args: seen.append((views[0].copy(), views[2].copy())) or step(views, *args))
+        hs, _ = cell.forward(x)
+        assert len(seen) == t_len
+        zx = x @ np.ascontiguousarray(cell.Wx.T, dtype) + cell.b.astype(dtype)
+        wh_t = np.ascontiguousarray(cell.Wh.reshape(4, hdim, hdim).swapaxes(1, 2), dtype)
+        h = np.zeros((batch, hdim), dtype)
+        for t, (z_sig, z_g) in enumerate(seen):
+            z = h @ wh_t + zx[t].reshape(batch, 4, hdim).swapaxes(0, 1)
+            assert z_sig.dtype == dtype and np.array_equal(z_sig, -z[:3]) and np.array_equal(z_g, z[3])
+            assert (z_sig != 0).any()
+            h = hs[t]
 
 
 def _composed_gates(z, c, hdim, clip=500.0):
@@ -276,28 +317,61 @@ def _composed_gates(z, c, hdim, clip=500.0):
     return np.concatenate([sig, g], axis=-1), c_new, sig[..., 2 * hdim :] * np.tanh(c_new)
 
 
+# z lanes past both dtypes' sigmoid clips (500 and 80) and tanh's range
+_SATURATING_Z = (600.0, -600.0, 1e4, -1e4, np.inf, -np.inf)
+
+
 class TestLstmGates:
-    @pytest.mark.parametrize("lead, in_place", [((3,), False), ((4, 2), False), ((3,), True), ((4, 2), True)],
-                             ids=["B,4H", "K,B,4H", "B,4H-c_out-is-c", "K,B,4H-c_out-is-c"])
-    def test_bits_match_the_composed_expression(self, lead, in_place):
-        hdim = 5
+    @pytest.mark.parametrize("lead, lane_axis, in_place, dtype", [
+        pytest.param((3,), -1, False, np.float64, id="B,4H"),
+        pytest.param((4, 2), -1, False, np.float64, id="K,B,4H"),
+        pytest.param((3,), -1, True, np.float64, id="B,4H-c_out-is-c"),
+        pytest.param((4, 2), -1, True, np.float64, id="K,B,4H-c_out-is-c"),
+        pytest.param((3,), -1, False, np.float32, id="B,4H-float32"),
+        pytest.param((4, 2), -1, True, np.float32, id="K,B,4H-c_out-is-c-float32"),
+        pytest.param((3,), 0, False, np.float64, id="4,B,H"),
+        pytest.param((4, 2), 0, True, np.float64, id="4,K,B,H-c_out-is-c"),
+        pytest.param((3,), 0, False, np.float32, id="4,B,H-float32"),
+        pytest.param((4, 2), 0, True, np.float32, id="4,K,B,H-c_out-is-c-float32"),
+    ])
+    def test_bits_match_the_composed_expression(self, lead, lane_axis, in_place, dtype):
+        hdim = 8
         rng = np.random.default_rng(len(lead))
-        z = rng.normal(scale=4.0, size=lead + (4 * hdim,))
-        # saturated lanes in every gate: i, f and o clip at +-500, g does not
-        for lane, value in zip(range(0, 4 * hdim, 2), (600.0, -600.0, 900.0, -900.0) * 3):
-            z[..., lane] = value
-        c = rng.normal(size=lead + (hdim,))
-        expected = _composed_gates(z, c, hdim)
+        z = rng.normal(scale=4.0, size=lead + (4 * hdim,)).astype(dtype)
+        # saturated lanes in every gate: i, f and o clip at +-500 (+-80 in
+        # float32), g does not; the last two lanes of each gate stay finite
+        for gate_lane in range(4):
+            z[..., gate_lane * hdim : gate_lane * hdim + len(_SATURATING_Z)] = _SATURATING_Z
+        c = rng.normal(size=lead + (hdim,)).astype(dtype)
+        expected = _composed_gates(z, c, hdim, 500.0 if dtype == np.float64 else 80.0)
+        z_neg = sigmoid_lanes_negated(z, dtype)
+        if lane_axis == 0:  # the same lanes stacked on a leading axis of 4
+            z_neg = np.ascontiguousarray(np.moveaxis(z_neg.reshape(lead + (4, hdim)), -2, 0))
         # every lane of the gate buffer and of the outputs must be written
-        gate, h = np.full(z.shape, np.nan), np.full(c.shape, np.nan)
-        c_new = c if in_place else np.full(c.shape, np.nan)
+        gate, h = np.full(z_neg.shape, np.nan, dtype), np.full(c.shape, np.nan, dtype)
+        c_new = c if in_place else np.full(c.shape, np.nan, dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lstm_gates(gate_views(z, gate, hdim), c, c_new, h)
+            lstm_gates(gate_views(z_neg, gate, lane_axis), c, c_new, h)
+        if lane_axis == 0:
+            gate = np.moveaxis(gate, 0, -2).reshape(lead + (4 * hdim,))
         for got, want in zip((gate, c_new, h), expected):
-            assert np.array_equal(got, want)
-        assert (gate[..., 0] == 1.0).all() and (gate[..., 18] == -1.0).all()  # z = 600 and g's z = -600
+            assert got.dtype == dtype and np.array_equal(got, want)
+        sig = gate[..., : 3 * hdim].reshape(lead + (3, hdim))
+        assert (sig[..., [0, 2, 4]] == 1.0).all()  # z = 600, 1e4 and inf
+        assert (gate[..., 3 * hdim + 1 : 3 * hdim + 6 : 2] == -1.0).all()  # g's z = -600, -1e4, -inf
 
+    @pytest.mark.parametrize("lane_axis", [-1, 0])
+    def test_sigmoid_lanes_negated_copies(self, lane_axis):
+        # already C-contiguous and in the target dtype, a is still not written
+        hdim = 2
+        a = np.arange(1.0, 4 * hdim * 3 + 1).reshape((4, hdim, 3) if lane_axis == 0 else (3, 4 * hdim))
+        before = a.copy()
+        out = sigmoid_lanes_negated(a, np.float64, lane_axis)
+        assert np.array_equal(a, before) and not np.shares_memory(out, a) and out.flags.c_contiguous
+        lanes = np.moveaxis(out.reshape(3, 4, hdim), 1, 0) if lane_axis == -1 else out
+        want = np.moveaxis(before.reshape(3, 4, hdim), 1, 0) if lane_axis == -1 else before
+        assert np.array_equal(lanes[:3], -want[:3]) and np.array_equal(lanes[3], want[3])
 
     def test_float32_saturates_without_warning(self):
         # Past float32's clip of +-80 the sigmoid lanes are 1 exactly at the
@@ -309,7 +383,7 @@ class TestLstmGates:
         gate, c_new, h = np.empty_like(z), np.empty_like(c), np.empty_like(c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lstm_gates(gate_views(z, gate, hdim), c, c_new, h)
+            lstm_gates(gate_views(sigmoid_lanes_negated(z, np.float32), gate, -1), c, c_new, h)
         assert gate.dtype == c_new.dtype == h.dtype == np.float32
         top, bottom = z > 0, z < 0
         sig = np.arange(4 * hdim) < 3 * hdim

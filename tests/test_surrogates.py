@@ -13,6 +13,7 @@ from fatiguemotion.surrogates import (
     BiLstmModel,
     BiLstmSpec,
     DESK_SPEC,
+    ENTRY0_CHUNK_BATCHES,
     load_model,
     make_samples,
     save_model,
@@ -243,11 +244,12 @@ class TestTraining:
         x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
         y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
         # the full-data loss at the initial weights: the float32 bank in chunks
-        # of 8 windows, reduced once in float64; and the float64 training
-        # forward over all 40 windows at once, which it matches within float32
-        # rounding (measured 8e-10 relative)
+        # of two batches (16 windows), reduced once in float64; and the float64
+        # training forward over all 40 windows at once, which it matches within
+        # float32 rounding (measured 8e-10 relative)
+        assert ENTRY0_CHUNK_BATCHES == 2
         bank = BiLstmBank([model])
-        pred = np.concatenate([bank.forward(x[:, s : s + 8].astype(np.float32))[0] for s in range(0, 40, 8)],
+        pred = np.concatenate([bank.forward(x[:, s : s + 16].astype(np.float32))[0] for s in range(0, 40, 16)],
                               axis=1)
         initial_mse = mse(pred, y)[0]
         float64_mse = float(np.mean((model.forward(x)[0] - y) ** 2))
@@ -262,8 +264,8 @@ class TestTraining:
                             lambda b, x: bank_seen.append((x.shape[1], x.dtype)) or bank_forward(b, x))
         cfg = TrainConfig(batch_size=8, lr=0.01, epochs=2, patience=50, seed=0)
         _, history = train_dyn(model, samples, cfg, window=window, window_stride=stride)
-        # entry 0: 40 float32 windows through the cache-free bank
-        assert bank_seen == [(8, np.dtype(np.float32))] * 5
+        # entry 0: 40 float32 windows through the cache-free bank, 16 at a time
+        assert bank_seen == [(16, np.dtype(np.float32))] * 2 + [(8, np.dtype(np.float32))]
         assert seen == [8] * 10 and len(backward_calls) == 2 * 5  # 2 epochs x 40/8 batches
         assert history[0]["train_loss"] == initial_mse
         assert history[0]["train_loss"] == pytest.approx(float64_mse, rel=1e-6, abs=0)
@@ -279,8 +281,8 @@ class TestTraining:
         x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1,
                      dtype=np.float32)
         y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
-        bank = BiLstmBank([model])
-        pred = np.concatenate([bank.forward(x[:, s : s + batch])[0] for s in range(0, x.shape[1], batch)], axis=1)
+        bank, chunk = BiLstmBank([model]), ENTRY0_CHUNK_BATCHES * batch
+        pred = np.concatenate([bank.forward(x[:, s : s + chunk])[0] for s in range(0, x.shape[1], chunk)], axis=1)
         bank_loss = mse(pred, y)[0]
 
         dtypes = []
@@ -304,20 +306,21 @@ class TestTraining:
 
     @pytest.mark.parametrize("hidden", [4, 32])
     def test_entry_zero_with_a_one_window_chunk(self, tiny_dataset, hidden):
-        # 40 windows in batches of 13 leave a final chunk of one window. Entry
-        # 0 is the float32 bank's chunked loss exactly; at B = 1 the bank and
-        # BiLstmModel.forward may differ by a few float32 ulps, so it matches
-        # the per-chunk float32 training forward within a relative 1e-6
-        # (measured <= 7e-12: the MSE averages the differences out).
+        # 25 windows in chunks of two batches of 12 leave a final chunk of one
+        # window. Entry 0 is the float32 bank's chunked loss exactly; at B = 1
+        # the bank and BiLstmModel.forward may differ by a few float32 ulps,
+        # so it matches the per-chunk float32 training forward within a
+        # relative 1e-6 (measured <= 7e-12: the MSE averages the differences out).
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:5], "fd", 0, angle_norm, torque_norm)
         model = BiLstmModel(2, BiLstmSpec(2, hidden), kind="fd", seed=2)
-        window, stride, batch = 10, 2, 13
+        window, stride, batch = 10, 3, 12
+        chunk = ENTRY0_CHUNK_BATCHES * batch
         x = np.stack([s.x[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1,
                      dtype=np.float32)
         y = np.stack([s.y[o : o + window] for s in samples for o in range(0, 15, stride)], axis=1)
-        assert x.shape[1] % batch == 1
-        chunks = [x[:, s : s + batch] for s in range(0, x.shape[1], batch)]
+        assert x.shape[1] % chunk == 1
+        chunks = [x[:, s : s + chunk] for s in range(0, x.shape[1], chunk)]
         bank = BiLstmBank([model])
         bank_loss = mse(np.concatenate([bank.forward(c)[0] for c in chunks], axis=1), y)[0]
         expected = mse(np.concatenate([model.forward(c)[0] for c in chunks], axis=1), y)[0]
@@ -343,7 +346,7 @@ class TestTraining:
         monkeypatch.setattr(BiLstmBank, "forward", lambda b, x: bank_dtypes.append(x.dtype)
                             or bank_forward(b, x.astype(np.float64)))
         model64, history64 = train()
-        assert bank_dtypes == [np.dtype(np.float32)] * 5  # every entry-0 chunk, now upcast
+        assert bank_dtypes == [np.dtype(np.float32)] * 3  # every entry-0 chunk (40 windows by 16), now upcast
         assert history64[0]["train_loss"] != history32[0]["train_loss"]
         assert history64[1:] == history32[1:]
         for p64, p32 in zip(model64.params(), model32.params()):
