@@ -399,7 +399,7 @@ def run(argv) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (FatigueMotionError, FileNotFoundError, OSError, json.JSONDecodeError) as exc:
+    except (FatigueMotionError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,10 +22,10 @@ tangent get a zero tangent gradient.
 Every LSTM step runs on contiguous memory, in as few passes as the math
 needs: an elementwise op on one of a (B, 4H) row's four strided (B, H) gate
 lanes costs about as much as on the whole row. The training forward
-(:meth:`LstmCell.forward`) keeps its pre-activations, gates and gate cache
-lane-major, (4, B, H) per step, so each lane is a contiguous block. Both it
-and the inference bank step copies of the weights whose sigmoid lanes (i, f,
-o) are negated, made by the one :func:`sigmoid_lanes_negated`:
+(:meth:`LstmCell.forward`, gate cache included) and the inference bank
+step lane-major pre-activations and gates, (4, ..., H), each lane a
+contiguous block (:func:`gate_views`), from copies of the weights whose
+sigmoid lanes (i, f, o) are negated by the one :func:`sigmoid_lanes_negated`:
 :func:`lstm_gates` reads their pre-activations as -z, exactly, and takes the
 sigmoid in four passes with a one-sided clip that keeps every bit of the
 two-sided form. The BPTT (:meth:`LstmCell.backward`) works on whole
@@ -216,9 +216,8 @@ class LstmCell:
     BLAS kernel their layout takes: with OpenBLAS 0.3.31 they equal the
     transposed and (H, 4H) forms' at the desk shapes (H 32, B >= 10), not
     at every B and H. Inference runs cells through
-    ``surrogates.BiLstmBank``, which stacks many cells on a leading axis in
-    (K, B, 4H) rows, keeps no caches and shares the per-step gate math
-    (:func:`lstm_gates`).
+    ``surrogates.BiLstmBank``, which stacks many cells on a leading axis,
+    keeps no caches and shares the lane-major gate step (:func:`lstm_gates`).
 
     :meth:`backward` computes on whole (B, 4H) rows rather than on the four
     strided (B, H) gate lanes, each of which costs about as much per
@@ -255,7 +254,7 @@ class LstmCell:
         cs = np.empty((t_len, batch, hdim), dtype)
         hs = np.empty((t_len, batch, hdim), dtype)
         z, gate = np.empty((2, 4, batch, hdim), dtype)
-        views = gate_views(z, gate, lane_axis=0)
+        views = gate_views(z, gate)
         c = h = np.zeros((batch, hdim), dtype)
         for t in range(t_len):
             np.matmul(h, wh_t, out=z)
@@ -341,9 +340,9 @@ def sigmoid_lanes_negated(a: np.ndarray, dtype, lane_axis: int = -1, order: str 
     """A new ``dtype`` copy of the step weights ``a`` (a transposed Wx or Wh,
     or b, of one cell or of cells stacked on a leading axis) with its i, f
     and o lanes negated, as :func:`lstm_gates` reads those pre-activations
-    as -z. The four lanes are stacked on ``lane_axis``, as in
-    :func:`gate_views`: 0 for per-gate blocks (4, ...), -1 for the quarters
-    of the last axis. ``order`` is numpy's memory layout of the copy: C by
+    as -z. The four lanes are stacked on ``lane_axis``: 0 for per-gate
+    blocks (4, ...), -1 for the quarters of the last axis (the bank's row
+    weights). ``order`` is numpy's memory layout of the copy: C by
     default, "K" to keep ``a``'s, as a matmul's bits depend on the BLAS
     kernel its operands' layout takes. ``a`` is never written, even where
     it is already laid out as asked. Negation is exact, and so is every sum
@@ -354,21 +353,13 @@ def sigmoid_lanes_negated(a: np.ndarray, dtype, lane_axis: int = -1, order: str 
     return out
 
 
-def gate_views(z: np.ndarray, gate: np.ndarray, lane_axis: int) -> tuple:
-    """(z's and gate's sigmoid span, z's g lanes, gate's i, f, o and g lanes,
-    the gate dtype's ``_SIGMOID_CLIP``): what :func:`lstm_gates` steps.
-
-    The four lanes are stacked on ``lane_axis``: 0 for lane-major (4, ..., H)
-    buffers, whose sigmoid span is the contiguous i, f and o lanes; -1 for
-    (..., 4H) rows, whose sigmoid span is the whole contiguous buffer, as
-    the i, f and o lanes of a row are strided: the g lanes' sigmoid is
-    overwritten by their tanh.
+def gate_views(z: np.ndarray, gate: np.ndarray) -> tuple:
+    """(z's and gate's i, f and o lanes, z's g lanes, gate's i, f, o and g
+    lanes, the gate dtype's ``_SIGMOID_CLIP``): what :func:`lstm_gates`
+    steps, from lane-major (4, ..., H) buffers z and gate, so every lane,
+    and the sigmoid span of the first three, is contiguous.
     """
-    if lane_axis == 0:
-        return z[:3], gate[:3], z[3], gate[0], gate[1], gate[2], gate[3], _SIGMOID_CLIP[gate.dtype]
-    hdim = z.shape[-1] // 4
-    return (z, gate, z[..., 3 * hdim :], gate[..., :hdim], gate[..., hdim : 2 * hdim],
-            gate[..., 2 * hdim : 3 * hdim], gate[..., 3 * hdim :], _SIGMOID_CLIP[gate.dtype])
+    return z[:3], gate[:3], z[3], gate[0], gate[1], gate[2], gate[3], _SIGMOID_CLIP[gate.dtype]
 
 
 def lstm_gates(views: tuple, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray) -> None:

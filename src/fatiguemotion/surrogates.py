@@ -14,11 +14,13 @@ keeps the gate and cell-state caches BPTT needs. Inference and the initial
 loss :func:`train_dyn` logs run through :class:`BiLstmBank`: the forward and
 backward cells of N models of one architecture are stacked on a leading axis
 of size K = 2N, so one Python loop over time per layer steps every model and
-both directions with one batched matmul. The bank keeps no caches and
-allocates nothing per step; per :data:`BANK_CHUNK` steps it projects the
-input, and per :data:`BANK_CHUNK` rows of h (steps times batch) it stages
-h and copies it in bulk into one (N, T, B, 2H) layer output. Its result is
-(N, T, B); :meth:`BiLstmModel.predict_sequence` is the N = 1, B = 1 case.
+both directions with one batched matmul, whose (K, B, 4H) rows each step
+adds to its projection's into lane-major (4, K, B, H) gate lanes. The bank
+keeps no caches and allocates nothing per step; per :data:`BANK_CHUNK`
+steps it projects the input, and per :data:`BANK_CHUNK` rows of h (steps
+times batch) it stages h and copies it in bulk into one (N, T, B, 2H) layer
+output. Its result is (N, T, B); :meth:`BiLstmModel.predict_sequence` is
+the N = 1, B = 1 case.
 
 Inputs and targets are min-max normalized to [0,1], and training minimizes
 the per-frame MSE of the normalized target.
@@ -193,12 +195,16 @@ class BiLstmBank:
     Per layer, the Wx, Wh and b of the N forward cells and then the N
     backward cells are stacked on a leading axis of size K = 2N. One loop
     over time steps all K cells with one batched matmul of the (K, B, H)
-    hidden states; c is updated in place and each h written to a stage of
-    :data:`BANK_CHUNK` rows (steps times B, at least one step; 131 KB in
-    float64 at K = 4, H = 32) that the next step's matmul reads. Each time
-    the stage fills, two bulk copies move the forward rows to the layer
-    output's first half and the backward rows, reversed, to its second half
-    at the mirrored steps; a stage bounded in rows stays in cache at any B.
+    hidden states into (K, B, 4H) rows; one add of the transposed views of
+    those rows and of the step's projection fills lane-major (4, K, B, H)
+    gates, so :func:`nncore.lstm_gates` steps contiguous lanes, the sigmoid
+    over i, f and o only, with the row-wise step's bits. c is updated in
+    place and each h written to a stage of :data:`BANK_CHUNK` rows (steps
+    times B, at least one step; 131 KB in float64 at K = 4, H = 32) that the
+    next step's matmul reads. Each time the stage fills, two bulk copies
+    move the forward rows to the layer output's first half and the backward
+    rows, reversed, to its second half at the mirrored steps; a stage
+    bounded in rows stays in cache at any B.
     The weights are copied at construction, so a bank reflects its models'
     parameters at that moment; the i, f and o columns of the copies are
     negated once (:func:`nncore.sigmoid_lanes_negated`), as
@@ -268,7 +274,11 @@ class BiLstmBank:
         staged = min(chunk, max(1, BANK_CHUNK // batch))  # steps per stage fill
         zx = np.empty((k, chunk * batch, 4 * hdim), dtype)
         z = np.empty((k, batch, 4 * hdim), dtype)
-        views = gate_views(z, np.empty((k, batch, 4 * hdim), dtype), lane_axis=-1)
+        # (chunk, 4, K, B, H) and (4, K, B, H) lane-major views of the row buffers
+        zx_lanes = zx.reshape(k, chunk, batch, 4, hdim).transpose(1, 3, 0, 2, 4)
+        z_lanes = z.reshape(k, batch, 4, hdim).transpose(2, 0, 1, 3)
+        lanes = np.empty((4, k, batch, hdim), dtype)
+        views = gate_views(lanes, np.empty_like(lanes))
         stage = np.empty((staged, k, batch, hdim), dtype)
         h, c = np.zeros((2, k, batch, hdim), dtype)
         for s0 in range(0, t_len, chunk):
@@ -284,10 +294,9 @@ class BiLstmBank:
             for a0 in range(s0, s1, staged):
                 a1 = min(a0 + staged, s1)
                 m = a1 - a0
-                zx_a = zx[:, (a0 - s0) * batch :]
                 for j in range(m):
                     np.matmul(h, wh_t, out=z)
-                    z += zx_a[:, j * batch : (j + 1) * batch]
+                    np.add(z_lanes, zx_lanes[a0 - s0 + j], out=lanes)
                     h = stage[j]
                     lstm_gates(views, c, c, h)
                 out[:, a0:a1, :, :hdim] = stage[:m, :n].swapaxes(0, 1)

@@ -267,6 +267,44 @@ class TestUserErrors:
         assert run([*command, "--tl", "const:nan", "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["sequence-csv", "load-csv", "profiles-json", "checkpoint",
+                                      "dataset-manifest", "report-json"])
+    def test_non_utf8_byte(self, trained, tmp_path, capsys, kind):
+        # 0xff, a byte no UTF-8 text holds, in each kind of file the CLI reads
+        w = tmp_path / "w"
+        shutil.copytree(trained, w)
+        (w / "tl.csv").write_text("tl\n10\n20\n")
+        apply = ["apply-fatigue", "--motion", w / "data" / "trial000_angles.csv",
+                 "--profiles", w / "profiles.json", "--models", w / "models"]
+        if kind == "report-json":
+            assert run([str(a) for a in apply] + ["--out", str(w / "apply")]) == 0
+        path, argv = {
+            "sequence-csv": (w / "data" / "trial001_angles.csv",
+                             ["eval", "--pred", w / "data" / "trial001_angles.csv",
+                              "--truth", w / "data" / "trial000_angles.csv"]),
+            "load-csv": (w / "tl.csv", ["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "1",
+                                        "--tl", f"csv:{w / 'tl.csv'}"]),
+            "profiles-json": (w / "profiles.json", apply),
+            "checkpoint": (w / "models" / "id_elbow.json", apply),
+            "dataset-manifest": (w / "data" / "manifest.json", ["train-dyn", "--data", w / "data", *TINY_DYN]),
+            "report-json": (w / "apply" / "report.json",
+                            ["export-curves", "--baseline", w / "apply" / "baseline.csv",
+                             "--run", f"tired={w / 'apply'}"]),
+        }[kind]
+        data = path.read_bytes()
+        if path.suffix == ".json":  # the first string value starts with it
+            data = data.replace(b': "', b': "\xff', 1)
+        else:  # the first cell of the last row is it
+            head, _, last = data.rstrip(b"\n").rpartition(b"\n")
+            data = head + b"\n\xff" + last[1:] + b"\n"
+        assert b"\xff" in data
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert run([str(a) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_diverging_simulation(self, tmp_path, capsys):
         code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--LD", "1e300", "--LR", "1e300",
                     "--tl", "const:50", "--t", "1", "--out", str(tmp_path / "out")])

@@ -322,19 +322,21 @@ _SATURATING_Z = (600.0, -600.0, 1e4, -1e4, np.inf, -np.inf)
 
 
 class TestLstmGates:
-    @pytest.mark.parametrize("lead, lane_axis, in_place, dtype", [
-        pytest.param((3,), -1, False, np.float64, id="B,4H"),
-        pytest.param((4, 2), -1, False, np.float64, id="K,B,4H"),
-        pytest.param((3,), -1, True, np.float64, id="B,4H-c_out-is-c"),
-        pytest.param((4, 2), -1, True, np.float64, id="K,B,4H-c_out-is-c"),
-        pytest.param((3,), -1, False, np.float32, id="B,4H-float32"),
-        pytest.param((4, 2), -1, True, np.float32, id="K,B,4H-c_out-is-c-float32"),
-        pytest.param((3,), 0, False, np.float64, id="4,B,H"),
-        pytest.param((4, 2), 0, True, np.float64, id="4,K,B,H-c_out-is-c"),
-        pytest.param((3,), 0, False, np.float32, id="4,B,H-float32"),
-        pytest.param((4, 2), 0, True, np.float32, id="4,K,B,H-c_out-is-c-float32"),
+    # "rows" cases: z comes as (..., 4H) rows and reaches the lane-major step
+    # buffer as in the bank, through one add of transposed row views
+    @pytest.mark.parametrize("lead, rows, in_place, dtype", [
+        pytest.param((3,), True, False, np.float64, id="B,4H"),
+        pytest.param((4, 2), True, False, np.float64, id="K,B,4H"),
+        pytest.param((3,), True, True, np.float64, id="B,4H-c_out-is-c"),
+        pytest.param((4, 2), True, True, np.float64, id="K,B,4H-c_out-is-c"),
+        pytest.param((3,), True, False, np.float32, id="B,4H-float32"),
+        pytest.param((4, 2), True, True, np.float32, id="K,B,4H-c_out-is-c-float32"),
+        pytest.param((3,), False, False, np.float64, id="4,B,H"),
+        pytest.param((4, 2), False, True, np.float64, id="4,K,B,H-c_out-is-c"),
+        pytest.param((3,), False, False, np.float32, id="4,B,H-float32"),
+        pytest.param((4, 2), False, True, np.float32, id="4,K,B,H-c_out-is-c-float32"),
     ])
-    def test_bits_match_the_composed_expression(self, lead, lane_axis, in_place, dtype):
+    def test_bits_match_the_composed_expression(self, lead, rows, in_place, dtype):
         hdim = 8
         rng = np.random.default_rng(len(lead))
         z = rng.normal(scale=4.0, size=lead + (4 * hdim,)).astype(dtype)
@@ -344,17 +346,20 @@ class TestLstmGates:
             z[..., gate_lane * hdim : gate_lane * hdim + len(_SATURATING_Z)] = _SATURATING_Z
         c = rng.normal(size=lead + (hdim,)).astype(dtype)
         expected = _composed_gates(z, c, hdim, 500.0 if dtype == np.float64 else 80.0)
-        z_neg = sigmoid_lanes_negated(z, dtype)
-        if lane_axis == 0:  # the same lanes stacked on a leading axis of 4
-            z_neg = np.ascontiguousarray(np.moveaxis(z_neg.reshape(lead + (4, hdim)), -2, 0))
+        # the same lanes stacked on a leading axis of 4
+        z_neg = np.moveaxis(sigmoid_lanes_negated(z, dtype).reshape(lead + (4, hdim)), -2, 0)
+        if rows:  # z + 0 is z, bit for bit
+            zero = np.moveaxis(np.zeros(lead + (4, hdim), dtype), -2, 0)
+            z_neg = np.add(z_neg, zero, out=np.empty(z_neg.shape, dtype))
+        else:
+            z_neg = np.ascontiguousarray(z_neg)
         # every lane of the gate buffer and of the outputs must be written
         gate, h = np.full(z_neg.shape, np.nan, dtype), np.full(c.shape, np.nan, dtype)
         c_new = c if in_place else np.full(c.shape, np.nan, dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lstm_gates(gate_views(z_neg, gate, lane_axis), c, c_new, h)
-        if lane_axis == 0:
-            gate = np.moveaxis(gate, 0, -2).reshape(lead + (4 * hdim,))
+            lstm_gates(gate_views(z_neg, gate), c, c_new, h)
+        gate = np.moveaxis(gate, 0, -2).reshape(lead + (4 * hdim,))
         for got, want in zip((gate, c_new, h), expected):
             assert got.dtype == dtype and np.array_equal(got, want)
         sig = gate[..., : 3 * hdim].reshape(lead + (3, hdim))
@@ -380,10 +385,12 @@ class TestLstmGates:
         hdim = 3
         z = np.tile(np.array([1e4, -1e4], dtype=np.float32), (2, 2 * hdim))
         c = np.ones((2, hdim), dtype=np.float32)
-        gate, c_new, h = np.empty_like(z), np.empty_like(c), np.empty_like(c)
+        lanes = np.ascontiguousarray(sigmoid_lanes_negated(z, np.float32).reshape(2, 4, hdim).swapaxes(0, 1))
+        gate, c_new, h = np.empty_like(lanes), np.empty_like(c), np.empty_like(c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lstm_gates(gate_views(sigmoid_lanes_negated(z, np.float32), gate, -1), c, c_new, h)
+            lstm_gates(gate_views(lanes, gate), c, c_new, h)
+        gate = gate.swapaxes(0, 1).reshape(z.shape)
         assert gate.dtype == c_new.dtype == h.dtype == np.float32
         top, bottom = z > 0, z < 0
         sig = np.arange(4 * hdim) < 3 * hdim

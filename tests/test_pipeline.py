@@ -7,6 +7,7 @@ import pytest
 from fatiguemotion import compartments as cc
 from fatiguemotion.arm import ArmParams, generate_dataset
 from fatiguemotion.errors import ShapeError
+from fatiguemotion.nncore import lstm_gates
 from fatiguemotion.pipeline import (
     FatigueReport,
     JointFatigueTrace,
@@ -46,7 +47,65 @@ def _reference(models, x):
     return np.stack([m.forward(x)[0] for m in models])
 
 
+def _row_layout_layer(bank, inp, wx_t, wh_t, b):
+    """BiLstmBank._layer as it stepped (K, B, 4H) gate rows: each step added
+    its projection rows into z in place and ran lstm_gates on strided views
+    of the rows, the sigmoid over all four lanes (the g lanes' result then
+    overwritten by their tanh). The oracle of the lane-major step."""
+    n, hdim, dtype = bank.n_models, bank.hidden, inp.dtype
+    k = 2 * n
+    *lead, t_len, batch, width = inp.shape
+    out = np.empty((n, t_len, batch, 2 * hdim), dtype)
+    chunk = min(BANK_CHUNK, t_len)
+    staged = min(chunk, max(1, BANK_CHUNK // batch))
+    zx = np.empty((k, chunk * batch, 4 * hdim), dtype)
+    z, gate = np.empty((2, k, batch, 4 * hdim), dtype)
+    views = (z, gate, z[..., 3 * hdim :], gate[..., :hdim], gate[..., hdim : 2 * hdim],
+             gate[..., 2 * hdim : 3 * hdim], gate[..., 3 * hdim :], 500.0 if dtype == np.float64 else 80.0)
+    stage = np.empty((staged, k, batch, hdim), dtype)
+    h, c = np.zeros((2, k, batch, hdim), dtype)
+    for s0 in range(0, t_len, chunk):
+        s1 = min(s0 + chunk, t_len)
+        rows = (s1 - s0) * batch
+        x_f = inp[..., s0:s1, :, :].reshape(*lead, rows, width)
+        x_b = inp[..., t_len - s1 : t_len - s0, :, :][..., ::-1, :, :].reshape(*lead, rows, width)
+        np.matmul(x_f, wx_t[:n], out=zx[:n, :rows])
+        np.matmul(x_b, wx_t[n:], out=zx[n:, :rows])
+        zx[:, :rows] += b
+        for a0 in range(s0, s1, staged):
+            a1 = min(a0 + staged, s1)
+            m = a1 - a0
+            zx_a = zx[:, (a0 - s0) * batch :]
+            for j in range(m):
+                np.matmul(h, wh_t, out=z)
+                z += zx_a[:, j * batch : (j + 1) * batch]
+                h = stage[j]
+                lstm_gates(views, c, c, h)
+            out[:, a0:a1, :, :hdim] = stage[:m, :n].swapaxes(0, 1)
+            out[:, t_len - a1 : t_len - a0, :, hdim:] = stage[m - 1 :: -1, n:].swapaxes(0, 1)
+    return out
+
+
 class TestBank:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("t_len", [1, BANK_CHUNK - 1, BANK_CHUNK + 1, 2 * BANK_CHUNK + 5])
+    @pytest.mark.parametrize("batch", [1, 2, 13, 32, 64])
+    def test_bits_match_the_row_layout_step(self, batch, t_len, dtype, monkeypatch):
+        hdim = 32
+        models = _models(2, 2, hidden=hdim)
+        # the bias drives lane 0 of every gate of every cell to z near 1000 and
+        # lane 1 to z near -1000, past both dtypes' sigmoid clips
+        for model in models:
+            for layer in model.layers:
+                for cell in (layer.fwd, layer.bwd):
+                    cell.b[::hdim], cell.b[1::hdim] = 1000.0, -1000.0
+        x = np.random.default_rng(batch * 1000 + t_len).normal(size=(t_len, batch, 3)).astype(dtype)
+        bank = BiLstmBank(models)
+        y = bank.forward(x)
+        monkeypatch.setattr(BiLstmBank, "_layer", _row_layout_layer)
+        want = bank.forward(x)
+        assert y.dtype == want.dtype == dtype and np.array_equal(y, want)
+
     @pytest.mark.parametrize("n_layers", [1, 3])
     @pytest.mark.parametrize("batch", [1, 2, 13])  # 13: 9-step stage fills, the last one of a chunk short
     @pytest.mark.parametrize("n_models", [1, 2, 3])
