@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError
+from .errors import DataFormatError, ParameterError, read_json
 from .sequences import (
     MotionSequence,
     load_sequence,
@@ -185,11 +185,11 @@ def generate_dataset(
     return trials
 
 
-def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict | None = None):
-    """One ``<stem>_angles.csv`` and one ``<stem>_torques.csv`` per trial,
-    and a JSON manifest listing the stems.
+def save_trials(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict | None = None) -> dict:
+    """One ``<stem>_angles.csv`` and one ``<stem>_torques.csv`` per trial.
 
-    Returns the manifest as written.
+    Returns the dataset manifest listing the stems, unwritten: ``gen-data``
+    writes it inside its run manifest, :func:`save_dataset` on its own.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -207,7 +207,13 @@ def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict |
     }
     if meta:
         manifest.update(meta)
-    with open(outdir / "manifest.json", "w") as fh:
+    return manifest
+
+
+def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict | None = None) -> dict:
+    """:func:`save_trials` plus the manifest, as ``manifest.json``; returns the manifest."""
+    manifest = save_trials(trials, params, outdir, meta)
+    with open(Path(outdir) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return manifest
@@ -220,8 +226,7 @@ def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
     DataFormatError naming both files."""
     datadir = Path(datadir)
     path = datadir / "manifest.json"
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(path)
     try:
         params = ArmParams.from_dict(manifest["arm_params"])
         stems = list(manifest["trials"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ from . import fatigue_pinn as fp
 from . import pipeline as pl
 from . import sequences as sq
 from . import surrogates as sg
-from .errors import DataFormatError, FatigueMotionError, NumericError, ParameterError
+from .errors import DataFormatError, FatigueMotionError, NumericError, ParameterError, open_text
 from .nncore import TrainConfig
 
 
@@ -75,7 +76,7 @@ def _parse_load(spec: str, duration: float, dt: float) -> cc.LoadProfile:
     if spec.startswith("csv:"):
         path = spec[len("csv:"):]
         values = []
-        with open(path) as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 # float() strips the whitespace str.strip() does; only lines it rejects are tested
                 try:
@@ -100,7 +101,7 @@ def _cmd_gen_data(args) -> dict:
     trials = armdyn.generate_dataset(
         params, args.trials, args.frames, args.dt, args.seed, n_segments=args.segments
     )
-    return armdyn.save_dataset(trials, params, Path(args.out), meta={"seed": args.seed})
+    return armdyn.save_trials(trials, params, Path(args.out), meta={"seed": args.seed})
 
 
 def _cmd_sim_3cc(args) -> None:
@@ -305,7 +306,11 @@ def _cmd_export_curves(args) -> dict:
 
 # --- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: its actions, groups
+    and formatters reference each other, so a parser per :func:`run` call
+    left some 500 objects a call for the cyclic garbage collector."""
     parser = _Parser(prog="fatiguemotion", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -399,7 +404,7 @@ def run(argv) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (FatigueMotionError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (FatigueMotionError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DataFormatError, NumericError, ParameterError
+from .errors import DataFormatError, NumericError, ParameterError, read_json
 from .sequences import write_table
 
 # RK4 sub-step ceiling, the step at the default controller rates. The
@@ -317,8 +317,7 @@ def load_profiles(path) -> dict[str, FatigueProfile]:
     not a JSON number (a bool is not), or a second profile for one joint
     raises DataFormatError naming the entry.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if isinstance(raw, dict):
         raw = [raw]
     if not isinstance(raw, list):
@@ -349,5 +348,11 @@ def load_profiles(path) -> dict[str, FatigueProfile]:
 
 
 def trajectory_to_csv(traj: Cc3Trajectory, path, lam: float = 1.0) -> None:
-    """Trajectory export: t, M_A, M_F, M_R, RC, RC_lambda."""
-    write_table(path, "t,M_A,M_F,M_R,RC,RC_lambda", (traj.times, traj.states, traj.rc, traj.rc_lambda(lam)))
+    """Trajectory export: t, M_A, M_F, M_R, RC, RC_lambda.
+
+    At lam = 1, RC_lambda is RC bit for bit, so RC's array is passed for both
+    columns and :func:`write_table` formats it once.
+    """
+    rc = traj.rc
+    write_table(path, "t,M_A,M_F,M_R,RC,RC_lambda",
+                (traj.times, traj.states, rc, rc if lam == 1.0 else traj.rc_lambda(lam)))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two file readers
+that turn an undecodable file into a DataFormatError naming it."""
+import contextlib
+import json
 
 
 class FatigueMotionError(Exception):
@@ -27,3 +30,24 @@ class ShapeError(FatigueMotionError, ValueError):
 
 class NumericError(FatigueMotionError, RuntimeError):
     """A computation produced NaN/Inf or training diverged."""
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """``open(path)`` for reading; a byte the text encoding cannot decode
+    raises DataFormatError naming ``path``."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not text: {exc}") from None
+
+
+def read_json(path):
+    """The JSON document in ``path``; malformed JSON or an undecodable byte
+    raises DataFormatError naming ``path``."""
+    with open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from None

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, NumericError, ParameterError, ShapeError
+from .errors import DataFormatError, NumericError, ParameterError, ShapeError, read_json
 
 CHECKPOINT_FORMAT = "fatiguemotion-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -581,8 +581,7 @@ def save_checkpoint(path, architecture: dict, params, meta: dict | None = None) 
 
 
 def load_checkpoint(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: a checkpoint must be a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .compartments import FatigueProfile, LoadProfile, modulate_torque, simulate
-from .errors import DataFormatError, DegenerateChannelError, ParameterError, ShapeError
+from .errors import DataFormatError, DegenerateChannelError, ParameterError, ShapeError, read_json
 from .sequences import MotionSequence, NormalizationParams, torque_to_activation, write_table
 from .surrogates import BiLstmModel, predict_models
 
@@ -155,8 +155,7 @@ def load_traces(path) -> dict[str, JointFatigueTrace]:
     """The per-joint traces of a saved report: RC_hat, plus all three pools
     or none (fixed mode), each a list of finite JSON numbers read as a 1-D
     float array; anything else raises DataFormatError naming the file."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("traces"), dict):
         raise DataFormatError(f"{path}: report has no 'traces' object")
     traces = {}

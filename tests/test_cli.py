@@ -1,7 +1,9 @@
 import binascii
+import builtins
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,19 @@ def _apply(d, models, out, *extra, profiles=None, motion=None):
 
 
 class TestChain:
+    def test_gen_data_writes_its_manifest_once(self, tmp_path, monkeypatch):
+        writes = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if Path(file).name == "manifest.json" and "w" in mode:
+                writes.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert run(["gen-data", "--out", str(tmp_path / "data"), "--trials", "2", "--frames", "20"]) == 0
+        assert len(writes) == 1
+
     def test_gen_data_manifest_keeps_dataset_keys(self, trained):
         doc = json.loads((trained / "data" / "manifest.json").read_text())
         assert {"arm_params", "trials", "command", "config_hash"} <= set(doc)
@@ -267,10 +282,9 @@ class TestUserErrors:
         assert run([*command, "--tl", "const:nan", "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("kind", ["sequence-csv", "load-csv", "profiles-json", "checkpoint",
-                                      "dataset-manifest", "report-json"])
-    def test_non_utf8_byte(self, trained, tmp_path, capsys, kind):
-        # 0xff, a byte no UTF-8 text holds, in each kind of file the CLI reads
+    def _reader_case(self, trained, tmp_path, kind):
+        """(path, argv) of a command that reads a copy of ``kind`` of file;
+        argv lacks --out."""
         w = tmp_path / "w"
         shutil.copytree(trained, w)
         (w / "tl.csv").write_text("tl\n10\n20\n")
@@ -291,6 +305,20 @@ class TestUserErrors:
                             ["export-curves", "--baseline", w / "apply" / "baseline.csv",
                              "--run", f"tired={w / 'apply'}"]),
         }[kind]
+        return path, [str(a) for a in argv]
+
+    def _exits_naming(self, path, argv, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["sequence-csv", "load-csv", "profiles-json", "checkpoint",
+                                      "dataset-manifest", "report-json"])
+    def test_non_utf8_byte(self, trained, tmp_path, capsys, kind):
+        # 0xff, a byte no UTF-8 text holds, in each kind of file the CLI reads
+        path, argv = self._reader_case(trained, tmp_path, kind)
         data = path.read_bytes()
         if path.suffix == ".json":  # the first string value starts with it
             data = data.replace(b': "', b': "\xff', 1)
@@ -299,11 +327,15 @@ class TestUserErrors:
             data = head + b"\n\xff" + last[1:] + b"\n"
         assert b"\xff" in data
         path.write_bytes(data)
-        capsys.readouterr()
-        assert run([str(a) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        self._exits_naming(path, argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("kind", ["profiles-json", "checkpoint", "dataset-manifest", "report-json"])
+    def test_malformed_json(self, trained, tmp_path, capsys, kind):
+        # the file ends inside its first object
+        path, argv = self._reader_case(trained, tmp_path, kind)
+        text = path.read_text()
+        path.write_text(text[: text.index(",")])
+        self._exits_naming(path, argv, tmp_path, capsys)
 
     def test_diverging_simulation(self, tmp_path, capsys):
         code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--LD", "1e300", "--LR", "1e300",
@@ -666,6 +698,21 @@ class TestModelCommands:
         assert [row.split(",")[0] for row in log[1:]] == ["0", "1", "2", "3", "4"]
         for name in ("pinn_elbow.json", "training_log.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_sim_3cc_default_lambda_golden_bytes(self, tmp_path):
+        # At the default lambda RC_lambda is RC, and trajectory_to_csv passes
+        # one array for both columns. 3077 rows are 24 chunks of 128 rows
+        # plus 5, and 3 of 1024 plus 5; the bouts at 90 %MVC and the rests
+        # visit all three controller regimes. Digest recorded before the
+        # writer formatted column by column.
+        tl = ([90.0] * 600 + [0.0] * 200) * 4
+        (tmp_path / "tl.csv").write_text("tl\n" + "".join(f"{v!r}\n" for v in tl[:3077]))
+        assert run(["sim-3cc", "--F", "0.05", "--R", "0.005", "--tl", f"csv:{tmp_path / 'tl.csv'}",
+                    "--t", "153.8", "--out", str(tmp_path / "sim")]) == 0
+        data = (tmp_path / "sim" / "trajectory.csv").read_bytes()
+        assert len(data.splitlines()) == 1 + 3077
+        assert hashlib.sha256(data).hexdigest() == \
+            "72742f0ffde3a7501dbe8bca8d3c2b606617285734d7e2924ff853edb1c7828c"
 
     def test_sim_3cc(self, tmp_path):
         for out in ("a", "b"):

@@ -302,7 +302,7 @@ class TestReportSave:
 class TestExportCurves:
     def test_golden_bytes(self, tmp_path):
         # Digest recorded before export_curves moved onto write_table: 1500
-        # rows span two formatting chunks, one run has the pools and one only
+        # rows span several formatting chunks, one run has the pools and one only
         # the capacity, and -0.0, 0.1 and 1e-300 keep their repr. The
         # sequences come from load_sequence and with_frames, whose signatures
         # the move left as they were.

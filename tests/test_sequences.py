@@ -12,6 +12,7 @@ from fatiguemotion.errors import (
     SplitError,
 )
 from fatiguemotion.sequences import (
+    _CSV_CHUNK,
     MotionSequence,
     NormalizationParams,
     fit_normalizer,
@@ -19,6 +20,7 @@ from fatiguemotion.sequences import (
     save_sequence,
     split_train_test,
     torque_to_activation,
+    write_table,
 )
 
 
@@ -81,7 +83,7 @@ class TestLoadSave:
 
     def test_golden_bytes(self, tmp_path):
         # Digest recorded before save_sequence moved onto write_table: 2100
-        # rows span three formatting chunks, and -0.0, 0.1 and 1e-300 keep
+        # rows span several formatting chunks, and -0.0, 0.1 and 1e-300 keep
         # their repr. The sequence comes from load_sequence and with_frames,
         # whose signatures the move left as they were.
         frames = np.arange(4200, dtype=float).reshape(2100, 2) / 7.0 - 50.0
@@ -91,6 +93,22 @@ class TestLoadSave:
         save_sequence(template.with_frames(frames), tmp_path / "s.csv")
         digest = hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest()
         assert digest == "8d8b76513942f8b97e171c6e9c2811b30882ad71a292c01ff7baad7f04177031"
+
+    @pytest.mark.parametrize("t", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 3 * _CSV_CHUNK + 5],
+                             ids=["one-row", "chunk-1", "chunk", "chunk+1", "3-chunks+5"])
+    def test_write_table_bytes_match_a_row_wise_reference(self, tmp_path, t):
+        # A 1-D column, a (T, 3) block and the 1-D column again, the same
+        # array object, against one repr per value of each row.
+        special = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+        rng = np.random.default_rng(t)
+        column = rng.normal(size=t) * 10.0 ** rng.integers(-20, 20, size=t)
+        block = rng.normal(size=(t, 3))
+        column[: len(special)] = special[:t]
+        block[: len(special), 1] = special[:t]
+        write_table(tmp_path / "w.csv", "a,b0,b1,b2,a", (column, block, column))
+        rows = ["a,b0,b1,b2,a"] + [",".join(map(repr, [c, *b, c]))
+                                   for c, b in zip(column.tolist(), block.tolist())]
+        assert (tmp_path / "w.csv").read_text() == "\n".join(rows) + "\n"
 
 
 class TestSequenceInvariants:
