@@ -46,9 +46,9 @@ from .sequences import write_table
 # stability region.
 MAX_STEP = 0.05
 _RATE_STEP = 0.5
-# Sub-step floor: it bounds one frame's work for rates beyond 0.5 / _MIN_STEP
-# (10^4/s), far outside any muscle; such a step leaves RK4's stability region,
-# and the guard in advance clamps it or raises NumericError.
+# The shortest sub-step a valid rate asks for: it bounds one frame's work.
+# Cc3Params refuses LD or LR above _RATE_STEP / _MIN_STEP (10^4/s), far
+# outside any muscle, where a longer step would leave RK4's stability region.
 _MIN_STEP = MAX_STEP / 1000
 
 _CONSERVATION_GUARD = 1e-9
@@ -60,7 +60,9 @@ class Cc3Params:
 
     ``rk4_step`` is the longest RK4 sub-step :func:`advance` takes with these
     rates (see :data:`MAX_STEP`). It is derived once, at construction, and is
-    not a field, so ``asdict`` holds the four rates only.
+    not a field, so ``asdict`` holds the four rates only. LD and LR are at
+    most ``_RATE_STEP / _MIN_STEP`` (10^4/s), so the step is at least
+    ``_MIN_STEP``.
     """
 
     F: float
@@ -73,8 +75,13 @@ class Cc3Params:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("LD", "LR"):
+            value = getattr(self, name)
+            if value > _RATE_STEP / _MIN_STEP:
+                raise ParameterError(
+                    f"controller rate {name} must be <= {_RATE_STEP / _MIN_STEP:g}/s, got {value}")
         fastest = max(self.LD, self.LR)
-        step = MAX_STEP if fastest * MAX_STEP <= _RATE_STEP else max(_RATE_STEP / fastest, _MIN_STEP)
+        step = MAX_STEP if fastest * MAX_STEP <= _RATE_STEP else _RATE_STEP / fastest
         object.__setattr__(self, "rk4_step", step)
 
 

@@ -32,7 +32,11 @@ two-sided form. The BPTT (:meth:`LstmCell.backward`) works on whole
 contiguous (B, 4H) gate rows, with the factors that do not depend on the
 recurrence laid out per block of :data:`BPTT_BLOCK` steps from the
 lane-major cache. Every product keeps its operands and their order, so the
-gradients are bit for bit those of the per-lane chain rule.
+gradients are bit for bit those of the per-lane chain rule. The training
+forward makes one whole-window input projection, adds the bias into it in
+place and reads it through a lane-major view; it writes its hidden states
+into a destination its caller gives, so a bidirectional layer's output holds
+both directions' states, and the cells' caches are views of it.
 
 Single-threaded training with a fixed seed is bit-reproducible; a trained
 model is immutable for inference and safe to share.
@@ -126,7 +130,8 @@ class DenseLayer:
 
     def backward(self, cache, gy: np.ndarray):
         x, z = cache
-        gz = gy * _act_d(self.activation, z)
+        # a linear layer passes gy through: gy * 1.0 is gy, bit for bit
+        gz = gy if self.activation == "linear" else gy * _act_d(self.activation, z)
         gW = gz.T @ x
         gb = gz.sum(axis=0)
         gx = gz @ self.W.astype(x.dtype, copy=False)
@@ -209,10 +214,16 @@ class LstmCell:
     C-contiguous (the transposed view takes a BLAS kernel 2-3x slower at B
     32) and Wh^T as a (4, H, H) stack of per-gate blocks, and negates the
     i, f and o columns of both and of b (:func:`sigmoid_lanes_negated`). It
-    lays the projection out lane-major, (T, 4, B, H). Each step runs the
-    per-gate recurrent matmul into one preallocated (4, B, H) z, steps one
-    fixed gate buffer and copies it into the (T, 4, B, H) gate cache, and
-    writes c and h straight into row t. Both matmuls' bits depend on the
+    adds b into the (T, B, 4H) input projection in place and steps a
+    lane-major (T, 4, B, H) view of it, no copy. Each step runs the
+    per-gate recurrent matmul into one preallocated (4, B, H) z, adds the
+    step's projection lanes, steps one fixed gate buffer and copies it into
+    the (T, 4, B, H) gate cache, and writes c and h straight into row t.
+    The hidden states go to the caller's (T, B, H) destination, which the
+    cache keeps (``surrogates.BiLstmLayer`` passes the halves of its layer
+    output); one that is not C-contiguous is stepped in a contiguous buffer
+    and filled by one copy at the end, as the step's matmul and elementwise
+    ops run slower on strided rows. Both matmuls' bits depend on the
     BLAS kernel their layout takes: with OpenBLAS 0.3.31 they equal the
     transposed and (H, 4H) forms' at the desk shapes (H 32, B >= 10), not
     at every B and H. Inference runs cells through
@@ -241,27 +252,39 @@ class LstmCell:
     def params(self):
         return [self.Wx, self.Wh, self.b]
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, hs: np.ndarray | None = None):
+        """(hs, cache) of the (T, B, D) input x. The hidden states go to the
+        caller's (T, B, H) destination ``hs``, a view of a larger array if
+        need be, or to a new array; the cache keeps that array."""
         x = as_float(x)
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeError(f"lstm expects (T, B, {self.n_in}), got {x.shape}")
         t_len, batch, _ = x.shape
         hdim, dtype = self.n_hidden, x.dtype
-        zx = x @ sigmoid_lanes_negated(self.Wx.T, dtype) + sigmoid_lanes_negated(self.b, dtype)
-        zx = np.ascontiguousarray(zx.reshape(t_len, batch, 4, hdim).swapaxes(1, 2))  # (T, 4, B, H)
+        if hs is None:
+            hs = np.empty((t_len, batch, hdim), dtype)
+        elif hs.shape != (t_len, batch, hdim) or hs.dtype != dtype:
+            raise ShapeError(f"lstm output must be {dtype} of shape {(t_len, batch, hdim)}, "
+                             f"got {hs.dtype} of shape {hs.shape}")
+        zx = x @ sigmoid_lanes_negated(self.Wx.T, dtype)
+        zx += sigmoid_lanes_negated(self.b, dtype)
+        zx_lanes = zx.reshape(t_len, batch, 4, hdim).swapaxes(1, 2)  # (T, 4, B, H) view
         wh_t = sigmoid_lanes_negated(self.Wh.reshape(4, hdim, hdim).swapaxes(1, 2), dtype, lane_axis=0)
         gates = np.empty((t_len, 4, batch, hdim), dtype)
         cs = np.empty((t_len, batch, hdim), dtype)
-        hs = np.empty((t_len, batch, hdim), dtype)
         z, gate = np.empty((2, 4, batch, hdim), dtype)
         views = gate_views(z, gate)
         c = h = np.zeros((batch, hdim), dtype)
+        # a strided destination (a half of a layer output) slowed the step
+        steps = hs if hs.flags.c_contiguous else np.empty((t_len, batch, hdim), dtype)
         for t in range(t_len):
             np.matmul(h, wh_t, out=z)
-            z += zx[t]
-            lstm_gates(views, c, cs[t], hs[t])
+            z += zx_lanes[t]
+            lstm_gates(views, c, cs[t], steps[t])
             gates[t] = gate
-            c, h = cs[t], hs[t]
+            c, h = cs[t], steps[t]
+        if steps is not hs:
+            hs[...] = steps
         return hs, (x, gates, cs, hs)
 
     def backward(self, cache, dh_seq: np.ndarray):

@@ -104,18 +104,24 @@ def load_sequence(path) -> MotionSequence:
         cells = line.split(",")
         if len(cells) != n:
             raise DataFormatError(f"{path}: row {lineno}: expected {n} columns, got {len(cells)}")
-        row = np.empty(n)
-        for col, cell in enumerate(cells):
-            try:
-                row[col] = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {lineno}, column {col + 1}: non-numeric cell {cell.strip()!r}"
-                ) from None
-        rows.append(row)
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            col, cell = next((c, cell) for c, cell in enumerate(cells) if not _parses(cell))
+            raise DataFormatError(
+                f"{path}: row {lineno}, column {col + 1}: non-numeric cell {cell.strip()!r}"
+            ) from None
     if len(rows) < 2:
         raise DataFormatError(f"{path}: need at least 2 frame rows, got {len(rows)}")
     return MotionSequence(names, dt, np.array(rows))
+
+
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def write_table(path, header: str, columns) -> None:

@@ -10,12 +10,16 @@ concatenation of the forward and backward hidden states (linear on the
 first layer, relu on the rest), closed by a linear dense head.
 
 Training runs one model at a time through :meth:`BiLstmModel.forward`, which
-keeps the gate and cell-state caches BPTT needs. Inference and the initial
-loss :func:`train_dyn` logs run through :class:`BiLstmBank`: the forward and
-backward cells of N models of one architecture are stacked on a leading axis
-of size K = 2N, so one Python loop over time per layer steps every model and
-both directions with one batched matmul, whose (K, B, 4H) rows each step
-adds to its projection's into lane-major (4, K, B, H) gate lanes. The bank
+keeps the gate and cell-state caches BPTT needs. Each layer's two cells
+write their hidden states into the layer output, whose halves are their
+caches, and :meth:`BiLstmModel.backward` works in place on the gradients it
+makes: each layer's backward overwrites the ``dy`` it is given
+(:class:`BiLstmLayer`). Inference and the initial loss :func:`train_dyn`
+logs run through :class:`BiLstmBank`: the forward and backward cells of N
+models of one architecture are stacked on a leading axis of size K = 2N, so
+one Python loop over time per layer steps every model and both directions
+with one batched matmul, whose (K, B, 4H) rows each step adds to its
+projection's into lane-major (4, K, B, H) gate lanes. The bank
 keeps no caches and allocates nothing per step; per :data:`BANK_CHUNK`
 steps it projects the input, and per :data:`BANK_CHUNK` rows of h (steps
 times batch) it stages h and copies it in bulk into one (N, T, B, 2H) layer
@@ -44,8 +48,7 @@ import numpy as np
 
 from . import nncore
 from .errors import DataFormatError, ParameterError, ShapeError
-from .nncore import (DenseLayer, LstmCell, TrainConfig, _act, _act_d, gate_views, lstm_gates,
-                     sigmoid_lanes_negated)
+from .nncore import DenseLayer, LstmCell, TrainConfig, gate_views, lstm_gates, sigmoid_lanes_negated
 from .sequences import NormalizationParams
 
 
@@ -72,7 +75,7 @@ DESK_WINDOW_STRIDE = 2
 # Training batches per chunk of the forward-only entry-0 pass of train_dyn:
 # chunks of two (64 windows at the desk batch size) took a desk pass 0.76 of
 # the time one-batch chunks took, at a tracemalloc peak of 11.9 MB against a
-# training batch's 17.1 MB (float32, T 96, 848 windows, one BLAS thread).
+# training batch's 14.8 MB (float32, T 96, 848 windows, one BLAS thread).
 ENTRY0_CHUNK_BATCHES = 2
 
 # Time steps the inference bank projects at once, and rows of h (steps times
@@ -95,9 +98,21 @@ def desk_train_config(epochs: int, lr: float) -> TrainConfig:
 
 class BiLstmLayer:
     """One bidirectional layer: forward cell runs t=1..T, backward cell t=T..1;
-    per-frame output is act([h_fwd_t ; h_bwd_t])."""
+    per-frame output is act([h_fwd_t ; h_bwd_t]), act linear or relu.
+
+    :meth:`forward` allocates the (T, B, 2H) layer output once: the forward
+    cell writes its hidden states into the first half and the backward cell
+    into the second half, reversed in time, so the cells' caches are views
+    of it. A linear layer returns that array; a relu layer returns a new
+    one and caches the pre-activation. :meth:`backward` overwrites ``dy``:
+    a relu layer masks it in place with ``out > 0`` (a linear layer passes
+    it through, dy * 1.0 being dy), and the backward cell's dx is added into
+    the forward cell's.
+    """
 
     def __init__(self, n_in: int, n_hidden: int, activation: str, rng):
+        if activation not in ("linear", "relu"):
+            raise ParameterError(f"a bidirectional layer is linear or relu, got {activation!r}")
         self.fwd = LstmCell(n_in, n_hidden, rng)
         self.bwd = LstmCell(n_in, n_hidden, rng)
         self.activation = activation
@@ -108,18 +123,23 @@ class BiLstmLayer:
         return self.fwd.params() + self.bwd.params()
 
     def forward(self, x: np.ndarray):
-        h_f, cache_f = self.fwd.forward(x)
-        h_b_rev, cache_b = self.bwd.forward(x[::-1])
-        concat = np.concatenate([h_f, h_b_rev[::-1]], axis=2)
-        return _act(self.activation, concat), (cache_f, cache_b, concat)
+        x = nncore.as_float(x)
+        h = self.fwd.n_hidden
+        out = np.empty((*x.shape[:2], 2 * h), x.dtype)
+        _, cache_f = self.fwd.forward(x, out[:, :, :h])
+        _, cache_b = self.bwd.forward(x[::-1], out[::-1, :, h:])
+        y = out if self.activation == "linear" else np.maximum(out, 0.0)
+        return y, (cache_f, cache_b, out)
 
     def backward(self, cache, dy: np.ndarray):
-        cache_f, cache_b, concat = cache
-        dconcat = dy * _act_d(self.activation, concat)
+        cache_f, cache_b, out = cache
+        if self.activation == "relu":
+            np.multiply(dy, out > 0, out=dy)
         h = self.fwd.n_hidden
-        dx_f, grads_f = self.fwd.backward(cache_f, dconcat[:, :, :h])
-        dx_b, grads_b = self.bwd.backward(cache_b, dconcat[::-1, :, h:])
-        return dx_f + dx_b[::-1], grads_f + grads_b
+        dx, grads_f = self.fwd.backward(cache_f, dy[:, :, :h])
+        dx_b, grads_b = self.bwd.backward(cache_b, dy[::-1, :, h:])
+        dx += dx_b[::-1]
+        return dx, grads_f + grads_b
 
 
 class BiLstmModel:

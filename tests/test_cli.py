@@ -337,11 +337,13 @@ class TestUserErrors:
         path.write_text(text[: text.index(",")])
         self._exits_naming(path, argv, tmp_path, capsys)
 
-    def test_diverging_simulation(self, tmp_path, capsys):
-        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--LD", "1e300", "--LR", "1e300",
-                    "--tl", "const:50", "--t", "1", "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert "diverged" in capsys.readouterr().err
+    @pytest.mark.parametrize("rate", ["1e5", "1e300"])
+    def test_sim_3cc_refuses_controller_rates_past_the_step_floor(self, tmp_path, capsys, rate):
+        # at 1e5/s sim-3cc once exited 0 with M_A = 0.0 on every row
+        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--LD", rate, "--LR", rate,
+                    "--tl", "const:50", "--t", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "controller rate LD must be <= 10000/s" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lam", ["2", "-0.1", "nan"])

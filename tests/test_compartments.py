@@ -121,11 +121,21 @@ class TestStepRk4:
         assert s[1] == pytest.approx(m_f, abs=1e-10)
 
     def test_diverging_step_raises(self):
-        # the pools overflow, the clamp maps NaN to 0.0 and the total is 0
+        # a state far off the 100 % simplex: the relaxing flow LR*(TL - M_A)
+        # overflows, the clamp maps NaN to 0.0 and the total is 0
         with pytest.raises(NumericError, match="diverged"):
-            advance((0.0, 0.0, 100.0), 50.0, Cc3Params(F=0.01, R=0.001, LD=1e300, LR=1e300), 0.05)
+            advance((1e308, 0.0, 0.0), 50.0, Cc3Params(F=0.01, R=0.001), 0.05)
 
-    @pytest.mark.parametrize("ld, lr", [(10.0, 10.0), (0.0, 0.0), (60.0, 60.0), (30.0, 5.0), (5.0, 400.0)])
+    @pytest.mark.parametrize("name", ["LD", "LR"])
+    @pytest.mark.parametrize("rate", [1e5, 1e300])
+    def test_controller_rate_past_the_step_floor_is_refused(self, name, rate):
+        # 1e5/s once took the floored sub-step, left RK4's stability region
+        # and, under the guard's clamp, held M_A at 0 under any load
+        with pytest.raises(ParameterError, match=f"controller rate {name} must be <= 10000/s"):
+            Cc3Params(F=0.01, R=0.001, **{name: rate})
+
+    @pytest.mark.parametrize("ld, lr", [(10.0, 10.0), (0.0, 0.0), (60.0, 60.0), (30.0, 5.0), (5.0, 400.0),
+                                        (1e4, 1e4)])
     def test_sub_step_bounds_the_controller_rates(self, ld, lr):
         p = Cc3Params(F=0.01, R=0.001, LD=ld, LR=lr)
         assert p.rk4_step == min(MAX_STEP, 0.5 / max(ld, lr, 1e-300))

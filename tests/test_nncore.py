@@ -201,6 +201,9 @@ class TestLstmCell:
         cell = LstmCell(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             cell.forward(np.zeros((5, 2, 2)))
+        for hs in (np.empty((5, 2, 3)), np.empty((5, 2, 4), np.float32)):
+            with pytest.raises(ShapeError, match="lstm output"):
+                cell.forward(np.zeros((5, 2, 3)), hs)
 
 
 def _per_lane_backward(cell, cache, dh_seq):

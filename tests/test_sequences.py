@@ -60,6 +60,13 @@ class TestLoadSave:
         with pytest.raises(DataFormatError, match="row 4, column 2"):
             load_sequence(write(tmp_path / "m.csv", text))
 
+    def test_first_non_numeric_cell_is_named(self, tmp_path):
+        # the row parses in one pass; on a failure it is scanned again for
+        # the first cell that is not a float
+        text = "# dt=0.01\na,b,c\n1,2,3\n 4 ,x,y\n"
+        with pytest.raises(DataFormatError, match=r"row 4, column 2: non-numeric cell 'x'$"):
+            load_sequence(write(tmp_path / "m.csv", text))
+
     def test_bad_dt(self, tmp_path):
         with pytest.raises(DataFormatError, match="dt"):
             load_sequence(write(tmp_path / "m.csv", "# dt=-1\na,b\n1,2\n3,4\n"))
