@@ -221,7 +221,7 @@ def _load_model_dir(modeldir: Path):
                 raise DataFormatError(f"{path}: checkpoint meta lacks {exc}") from None
             if joint in models[kind]:
                 raise DataFormatError(f"{path}: second {kind.upper()} checkpoint for joint {joint!r}")
-            norms = (inp, tgt) if kind == "id" else (tgt, inp)
+            norms = sg.model_io(kind, inp, tgt)
             if reference is None:
                 reference = (path, norms)
             elif norms != reference[1]:

@@ -212,22 +212,22 @@ def supervised_loss(model: Pinn3ccModel, batch: PinnData, anchor: PinnData | Non
 def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig, anchor: PinnData | None = None):
     """Adam on L_data + L_PB (see :func:`supervised_loss`; ``anchor`` is the
     same for every batch). History logs L_total, L_data and L_PB over all
-    of ``data`` after each epoch, forward-only. Entry 0 (untrained model)
-    reuses the breakdown of train_loop's forward-only entry-0 pass, so the
-    untrained model is evaluated once."""
-    initial = []  # breakdown of train_loop's forward-only entry-0 call
+    of ``data``, forward-only: entry 0 for the untrained model, whose
+    train_loss is its L_total, then one entry after each epoch."""
+    if len(data) < 1:
+        raise ParameterError("empty dataset")
 
-    def loss_fn(m, idx, grad=True):
-        breakdown, grads = supervised_loss(m, data.subset(idx), anchor, grad)
-        if not grad:
-            initial.append(breakdown)
+    def loss_fn(m, idx):
+        breakdown, grads = supervised_loss(m, data.subset(idx), anchor)
         return breakdown.total, grads
 
     def epoch_log(m):
-        b = initial.pop() if initial else supervised_loss(m, data, anchor, grad=False)[0]
+        b = supervised_loss(m, data, anchor, grad=False)[0]
         return {"L_total": b.total, "L_data": b.data, "L_PB": b.physics}
 
-    return nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)
+    initial = epoch_log(model)
+    model, history = nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)
+    return model, [{"epoch": 0, "train_loss": initial["L_total"], **initial}, *history]
 
 
 def train_unsupervised(model: Pinn3ccModel, load: LoadProfile, config: TrainConfig):

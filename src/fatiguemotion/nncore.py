@@ -34,16 +34,18 @@ recurrence laid out per block of :data:`BPTT_BLOCK` steps from the
 lane-major cache. Every product keeps its operands and their order, so the
 gradients are bit for bit those of the per-lane chain rule. The training
 forward makes one whole-window input projection, adds the bias into it in
-place and reads it through a lane-major view; it writes its hidden states
+place and reads it through a lane-major view; it copies its hidden states
 into a destination its caller gives, so a bidirectional layer's output holds
 both directions' states, and the cells' caches are views of it.
 
-Single-threaded training with a fixed seed is bit-reproducible; a trained
-model is immutable for inference and safe to share.
+:func:`train_loop` runs training batches only; a trainer logs its untrained
+model's loss itself. Single-threaded training with a fixed seed is
+bit-reproducible; a trained model is immutable for inference and safe to share.
 """
 from __future__ import annotations
 
 import binascii
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -219,14 +221,13 @@ class LstmCell:
     per-gate recurrent matmul into one preallocated (4, B, H) z, adds the
     step's projection lanes, steps one fixed gate buffer and copies it into
     the (T, 4, B, H) gate cache, and writes c and h straight into row t.
-    The hidden states go to the caller's (T, B, H) destination, which the
-    cache keeps (``surrogates.BiLstmLayer`` passes the halves of its layer
-    output); one that is not C-contiguous is stepped in a contiguous buffer
-    and filled by one copy at the end, as the step's matmul and elementwise
-    ops run slower on strided rows. Both matmuls' bits depend on the
-    BLAS kernel their layout takes: with OpenBLAS 0.3.31 they equal the
-    transposed and (H, 4H) forms' at the desk shapes (H 32, B >= 10), not
-    at every B and H. Inference runs cells through
+    h is stepped in one contiguous (T, B, H) buffer (the step runs slower on
+    strided rows) and copied once into the caller's (T, B, H) destination,
+    which the cache keeps: ``surrogates.BiLstmLayer`` passes the halves of
+    its layer output. Both matmuls' bits depend on the BLAS kernel their
+    layout takes: with OpenBLAS 0.3.31 they equal the transposed and (H, 4H)
+    forms' at the desk shapes (H 32, B >= 10), not at every B and H.
+    Inference runs cells through
     ``surrogates.BiLstmBank``, which stacks many cells on a leading axis,
     keeps no caches and shares the lane-major gate step (:func:`lstm_gates`).
 
@@ -252,18 +253,16 @@ class LstmCell:
     def params(self):
         return [self.Wx, self.Wh, self.b]
 
-    def forward(self, x: np.ndarray, hs: np.ndarray | None = None):
+    def forward(self, x: np.ndarray, hs: np.ndarray):
         """(hs, cache) of the (T, B, D) input x. The hidden states go to the
         caller's (T, B, H) destination ``hs``, a view of a larger array if
-        need be, or to a new array; the cache keeps that array."""
+        need be; the cache keeps that array."""
         x = as_float(x)
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeError(f"lstm expects (T, B, {self.n_in}), got {x.shape}")
         t_len, batch, _ = x.shape
         hdim, dtype = self.n_hidden, x.dtype
-        if hs is None:
-            hs = np.empty((t_len, batch, hdim), dtype)
-        elif hs.shape != (t_len, batch, hdim) or hs.dtype != dtype:
+        if hs.shape != (t_len, batch, hdim) or hs.dtype != dtype:
             raise ShapeError(f"lstm output must be {dtype} of shape {(t_len, batch, hdim)}, "
                              f"got {hs.dtype} of shape {hs.shape}")
         zx = x @ sigmoid_lanes_negated(self.Wx.T, dtype)
@@ -275,16 +274,14 @@ class LstmCell:
         z, gate = np.empty((2, 4, batch, hdim), dtype)
         views = gate_views(z, gate)
         c = h = np.zeros((batch, hdim), dtype)
-        # a strided destination (a half of a layer output) slowed the step
-        steps = hs if hs.flags.c_contiguous else np.empty((t_len, batch, hdim), dtype)
+        steps = np.empty((t_len, batch, hdim), dtype)
         for t in range(t_len):
             np.matmul(h, wh_t, out=z)
             z += zx_lanes[t]
             lstm_gates(views, c, cs[t], steps[t])
             gates[t] = gate
             c, h = cs[t], steps[t]
-        if steps is not hs:
-            hs[...] = steps
+        hs[...] = steps
         return hs, (x, gates, cs, hs)
 
     def backward(self, cache, dh_seq: np.ndarray):
@@ -493,30 +490,25 @@ class TrainConfig:
 def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, epoch_log_fn=None):
     """Seeded mini-batch Adam with early stopping and best-weight restore.
 
-    ``loss_fn(model, idx, grad=True)`` returns (loss, grads aligned with
-    model.params()) for the sample indices ``idx``; with ``grad=False`` it
-    returns (loss, None) from a forward-only pass, which runs no backward and
-    keeps no more in memory than a training batch needs. Early stopping, the
-    plateau decay and the restored best weights all follow the epoch's
-    ``train_loss``: the mean of its batch losses, each taken before that
-    batch's Adam step. The weights kept as best are those after the last
-    step of the epoch with the lowest ``train_loss``: weights at which none
-    of that epoch's batch losses was taken. ``epoch_log_fn(model)`` may add
-    extra fields to each history entry. Returns (model, history); history
-    has one entry per epoch, plus entry 0: the loss over all ``n_samples``
-    at the initial weights, computed forward-only (no gradients).
+    ``loss_fn(model, idx)`` returns (loss, grads aligned with model.params())
+    for the sample indices ``idx`` of one training batch, at most
+    ``config.batch_size`` of them; it is called for training batches only.
+    Early stopping, the plateau decay and the restored best weights all
+    follow the epoch's ``train_loss``: the mean of its batch losses, each
+    taken before that batch's Adam step. The weights kept as best are those
+    after the last step of the epoch with the lowest ``train_loss``: weights
+    at which none of that epoch's batch losses was taken.
+    ``epoch_log_fn(model)`` may add extra fields to each history entry.
+    Returns (model, history); history has one entry per epoch run, numbered
+    from 1. A trainer that logs the untrained model puts its own entry 0 in
+    front.
     """
     if n_samples < 1:
         raise ParameterError("empty dataset")
     params = model.params()
     opt = Adam(params, lr=config.lr)
     rng = np.random.default_rng(config.seed)
-
-    def evaluate() -> dict:
-        return epoch_log_fn(model) if epoch_log_fn is not None else {}
-
-    initial_loss, _ = loss_fn(model, np.arange(n_samples), grad=False)
-    history = [{"epoch": 0, "train_loss": float(initial_loss), **evaluate()}]
+    history = []
     best_loss = np.inf
     best_params = None
     stall = 0
@@ -530,7 +522,8 @@ def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, epoch_log_fn
                 raise NumericError(f"epoch {epoch}: non-finite training loss")
             opt.step(params, grads)
             batch_losses.append(loss)
-        entry = {"epoch": epoch, "train_loss": float(np.mean(batch_losses)), **evaluate()}
+        entry = {"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
+                 **(epoch_log_fn(model) if epoch_log_fn is not None else {})}
         history.append(entry)
         if entry["train_loss"] < best_loss - config.min_delta:
             best_loss = entry["train_loss"]
@@ -572,21 +565,25 @@ def decode_params(enc: dict):
     return out
 
 
-def copy_params(params, values, source) -> None:
-    """Copy checkpoint arrays into a model's parameters, in place.
+def check_shapes(shapes, values, source) -> None:
+    """ShapeError naming ``source`` unless the checkpoint arrays ``values``
+    are one array of each shape in ``shapes``, in order. ``shapes`` is read
+    at most one past the arrays, so a lazy one of an architecture too large
+    to build is refused without being listed."""
+    shapes = [tuple(shape) for shape in itertools.islice(shapes, len(values) + 1)]
+    if len(shapes) != len(values):
+        needs = len(shapes) if len(shapes) < len(values) else f"more than {len(values)}"
+        raise ShapeError(f"{source}: checkpoint holds {len(values)} parameter arrays, architecture needs {needs}")
+    for i, (shape, val) in enumerate(zip(shapes, values)):
+        if val.shape != shape:
+            raise ShapeError(f"{source}: parameter {i} has shape {val.shape}, architecture needs {shape}")
 
-    The checkpoint must hold exactly one array per parameter, each of the
-    parameter's shape; anything else raises ShapeError naming ``source``.
-    """
-    if len(values) != len(params):
-        raise ShapeError(
-            f"{source}: checkpoint holds {len(values)} parameter arrays, architecture needs {len(params)}"
-        )
-    for i, (p, val) in enumerate(zip(params, values)):
-        if p.shape != val.shape:
-            raise ShapeError(
-                f"{source}: parameter {i} has shape {val.shape}, architecture needs {p.shape}"
-            )
+
+def copy_params(params, values, source) -> None:
+    """Copy checkpoint arrays into a model's parameters, in place, after
+    :func:`check_shapes` of the parameters' shapes."""
+    check_shapes([p.shape for p in params], values, source)
+    for p, val in zip(params, values):
         p[...] = val
 
 

@@ -33,12 +33,13 @@ Training is mixed-precision (Micikevicius et al. 2018): :func:`train_dyn`
 feeds every forward pass float32 windows, so the training forward, its
 caches and BPTT run in float32 (see :mod:`nncore`), and so does the bank's
 forward-only pass behind the initial loss it logs. The MSE and its
-reduction, Adam, the master weights and the checkpoints stay float64. The
-initial loss runs the bank in chunks of :data:`ENTRY0_CHUNK_BATCHES`
-training batches: fewer, larger passes, within a training batch's memory
-peak. All inference is float64: the bank computes in its input's float
-dtype, and ``apply-fatigue`` and :meth:`BiLstmModel.predict_sequence` feed
-it float64, as the gradchecks feed the models.
+reduction, Adam, the master weights and the checkpoints stay float64.
+:func:`train_dyn` takes the initial loss itself, before any training batch,
+in bank passes over chunks of :data:`ENTRY0_CHUNK_BATCHES` training
+batches: fewer, larger passes, within a training batch's memory peak. All
+inference is float64: the bank computes in its input's float dtype, and
+``apply-fatigue`` and :meth:`BiLstmModel.predict_sequence` feed it float64,
+as the gradchecks feed the models.
 """
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ DESK_SPEC = BiLstmSpec(n_layers=2, hidden=32)
 DESK_WINDOW = 96
 DESK_WINDOW_STRIDE = 2
 
-# Training batches per chunk of the forward-only entry-0 pass of train_dyn:
+# Training batches per chunk of train_dyn's entry-0 bank passes:
 # chunks of two (64 windows at the desk batch size) took a desk pass 0.76 of
 # the time one-batch chunks took, at a tracemalloc peak of 11.9 MB against a
 # training batch's 14.8 MB (float32, T 96, 848 windows, one BLAS thread).
@@ -375,13 +376,13 @@ def make_samples(trials, kind: str, joint_index: int, angle_norm: NormalizationP
     return samples
 
 
-def window_offsets(t_len: int, window: int | None, window_stride: int) -> tuple[int, list[int]]:
+def window_offsets(t_len: int, window: int, window_stride: int) -> tuple[int, list[int]]:
     """(window length, start offsets) of the training slices of one t_len-frame
-    trial; no window, or one at least t_len long, is the whole trial. A
-    stride below 1 is refused at any trial length."""
+    trial; a window at least t_len long is the whole trial. A stride below 1
+    is refused at any trial length."""
     if window_stride < 1:
         raise ParameterError(f"window stride must be >= 1, got {window_stride}")
-    if window is None or window >= t_len:
+    if window >= t_len:
         return t_len, [0]
     if window < 2:
         raise ParameterError(f"window must be >= 2, got {window}")
@@ -389,21 +390,22 @@ def window_offsets(t_len: int, window: int | None, window_stride: int) -> tuple[
 
 
 def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
-              window: int | None = None, window_stride: int = 1):
+              window: int, window_stride: int = 1):
     """Minimize the per-frame MSE of the normalized target.
 
-    With ``window`` set, training samples are fixed-length slices taken every
-    ``window_stride`` frames of every trial (inference still runs whole
-    sequences); this is the small-data regime's guard against whole-trial
-    memorization. Early stopping and best-weight restore follow the training
-    loss. Each training batch runs forward and BPTT in float32; its MSE, the
-    gradient of that MSE (cast to float32 for BPTT) and the weight update are
-    float64. Returns (model, history); history entries carry epoch and
-    train_loss, the MSE. Entry 0 holds it for the untrained model over every
-    window: the float64 MSE, reduced once, of a float32 forward-only pass
-    through :class:`BiLstmBank` in chunks of :data:`ENTRY0_CHUNK_BATCHES`
-    training batches of windows, with no BPTT caches. It steers nothing (early stopping starts from an
-    infinite best loss), so the weights and later entries do not depend on it.
+    Training samples are ``window``-frame slices taken every ``window_stride``
+    frames of every trial, or whole trials no longer than ``window``
+    (inference still runs whole sequences): the small-data regime's guard
+    against whole-trial memorization. Early stopping and best-weight restore
+    follow the training loss. Each training batch runs forward and BPTT in
+    float32; its MSE, the gradient of that MSE (cast to float32 for BPTT) and
+    the weight update are float64. Returns (model, history); history entries
+    carry epoch and train_loss, the MSE. Entry 0 holds it for the untrained
+    model over every window: the float64 MSE, reduced once, of float32 bank
+    passes over chunks of :data:`ENTRY0_CHUNK_BATCHES` training batches,
+    freed before :func:`nncore.train_loop` runs the first. It steers nothing
+    (early stopping starts from an infinite best loss), so the weights and
+    later entries do not depend on it.
     """
     if not train_samples:
         raise ParameterError("empty dataset")
@@ -416,23 +418,27 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
     xs = np.stack([s.x for s in train_samples], axis=0)
     ys = np.stack([s.y for s in train_samples], axis=0)
 
-    def loss_fn(m, idx, grad=True):
+    def windows(idx):  # float32 inputs (T, n, n_in) and float64 targets (T, n)
         rows = [table[k] for k in idx]
-        x = np.stack([xs[i, off : off + window] for i, off in rows], axis=1, dtype=np.float32)
-        y = np.stack([ys[i, off : off + window] for i, off in rows], axis=1)
-        if not grad:
-            # Chunks of a few batches bound the bank's buffers; the loss below
-            # is still reduced once over every window.
-            bank, step = BiLstmBank([m]), ENTRY0_CHUNK_BATCHES * config.batch_size
-            pred = np.concatenate(
-                [bank.forward(x[:, s : s + step])[0] for s in range(0, len(rows), step)], axis=1)
-            return nncore.mse(pred, y)[0], None
+        return (np.stack([xs[i, off : off + window] for i, off in rows], axis=1, dtype=np.float32),
+                np.stack([ys[i, off : off + window] for i, off in rows], axis=1))
+
+    def loss_fn(m, idx):
+        x, y = windows(idx)
         pred, cache = m.forward(x)
         loss, dy = nncore.mse(pred, y)
         grads, _ = m.backward(cache, dy.astype(np.float32))
         return loss, grads
 
-    return nncore.train_loop(model, len(table), loss_fn, config)
+    def initial_loss():  # its windows, bank and predictions are freed on return
+        x, y = windows(range(len(table)))
+        bank, step = BiLstmBank([model]), ENTRY0_CHUNK_BATCHES * config.batch_size
+        pred = np.concatenate([bank.forward(x[:, s : s + step])[0] for s in range(0, len(table), step)], axis=1)
+        return nncore.mse(pred, y)[0]
+
+    entry0 = {"epoch": 0, "train_loss": initial_loss()}
+    model, history = nncore.train_loop(model, len(table), loss_fn, config)
+    return model, [entry0, *history]
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -454,6 +460,16 @@ def save_model(path, model: BiLstmModel, joint: str, input_norm: NormalizationPa
     nncore.save_checkpoint(path, architecture, model.params(), meta)
 
 
+def param_shapes(n_in: int, spec: BiLstmSpec):
+    """The shapes of ``BiLstmModel(n_in, spec).params()``, in order, lazily:
+    each layer's forward and backward cell's Wx, Wh and b, then the head's W and b."""
+    width, h4 = n_in, 4 * spec.hidden
+    for _ in range(spec.n_layers):
+        yield from [(h4, width), (h4, spec.hidden), (h4,)] * 2
+        width = 2 * spec.hidden
+    yield from [(1, width), (1,)]
+
+
 def load_model(path) -> tuple[BiLstmModel, dict]:
     doc = nncore.load_checkpoint(path)
     arch = doc["architecture"]
@@ -466,6 +482,9 @@ def load_model(path) -> tuple[BiLstmModel, dict]:
         raise DataFormatError(f"{path}: n_in, n_layers, hidden and seed must be integers")
     if type(n_out) is not int or n_out != 1:
         raise DataFormatError(f"{path}: a surrogate has one output, got n_out {n_out!r}")
-    model = BiLstmModel(n_in, BiLstmSpec(n_layers, hidden), kind=arch.get("kind"), seed=seed)
+    spec = BiLstmSpec(n_layers, hidden)
+    # before the model is built: the architecture may claim more than memory holds
+    nncore.check_shapes(param_shapes(n_in, spec), doc["params"], path)
+    model = BiLstmModel(n_in, spec, kind=arch.get("kind"), seed=seed)
     nncore.copy_params(model.params(), doc["params"], path)
     return model, doc["meta"]

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from fatiguemotion import compartments as cc
-from fatiguemotion import nncore
+from fatiguemotion import nncore, surrogates
 from fatiguemotion.cli import _parse_load, build_parser, main, run
 from fatiguemotion.errors import DataFormatError
 from fatiguemotion.surrogates import BANK_CHUNK
+
+from test_surrogates import refuse_to_build
 
 TINY_DYN = ["--layers", "1", "--hidden", "4", "--epochs", "1", "--window", "20",
             "--window-stride", "10", "--seed", "0"]
@@ -542,6 +544,17 @@ class TestMalformedArtefacts:
         err = capsys.readouterr().err
         assert "trial002_torques.csv" in err and "trial002_angles.csv" in err
         assert not (tmp_path / "models").exists()
+
+    def test_checkpoint_claiming_a_huge_architecture(self, trained, tmp_path, capsys, monkeypatch):
+        # hidden 100000 would take 298 GiB to build: the checkpoint's shapes
+        # are refused first (exit 2), and no model is built
+        models = tmp_path / "models"
+        shutil.copytree(trained / "models", models)
+        self._edit_json(models / "id_elbow.json", lambda doc: doc["architecture"].update(hidden=100_000))
+        monkeypatch.setattr(surrogates, "BiLstmModel", refuse_to_build)
+        assert _apply(trained, models, tmp_path / "out") == 2
+        assert "id_elbow.json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_without_tau_max(self, trained, tmp_path):
         # tau_max is derived from the torque normalization, which every

@@ -195,6 +195,15 @@ class TestLossBookkeeping:
         assert len(full_data_calls) == 3 + 1  # one per epoch plus entry 0
         assert history[0]["train_loss"] == history[0]["L_total"]
 
+    def test_empty_dataset_refused_before_entry_zero(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("the untrained model was evaluated on no samples")
+
+        monkeypatch.setattr(fatigue_pinn, "supervised_loss", spy)
+        empty = PinnData(t=np.zeros(0), m_a=np.zeros(0), tl=np.zeros(0), m_f=np.zeros(0), m_r=np.zeros(0))
+        with pytest.raises(ParameterError, match="empty dataset"):
+            train_supervised(Pinn3ccModel(ELBOW, t_scale=10.0), empty, TrainConfig())
+
     def test_bc_zero_when_exact(self):
         model = zero_model()
         data = PinnData(t=np.array([1.0]), m_a=np.array([0.0]), tl=np.array([0.0]))

@@ -13,6 +13,7 @@ from fatiguemotion.nncore import (
     LstmCell,
     Mlp,
     TrainConfig,
+    as_float,
     decode_params,
     encode_params,
     gate_views,
@@ -46,6 +47,12 @@ def fd_gradcheck(params, loss_fn, h=1e-5, rtol=1e-4, floor=1e-6, max_coords=None
             worst = max(worst, err)
     assert worst < rtol, worst
     return worst
+
+
+def lstm_forward(cell, x):
+    """LstmCell.forward of x into a new (T, B, H) destination."""
+    x = as_float(x)
+    return cell.forward(x, np.empty((*x.shape[:2], cell.n_hidden), x.dtype))
 
 
 class TestDenseForward:
@@ -142,7 +149,7 @@ class TestLstmCell:
         g_out = rng.normal(size=(6, 3, 5))
 
         def loss_fn():
-            hs, cache = cell.forward(x)
+            hs, cache = lstm_forward(cell, x)
             loss = float(np.sum(hs * g_out))
             _, grads = cell.backward(cache, g_out)
             return loss, grads
@@ -159,7 +166,7 @@ class TestLstmCell:
         cell.b[:] = rng.normal(size=4 * hdim)
         before = [p.copy() for p in cell.params()]
         x = rng.normal(size=(5, 2, n_in)).astype(dtype)
-        first, second = cell.forward(x)[0], cell.forward(x)[0]
+        first, second = lstm_forward(cell, x)[0], lstm_forward(cell, x)[0]
         assert np.array_equal(first, second)
         for got, want in zip(cell.params(), before):
             assert np.array_equal(got, want)
@@ -174,7 +181,7 @@ class TestLstmCell:
         g_out = rng.normal(size=(6, 3, 5))
         results = {}
         for dtype in (np.float64, np.float32):
-            hs, cache = cell.forward(x.astype(dtype))
+            hs, cache = lstm_forward(cell, x.astype(dtype))
             dx, grads = cell.backward(cache, g_out.astype(dtype))
             assert all(a.dtype == dtype for a in (hs, *cache, dx, *grads))
             results[dtype] = [dx, *grads]
@@ -187,20 +194,20 @@ class TestLstmCell:
         cell = LstmCell(2, 4, rng)
         x = rng.normal(size=(5, 2, 2))
         g_out = rng.normal(size=(5, 2, 4))
-        hs, cache = cell.forward(x)
+        hs, cache = lstm_forward(cell, x)
         dx, _ = cell.backward(cache, g_out)
         h = 1e-6
         for ix in [(0, 0, 0), (2, 1, 1), (4, 0, 1)]:
             xp, xm = x.copy(), x.copy()
             xp[ix] += h
             xm[ix] -= h
-            fd = (np.sum(cell.forward(xp)[0] * g_out) - np.sum(cell.forward(xm)[0] * g_out)) / (2 * h)
+            fd = (np.sum(lstm_forward(cell, xp)[0] * g_out) - np.sum(lstm_forward(cell, xm)[0] * g_out)) / (2 * h)
             assert abs(fd - dx[ix]) / max(abs(fd), 1e-9) < 1e-6
 
     def test_shape_validation(self):
         cell = LstmCell(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            cell.forward(np.zeros((5, 2, 2)))
+            cell.forward(np.zeros((5, 2, 2)), np.empty((5, 2, 4)))
         for hs in (np.empty((5, 2, 3)), np.empty((5, 2, 4), np.float32)):
             with pytest.raises(ShapeError, match="lstm output"):
                 cell.forward(np.zeros((5, 2, 3)), hs)
@@ -258,7 +265,7 @@ class TestLstmCellRows:
         cell = _saturating_cell(n_in, hdim, t_len)
         x = rng.normal(size=(t_len, batch, n_in)).astype(dtype)
         dh_seq = rng.normal(size=(t_len, batch, hdim)).astype(dtype)
-        _, cache = cell.forward(x)
+        _, cache = lstm_forward(cell, x)
         gate = cache[1]  # (T, 4, B, H): lane-major
         assert gate.shape == (t_len, 4, batch, hdim) and (gate[..., 0] == 1.0).all()
         assert (gate[:, :3, :, 1] < 1e-30).all() and (gate[:, 3, :, 1] == -1.0).all()
@@ -273,8 +280,9 @@ class TestLstmCellRows:
         t_len, n_in, hdim = BPTT_BLOCK + 1, 4, 8
         cell = _saturating_cell(n_in, hdim, batch)
         x = np.random.default_rng(batch).normal(size=(t_len, batch, n_in)).astype(dtype)
-        hs, (x_cache, gates, cs, hs_cache) = cell.forward(x)
-        assert hs is hs_cache and np.array_equal(x_cache, x)
+        dest = np.empty((t_len, batch, hdim), dtype)
+        hs, (x_cache, gates, cs, hs_cache) = cell.forward(x, dest)
+        assert hs is dest and hs_cache is dest and np.array_equal(x_cache, x)
         # C-contiguous weight copies, as forward makes: at small B a transposed
         # view takes another BLAS kernel, whose bits differ in the last place
         zx = x @ np.ascontiguousarray(cell.Wx.T, dtype) + cell.b.astype(dtype)
@@ -300,7 +308,7 @@ class TestLstmCellRows:
         seen, step = [], nncore.lstm_gates
         monkeypatch.setattr(nncore, "lstm_gates",
                             lambda views, *args: seen.append((views[0].copy(), views[2].copy())) or step(views, *args))
-        hs, _ = cell.forward(x)
+        hs, _ = lstm_forward(cell, x)
         assert len(seen) == t_len
         zx = x @ np.ascontiguousarray(cell.Wx.T, dtype) + cell.b.astype(dtype)
         wh_t = np.ascontiguousarray(cell.Wh.reshape(4, hdim, hdim).swapaxes(1, 2), dtype)
@@ -479,20 +487,20 @@ class _QuadraticModel:
         return [self.w]
 
 
-def _plateau_loss(model, idx, grad=True):
+def _plateau_loss(model, idx):
     # loss improves until it hits a floor; gradient keeps shrinking
     loss = max(float((model.w[0] - 1.0) ** 2), 0.25)
-    return loss, [np.array([2 * (model.w[0] - 1.0)])] if grad else None
+    return loss, [np.array([2 * (model.w[0] - 1.0)])]
 
 
 def _mlp_mse(x, y):
     """train_loop's loss_fn for an Mlp fit to y by MSE, trained through the
     tangent pass with a zero tangent."""
 
-    def loss_fn(m, idx, grad=True):
+    def loss_fn(m, idx):
         pred, _, cache = m.forward_tangent(x[idx], 0.0)
         loss, gy = mse(pred, y[idx])
-        return loss, m.backward_tangent(cache, gy, np.zeros_like(gy)) if grad else None
+        return loss, m.backward_tangent(cache, gy, np.zeros_like(gy))
 
     return loss_fn
 
@@ -509,7 +517,7 @@ class TestTrainLoop:
         model = _QuadraticModel()
         cfg = TrainConfig(batch_size=8, lr=0.01, epochs=7, patience=100, seed=0)
         _, history = train_loop(model, 8, _plateau_loss, cfg)
-        assert [h["epoch"] for h in history] == list(range(8))  # entry 0 = untrained
+        assert [h["epoch"] for h in history] == list(range(1, 8))  # no entry for the untrained model
 
     def test_bit_reproducible(self):
         def make():
@@ -526,23 +534,21 @@ class TestTrainLoop:
         for p1, p2 in zip(m1.params(), m2.params()):
             np.testing.assert_array_equal(p1, p2)
 
-    def test_entry_zero_is_forward_only(self):
-        class CountingMlp(Mlp):
-            backward_calls = 0
+    def test_loss_fn_sees_training_batches_only(self):
+        # every loss_fn call is one training batch of at most batch_size
+        # indices, and each epoch's batches cover every sample once
+        calls = []
 
-            def backward_tangent(self, caches, gy, gydot):
-                self.backward_calls += 1
-                return super().backward_tangent(caches, gy, gydot)
+        def loss_fn(model, idx):
+            calls.append(np.array(idx))
+            return _plateau_loss(model, idx)
 
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(10, 3))
-        y = rng.normal(size=(10, 1))
-        mlp = CountingMlp([3, 6, 1], ["tanh", "linear"], np.random.default_rng(2))
-        initial_loss = float(np.mean((mlp.forward(x) - y) ** 2))
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=3, patience=50, seed=0)
-        _, history = train_loop(mlp, 10, _mlp_mse(x, y), cfg)
-        assert history[0]["train_loss"] == initial_loss
-        assert mlp.backward_calls == 3 * 3  # 3 epochs x 3 batches, none for entry 0
+        _, history = train_loop(_QuadraticModel(), 10, loss_fn, cfg)
+        assert [h["epoch"] for h in history] == [1, 2, 3]
+        assert [len(idx) for idx in calls] == [4, 4, 2] * 3
+        for epoch in range(3):
+            assert sorted(np.concatenate(calls[3 * epoch : 3 * epoch + 3])) == list(range(10))
 
     def test_config_validated(self):
         for bad in ({"epochs": 0}, {"batch_size": 0}, {"patience": 0}, {"lr": 0.0},
@@ -556,26 +562,26 @@ class TestTrainLoop:
             train_loop(_QuadraticModel(), 0, _plateau_loss, TrainConfig())
 
     def test_non_finite_loss_aborts(self):
-        def bad_loss(model, idx, grad=True):
+        def bad_loss(model, idx):
             return float("nan"), [np.zeros(1)]
 
         with pytest.raises(NumericError):
             train_loop(_QuadraticModel(), 4, bad_loss, TrainConfig(epochs=2))
 
     def test_restores_best_weights(self):
-        # one batch per epoch; the loss is lowest in epoch 2, after which
-        # patience runs out and the weights of epoch 2 come back
+        # one batch per epoch; the loss is lowest in epoch 3, after which
+        # patience runs out and the weights of epoch 3 come back
         losses = iter([1.0, 0.5, 0.1, 0.9, 0.9, 0.9, 0.9])
 
-        def loss_fn(model, idx, grad=True):
+        def loss_fn(model, idx):
             return next(losses, 0.9), [np.array([1.0])]
 
         model = _QuadraticModel()
         cfg = TrainConfig(batch_size=8, lr=0.1, epochs=6, patience=3, seed=0)
         _, history = train_loop(model, 8, loss_fn, cfg)
         assert [h["train_loss"] for h in history] == [1.0, 0.5, 0.1, 0.9, 0.9, 0.9]
-        # best epoch was 2 (0.1): two optimizer steps of lr from 2.0
-        assert model.w[0] == pytest.approx(2.0 - 2 * 0.1, abs=1e-7)
+        # best epoch was 3 (0.1): three optimizer steps of lr from 2.0
+        assert model.w[0] == pytest.approx(2.0 - 3 * 0.1, abs=1e-7)
 
 
 class TestCheckpoints:

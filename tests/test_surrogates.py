@@ -1,9 +1,11 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from fatiguemotion import surrogates
 from fatiguemotion.arm import ArmParams, generate_dataset
 from fatiguemotion.errors import ParameterError, ShapeError
 from fatiguemotion.nncore import LstmCell, TrainConfig, encode_params, mse
@@ -17,16 +19,20 @@ from fatiguemotion.surrogates import (
     ENTRY0_CHUNK_BATCHES,
     load_model,
     make_samples,
+    param_shapes,
     save_model,
     train_dyn,
 )
 
-from test_nncore import fd_gradcheck
+from test_nncore import fd_gradcheck, lstm_forward
+
+# frames per trial of tiny_dataset; a window this long trains on whole trials
+TINY_FRAMES = 24
 
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
-    trials = generate_dataset(ArmParams(), 6, 24, 0.05, seed=3)
+    trials = generate_dataset(ArmParams(), 6, TINY_FRAMES, 0.05, seed=3)
     angle_norm = fit_normalizer([t.motion for t in trials])
     torque_norm = fit_normalizer([t.torque for t in trials])
     return trials, angle_norm, torque_norm
@@ -38,8 +44,8 @@ class TestBiLstmLayer:
         layer = BiLstmLayer(2, 3, "linear", rng)
         x = rng.normal(size=(1, 1, 2))
         y, _ = layer.forward(x)
-        fwd_h, _ = layer.fwd.forward(x)
-        bwd_h, _ = layer.bwd.forward(x)
+        fwd_h, _ = lstm_forward(layer.fwd, x)
+        bwd_h, _ = lstm_forward(layer.bwd, x)
         np.testing.assert_array_equal(y[0, 0, :3], fwd_h[0, 0])
         np.testing.assert_array_equal(y[0, 0, 3:], bwd_h[0, 0])
 
@@ -78,7 +84,7 @@ class TestBiLstmLayer:
         layer = BiLstmLayer(3, 4, activation, rng)
         x = rng.normal(size=(9, 5, 3)).astype(dtype)
         y, (cache_f, cache_b, out) = layer.forward(x)
-        h_f, h_b = layer.fwd.forward(x)[0], layer.bwd.forward(x[::-1])[0]
+        h_f, h_b = lstm_forward(layer.fwd, x)[0], lstm_forward(layer.bwd, x[::-1])[0]
         assert out.dtype == dtype and out.shape == (9, 5, 8)
         assert np.shares_memory(cache_f[3], out) and np.shares_memory(cache_b[3], out)
         assert np.array_equal(out, np.concatenate([h_f, h_b[::-1]], axis=2))
@@ -89,8 +95,8 @@ class TestBiLstmLayer:
         dx, _ = layer.backward((cache_f, cache_b, out), dy)
         masked = dy_given * (out > 0) if activation == "relu" else dy_given
         assert np.array_equal(dy, masked)
-        dx_f, _ = layer.fwd.backward(layer.fwd.forward(x)[1], masked[:, :, :4])
-        dx_b, _ = layer.bwd.backward(layer.bwd.forward(x[::-1])[1], masked[::-1, :, 4:])
+        dx_f, _ = layer.fwd.backward(lstm_forward(layer.fwd, x)[1], masked[:, :, :4])
+        dx_b, _ = layer.bwd.backward(lstm_forward(layer.bwd, x[::-1])[1], masked[::-1, :, 4:])
         assert np.array_equal(dx, dx_f + dx_b[::-1])
 
     def test_activation_is_linear_or_relu(self):
@@ -257,7 +263,7 @@ class TestTraining:
         samples = make_samples(trials[:4], "id", 0, angle_norm, torque_norm)
         model = BiLstmModel(2, BiLstmSpec(1, 8), kind="id", seed=0)
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=20, patience=50, seed=0)
-        model, history = train_dyn(model, samples, cfg)
+        model, history = train_dyn(model, samples, cfg, window=TINY_FRAMES)
         assert history[-1]["train_loss"] < 0.5 * history[1]["train_loss"]
 
     def test_history_fields(self, tiny_dataset):
@@ -265,7 +271,7 @@ class TestTraining:
         samples = make_samples(trials[:4], "fd", 1, angle_norm, torque_norm)
         model = BiLstmModel(2, BiLstmSpec(1, 6), kind="fd", seed=0)
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=5, patience=50, seed=0)
-        model, history = train_dyn(model, samples, cfg)
+        model, history = train_dyn(model, samples, cfg, window=TINY_FRAMES)
         for entry in history:
             assert set(entry) == {"epoch", "train_loss"}
 
@@ -284,7 +290,7 @@ class TestTraining:
         def run():
             model = BiLstmModel(2, BiLstmSpec(1, 6), kind="id", seed=4)
             cfg = TrainConfig(batch_size=2, lr=0.01, epochs=6, patience=50, seed=9)
-            return train_dyn(model, samples, cfg)
+            return train_dyn(model, samples, cfg, window=TINY_FRAMES)
 
         m1, h1 = run()
         m2, h2 = run()
@@ -408,18 +414,43 @@ class TestTraining:
         for p64, p32 in zip(model64.params(), model32.params()):
             assert np.array_equal(p64, p32)
 
+    def test_entry_zero_is_freed_before_the_first_batch(self, tiny_dataset, monkeypatch):
+        # the entry-0 bank, window stack and predictions would add to the
+        # first training batch's memory peak if they outlived entry 0
+        trials, angle_norm, torque_norm = tiny_dataset
+        samples = make_samples(trials[:5], "id", 0, angle_norm, torque_norm)
+        refs, alive_at_batches = [], []
+        bank_forward, forward = BiLstmBank.forward, BiLstmModel.forward
+
+        def spy_bank(bank, x):
+            y = bank_forward(bank, x)
+            refs.extend(weakref.ref(a) for a in (bank, x.base, y))
+            return y
+
+        def spy_forward(model, x):
+            alive_at_batches.append(sum(r() is not None for r in refs))
+            return forward(model, x)
+
+        monkeypatch.setattr(BiLstmBank, "forward", spy_bank)
+        monkeypatch.setattr(BiLstmModel, "forward", spy_forward)
+        model = BiLstmModel(2, BiLstmSpec(2, 5), kind="id", seed=3)
+        cfg = TrainConfig(batch_size=8, lr=0.01, epochs=1, seed=0)
+        train_dyn(model, samples, cfg, window=10, window_stride=2)
+        assert len(refs) == 3 * 3  # three entry-0 chunks of 16, 16 and 8 windows
+        assert alive_at_batches == [0] * 5
+
     def test_ragged_trials_rejected(self, tiny_dataset):
         trials, angle_norm, torque_norm = tiny_dataset
         samples = make_samples(trials[:2], "id", 0, angle_norm, torque_norm)
         samples[1].x = samples[1].x[:-1]
         model = BiLstmModel(2, BiLstmSpec(1, 4), kind="id")
         with pytest.raises(ShapeError):
-            train_dyn(model, samples, TrainConfig(epochs=1))
+            train_dyn(model, samples, TrainConfig(epochs=1), window=TINY_FRAMES)
 
     def test_empty_dataset(self):
         model = BiLstmModel(2, BiLstmSpec(1, 4), kind="id")
         with pytest.raises(ParameterError):
-            train_dyn(model, [], TrainConfig())
+            train_dyn(model, [], TrainConfig(), window=TINY_FRAMES)
 
 
 class TestCheckpoints:
@@ -455,3 +486,27 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(ShapeError):
             load_model(path)
+
+    @pytest.mark.parametrize("n_in, spec", [(1, BiLstmSpec(1, 1)), (2, BiLstmSpec(2, 3)), (5, BiLstmSpec(3, 4))])
+    def test_param_shapes_are_the_models(self, n_in, spec):
+        assert list(param_shapes(n_in, spec)) == [p.shape for p in BiLstmModel(n_in, spec).params()]
+
+    @pytest.mark.parametrize("field, value", [("hidden", 100_000), ("n_layers", 10**9), ("n_in", 7)])
+    def test_architecture_checked_before_the_model_is_built(self, tiny_dataset, tmp_path, monkeypatch,
+                                                            field, value):
+        # hidden 100000 would make each first-layer Wh (400000, 100000), 298
+        # GiB of float64; the blob's shapes are compared with the ones the
+        # architecture implies first, and no model is built
+        _, angle_norm, torque_norm = tiny_dataset
+        path = tmp_path / "id_elbow.json"
+        save_model(path, BiLstmModel(2, BiLstmSpec(2, 3), kind="id"), "elbow", angle_norm, torque_norm, 1.0)
+        doc = json.loads(path.read_text())
+        doc["architecture"][field] = value
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(surrogates, "BiLstmModel", refuse_to_build)
+        with pytest.raises(ShapeError, match="id_elbow.json"):
+            load_model(path)
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a model was built before its checkpoint's shapes were checked")
