@@ -5,7 +5,8 @@ export-curves. After a command succeeds, :func:`run` writes manifest.json
 into its --out directory so the run can be reproduced: the command, argv,
 seed, package version and ``config`` (every other parsed option, plus what
 the command derived from its inputs) with its sha256 ``config_hash``.
-Exit codes: 0 success, 1 usage, 2 data error, 3 numeric error.
+Exit codes: 0 success, 1 usage, 2 data error (an allocation numpy refuses
+included), 3 numeric error.
 """
 from __future__ import annotations
 
@@ -151,10 +152,8 @@ def _cmd_train_pinn(args) -> dict:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fp.save_model(outdir / f"pinn_{args.joint}.json", model, meta={"joint": args.joint})
-    with open(outdir / "training_log.csv", "w") as fh:
-        fh.write("epoch,L_total,L_NN_or_BC,L_PB\n")
-        for entry in history:
-            fh.write(f"{entry['epoch']},{entry['L_total']!r},{entry['L_data']!r},{entry['L_PB']!r}\n")
+    sq.write_table(outdir / "training_log.csv", ",".join(["epoch", *fp.LOSS_TERMS]), (
+        np.array([e["epoch"] for e in history]), np.array([[e[k] for k in fp.LOSS_TERMS] for e in history])))
     cc3 = dataclasses.asdict(params)
     return {**cc3, "cc3": cc3}  # the trained rates replace unset --F/--R/--LD/--LR
 
@@ -194,10 +193,8 @@ def _cmd_train_dyn(args) -> dict:
             outdir / f"{stem}.json", model, joint=joint,
             input_norm=input_norm, target_norm=target_norm, tau_max=torque_norm.abs_max(joint),
         )
-        with open(outdir / f"{stem}_log.csv", "w") as fh:
-            fh.write("epoch,train_mse\n")
-            for e in history:
-                fh.write(f"{e['epoch']},{e['train_loss']!r}\n")
+        sq.write_table(outdir / f"{stem}_log.csv", "epoch,train_mse", (
+            np.array([e["epoch"] for e in history]), np.array([e["train_loss"] for e in history])))
         print(f"trained {stem}: {len(history) - 1} epochs")
     return {"joints": joints}
 
@@ -328,8 +325,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sim-3cc", parents=[common], help="simulate the three-compartment fatigue model")
     p.add_argument("--F", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
-    p.add_argument("--LD", type=float, default=10.0)
-    p.add_argument("--LR", type=float, default=10.0)
+    p.add_argument("--LD", type=float, default=cc.Cc3Params.LD)
+    p.add_argument("--LR", type=float, default=cc.Cc3Params.LR)
     p.add_argument("--tl", default="const:100", help="const:<value> or csv:<path>")
     p.add_argument("--t", type=float, required=True, help="duration in seconds")
     p.add_argument("--dt", type=float, default=0.05)
@@ -345,8 +342,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tl", default="const:50")
     p.add_argument("--t", type=float, default=200.0)
     p.add_argument("--frames", type=int, default=50)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
+    p.add_argument("--hidden", type=int, default=fp.PinnSpec.hidden)
+    p.add_argument("--activation", choices=("relu", "tanh"), default=fp.PinnSpec.activation)
     p.add_argument("--epochs", type=int, default=3000)
     p.add_argument("--patience", type=int, default=300)
     p.add_argument("--lr", type=float, default=0.001)
@@ -404,7 +401,7 @@ def run(argv) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (FatigueMotionError, OSError) as exc:
+    except (FatigueMotionError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,10 +29,18 @@ import numpy as np
 
 from . import nncore
 from .compartments import Cc3Params, Cc3Trajectory, LoadProfile, controller_batch
-from .errors import ParameterError
+from .errors import DataFormatError, ParameterError
 from .nncore import Mlp, TrainConfig
 
 N_DENSE_LAYERS = 5
+
+# The loss terms, named as training_log.csv's columns: the total, the data
+# term (L_NN when the batch is its own anchor, L_BC at a boundary anchor)
+# and the physics term.
+LOSS_TERMS = ("L_total", "L_NN_or_BC", "L_PB")
+
+# Seconds at the start of a profile that :func:`training_indices` skips.
+SETTLE_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -47,15 +55,19 @@ class PinnSpec:
             raise ParameterError(f"hidden must be >= 1, got {self.hidden}")
 
 
+def layer_sizes(hidden: int) -> list[int]:
+    """Widths of the stack, input (t, M_A) to output (M_F, M_R)."""
+    return [2] + [hidden] * (N_DENSE_LAYERS - 1) + [2]
+
+
 class Pinn3ccModel:
     """Five fully connected layers, input (t, M_A), output (M_F, M_R) in %MVC."""
 
     def __init__(self, cc3: Cc3Params, t_scale: float, spec: PinnSpec = PinnSpec(), seed: int = 0):
         if t_scale <= 0:
             raise ParameterError("t_scale must be > 0")
-        sizes = [2] + [spec.hidden] * (N_DENSE_LAYERS - 1) + [2]
         acts = [spec.activation] * (N_DENSE_LAYERS - 1) + ["linear"]
-        self.mlp = Mlp(sizes, acts, np.random.default_rng(seed))
+        self.mlp = Mlp(layer_sizes(spec.hidden), acts, np.random.default_rng(seed))
         self.cc3 = cc3
         self.t_scale = float(t_scale)
         self.a_scale = 100.0
@@ -138,13 +150,13 @@ def data_from_trajectory(traj: Cc3Trajectory, load: LoadProfile, indices) -> Pin
     )
 
 
-def training_indices(load: LoadProfile, n_frames: int, settle: float = 1.0) -> np.ndarray:
+def training_indices(load: LoadProfile, n_frames: int) -> np.ndarray:
     """Evenly spaced sample indices over the profile, skipping the first
-    ``settle`` seconds. The controller's development transient (rate LD)
-    lives below the sampling grid and would otherwise plant one huge,
+    :data:`SETTLE_S` seconds. The controller's development transient (rate
+    LD) lives below the sampling grid and would otherwise plant one huge,
     unfittable residual at t=0."""
     n = load.values.size
-    i0 = int(np.ceil(settle / load.dt))
+    i0 = int(np.ceil(SETTLE_S / load.dt))
     i0 = max(0, min(i0, n - n_frames))
     return np.linspace(i0, n - 1, n_frames).astype(int)
 
@@ -161,16 +173,10 @@ def collocation_from_load(load: LoadProfile, cc3: Cc3Params) -> PinnData:
     return PinnData(t=load.times, m_a=m_a, tl=load.values.copy())
 
 
-@dataclass
-class PinnLossBreakdown:
-    total: float
-    data: float  # L_NN when the batch is its own anchor, L_BC at a boundary anchor
-    physics: float
-
-
 def supervised_loss(model: Pinn3ccModel, batch: PinnData, anchor: PinnData | None = None, grad: bool = True):
-    """L = L_data + L_PB and gradients for all stack parameters (None when
-    ``grad`` is False: a forward-only pass, no backward).
+    """(terms, grads): each :data:`LOSS_TERMS` name mapped to its float, L =
+    L_data + L_PB, L_data and L_PB, and the gradients of L for all stack
+    parameters (None when ``grad`` is False: a forward-only pass, no backward).
 
     L_PB is the mean squared ODE residual over ``batch``. L_data is the
     mean squared error of (M_F, M_R) against the targets of ``anchor``: by
@@ -194,9 +200,9 @@ def supervised_loss(model: Pinn3ccModel, batch: PinnData, anchor: PinnData | Non
     data_rows = slice(0 if anchor is None else n, None)
     err = m[data_rows] - np.stack([data.m_f, data.m_r], axis=-1)
     l_data = float(np.mean(err[:, 0]**2) + np.mean(err[:, 1]**2))
-    breakdown = PinnLossBreakdown(l_data + l_pb, l_data, l_pb)
+    terms = dict(zip(LOSS_TERMS, (l_data + l_pb, l_data, l_pb)))
     if not grad:
-        return breakdown, None
+        return terms, None
     gy = np.zeros_like(m)
     gydot = np.zeros_like(mdot)
     a_f = (2.0 / n) * rho_f
@@ -206,27 +212,27 @@ def supervised_loss(model: Pinn3ccModel, batch: PinnData, anchor: PinnData | Non
     gy[:n, 0] = a_f * model.cc3.R - a_r * model.cc3.R
     gy[:n, 1] = a_r * dc_dmr
     gy[data_rows] += (2.0 / data.t.size) * err
-    return breakdown, model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
+    return terms, model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
 
 
 def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig, anchor: PinnData | None = None):
     """Adam on L_data + L_PB (see :func:`supervised_loss`; ``anchor`` is the
-    same for every batch). History logs L_total, L_data and L_PB over all
-    of ``data``, forward-only: entry 0 for the untrained model, whose
-    train_loss is its L_total, then one entry after each epoch."""
+    same for every batch). Returns (model, history); each history entry
+    holds the :data:`LOSS_TERMS` of a forward-only :func:`supervised_loss`
+    over all of ``data``: entry 0 for the untrained model, whose train_loss
+    is its L_total, then one entry after each epoch."""
     if len(data) < 1:
         raise ParameterError("empty dataset")
 
     def loss_fn(m, idx):
-        breakdown, grads = supervised_loss(m, data.subset(idx), anchor)
-        return breakdown.total, grads
+        terms, grads = supervised_loss(m, data.subset(idx), anchor)
+        return terms["L_total"], grads
 
     def epoch_log(m):
-        b = supervised_loss(m, data, anchor, grad=False)[0]
-        return {"L_total": b.total, "L_data": b.data, "L_PB": b.physics}
+        return supervised_loss(m, data, anchor, grad=False)[0]
 
     initial = epoch_log(model)
-    model, history = nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)
+    history = nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)
     return model, [{"epoch": 0, "train_loss": initial["L_total"], **initial}, *history]
 
 
@@ -260,6 +266,18 @@ def load_model(path) -> tuple[Pinn3ccModel, dict]:
         raise ParameterError(f"{path}: not a pinn3cc checkpoint")
     cc3, t_scale, hidden, activation = nncore.architecture_fields(
         path, arch, ("cc3", "t_scale", "hidden", "activation"))
-    model = Pinn3ccModel(Cc3Params(**cc3), t_scale, PinnSpec(hidden, activation), seed=arch.get("seed", 0))
+    seed = arch.get("seed", 0)
+    rates = ("F", "R", "LD", "LR")
+    if not (type(hidden) is int and type(seed) is int and isinstance(activation, str)
+            and isinstance(cc3, dict) and sorted(cc3) == sorted(rates)
+            and all(type(v) in (int, float) for v in (t_scale, *cc3.values()))):
+        raise DataFormatError(f"{path}: hidden and seed must be integers, activation a string, "
+                              f"t_scale a number and cc3 an object of the numbers {', '.join(rates)}")
+    spec = PinnSpec(hidden, activation)
+    sizes = layer_sizes(hidden)
+    # before the model is built: the architecture may claim more than memory holds
+    nncore.check_shapes([s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_out, n_in), (n_out,))],
+                        doc["params"], path)
+    model = Pinn3ccModel(Cc3Params(**cc3), t_scale, spec, seed=seed)
     nncore.copy_params(model.params(), doc["params"], path)
     return model, doc["meta"]

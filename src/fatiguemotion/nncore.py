@@ -469,10 +469,10 @@ class TrainConfig:
     patience: int = 25
     min_delta: float = 1e-6
     seed: int = 0
-    # Optional plateau schedule: multiply lr by lr_decay after decay_patience
-    # epochs without improvement (0 disables).
+    # Plateau schedule: multiply lr by lr_decay after every decay_patience
+    # epochs without improvement; the default lr_decay of 1.0 keeps lr.
     lr_decay: float = 1.0
-    decay_patience: int = 0
+    decay_patience: int = 1
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
@@ -483,8 +483,8 @@ class TrainConfig:
             raise ParameterError(f"learning rate must be finite and > 0, got {self.lr}")
         if not 0 < self.lr_decay <= 1:
             raise ParameterError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.decay_patience < 0:
-            raise ParameterError(f"decay_patience must be >= 0, got {self.decay_patience}")
+        if self.decay_patience < 1:
+            raise ParameterError(f"decay_patience must be >= 1, got {self.decay_patience}")
 
 
 def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, epoch_log_fn=None):
@@ -499,9 +499,9 @@ def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, epoch_log_fn
     after the last step of the epoch with the lowest ``train_loss``: weights
     at which none of that epoch's batch losses was taken.
     ``epoch_log_fn(model)`` may add extra fields to each history entry.
-    Returns (model, history); history has one entry per epoch run, numbered
-    from 1. A trainer that logs the untrained model puts its own entry 0 in
-    front.
+    Trains ``model`` in place and returns the history: one entry per epoch
+    run, numbered from 1. A trainer that logs the untrained model puts its
+    own entry 0 in front.
     """
     if n_samples < 1:
         raise ParameterError("empty dataset")
@@ -533,12 +533,12 @@ def train_loop(model, n_samples: int, loss_fn, config: TrainConfig, epoch_log_fn
             stall += 1
             if stall >= config.patience:
                 break
-            if config.decay_patience > 0 and stall % config.decay_patience == 0:
+            if stall % config.decay_patience == 0:
                 opt.lr *= config.lr_decay
     if best_params is not None:
         for p, bp in zip(params, best_params):
             p[...] = bp
-    return model, history
+    return history
 
 
 # --- checkpoints -----------------------------------------------------------------
@@ -553,6 +553,8 @@ def encode_params(params) -> dict:
 
 
 def decode_params(enc: dict):
+    if enc["dtype"] != "float64":
+        raise ValueError(f"dtype {enc['dtype']!r}, not float64")
     flat = np.frombuffer(binascii.a2b_base64(enc["blob_b64"]), dtype=np.float64)
     out = []
     offset = 0

@@ -11,7 +11,8 @@ Line 2:  comma-separated joint names (column order is preserved exactly)
 Line 3+: one frame per row, decimal floats, one column per joint
 
 Every float CSV of the package (sequences, 3CC trajectories, exported
-curves) is written by :func:`write_table`. Normalization parameters travel
+curves, and the training logs of train-pinn and train-dyn) is written by
+:func:`write_table`. Normalization parameters travel
 in each surrogate checkpoint's meta as::
 
     { "joints": [...], "min": [...], "max": [...] }

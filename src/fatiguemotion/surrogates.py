@@ -437,8 +437,7 @@ def train_dyn(model: BiLstmModel, train_samples, config: TrainConfig,
         return nncore.mse(pred, y)[0]
 
     entry0 = {"epoch": 0, "train_loss": initial_loss()}
-    model, history = nncore.train_loop(model, len(table), loss_fn, config)
-    return model, [entry0, *history]
+    return model, [entry0, *nncore.train_loop(model, len(table), loss_fn, config)]
 
 
 # --- checkpoints --------------------------------------------------------------

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from fatiguemotion import arm, fatigue_pinn, nncore, surrogates
 from fatiguemotion import compartments as cc
-from fatiguemotion import nncore, surrogates
 from fatiguemotion.cli import _parse_load, build_parser, main, run
 from fatiguemotion.errors import DataFormatError
 from fatiguemotion.surrogates import BANK_CHUNK
@@ -258,6 +258,21 @@ class TestUserErrors:
         assert code == 2
         assert "frames" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (["train-pinn", "--frames", "12", "--t", "20", "--epochs", "1"], fatigue_pinn, "Pinn3ccModel"),
+        (["gen-data", "--trials", "1", "--frames", "40"], arm, "generate_dataset"),
+    ], ids=["train-pinn", "gen-data"])
+    def test_allocation_numpy_refuses(self, tmp_path, capsys, monkeypatch, argv, module, name):
+        # e.g. train-pinn --hidden 2000000 or gen-data --frames 100000000000;
+        # the constructor raises as numpy would, so nothing is allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(module, name, refuse)
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "data error: Unable to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_non_numeric_load_csv(self, tmp_path, capsys):
         (tmp_path / "tl.csv").write_text("tl\n10\nabc\n")

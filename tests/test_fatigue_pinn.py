@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fatiguemotion.compartments import Cc3Params, ELBOW, LoadProfile, simulate
-from fatiguemotion.errors import ParameterError, ShapeError
+from fatiguemotion.errors import DataFormatError, ParameterError, ShapeError
 from fatiguemotion.fatigue_pinn import (
+    LOSS_TERMS,
     N_DENSE_LAYERS,
     Pinn3ccModel,
     PinnData,
@@ -23,6 +24,7 @@ from fatiguemotion.fatigue_pinn import (
 from fatiguemotion import fatigue_pinn
 from fatiguemotion.nncore import Mlp, TrainConfig, encode_params
 from fatiguemotion.pipeline import nrmse
+from test_surrogates import refuse_to_build
 
 
 def boundary(t0, m_a0, m_f0, m_r0):
@@ -123,12 +125,12 @@ class TestPhysicsResiduals:
             t=np.linspace(0, 100, 20), m_a=np.full(20, 50.0), tl=np.full(20, 50.0),
             m_f=np.zeros(20), m_r=np.full(20, 50.0),
         )
-        breakdown, _ = supervised_loss(model, data)
+        terms, _ = supervised_loss(model, data)
         m, mdot, _ = model._forward_time_tangent(data.t, data.m_a)
         rho_f, rho_r, _ = ode_residuals(ELBOW, data.m_a, data.tl, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1])
         expected = float(np.mean(rho_f**2) + np.mean(rho_r**2))
-        assert breakdown.physics == pytest.approx(expected, rel=1e-12)
-        assert breakdown.physics >= 0
+        assert terms["L_PB"] == pytest.approx(expected, rel=1e-12)
+        assert terms["L_PB"] >= 0
 
 
 class TestLossBookkeeping:
@@ -140,8 +142,9 @@ class TestLossBookkeeping:
     def test_additivity(self):
         data, _ = self.make_data()
         model = Pinn3ccModel(ELBOW, t_scale=120.0, seed=2)
-        b, _ = supervised_loss(model, data, grad=False)
-        assert b.total == pytest.approx(b.data + b.physics, rel=1e-12)
+        terms, _ = supervised_loss(model, data, grad=False)
+        assert list(terms) == list(LOSS_TERMS)
+        assert terms["L_total"] == pytest.approx(terms["L_NN_or_BC"] + terms["L_PB"], rel=1e-12)
 
     def test_breakdown_is_forward_only(self, monkeypatch):
         data, load = self.make_data()
@@ -207,23 +210,23 @@ class TestLossBookkeeping:
     def test_bc_zero_when_exact(self):
         model = zero_model()
         data = PinnData(t=np.array([1.0]), m_a=np.array([0.0]), tl=np.array([0.0]))
-        breakdown, _ = supervised_loss(model, data, boundary(0.0, 0.0, 0.0, 0.0))
-        assert breakdown.data == 0.0
+        terms, _ = supervised_loss(model, data, boundary(0.0, 0.0, 0.0, 0.0))
+        assert terms["L_NN_or_BC"] == 0.0
 
     def test_bc_is_squared_error_at_the_boundary(self):
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=4)
         data = collocation_from_load(LoadProfile.constant(50.0, 120.0, 12.0), ELBOW)
-        breakdown, _ = supervised_loss(model, data, boundary(0.0, 40.0, 1.0, 55.0))
+        terms, _ = supervised_loss(model, data, boundary(0.0, 40.0, 1.0, 55.0))
         m_f0, m_r0 = model.predict([0.0], [40.0])
-        assert breakdown.data == float(np.sum(np.array([m_f0[0] - 1.0, m_r0[0] - 55.0]) ** 2))
+        assert terms["L_NN_or_BC"] == float(np.sum(np.array([m_f0[0] - 1.0, m_r0[0] - 55.0]) ** 2))
 
     def test_batch_as_its_own_anchor_is_the_default(self):
         data, _ = self.make_data(n=10)
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=3)
         default, grads = supervised_loss(model, data)
         anchored, anchored_grads = supervised_loss(model, data, data)
-        assert anchored.data == pytest.approx(default.data, rel=1e-12)
-        assert anchored.physics == default.physics
+        assert anchored["L_NN_or_BC"] == pytest.approx(default["L_NN_or_BC"], rel=1e-12)
+        assert anchored["L_PB"] == default["L_PB"]
         for g, ag in zip(grads, anchored_grads):
             np.testing.assert_allclose(ag, g, rtol=1e-10, atol=1e-12)
 
@@ -238,8 +241,8 @@ class TestLossBookkeeping:
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=3)
 
         def loss_fn():
-            b, grads = supervised_loss(model, data)
-            return b.total, grads
+            terms, grads = supervised_loss(model, data)
+            return terms["L_total"], grads
 
         from test_nncore import fd_gradcheck
 
@@ -251,8 +254,8 @@ class TestLossBookkeeping:
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=4)
 
         def loss_fn():
-            b, grads = supervised_loss(model, data, boundary(0.0, 50.0, 0.0, 50.0))
-            return b.total, grads
+            terms, grads = supervised_loss(model, data, boundary(0.0, 50.0, 0.0, 50.0))
+            return terms["L_total"], grads
 
         from test_nncore import fd_gradcheck
 
@@ -269,7 +272,7 @@ class TestTraining:
                           min_delta=1e-9, seed=0)
         model, history = train_supervised(model, data, cfg)
         assert history[-1]["L_total"] < 0.05 * history[0]["L_total"]
-        assert all("L_data" in e and "L_PB" in e for e in history)
+        assert all("L_NN_or_BC" in e and "L_PB" in e for e in history)
 
     def test_unsupervised_meets_boundary(self):
         load = LoadProfile.constant(50.0, 100.0, 2.5)
@@ -281,7 +284,7 @@ class TestTraining:
         m_f0, m_r0 = model.predict([0.0], [m_a0])
         assert abs(m_f0[0] - 0.0) < 1.0
         assert abs(m_r0[0] - (100.0 - m_a0)) < 1.0
-        assert all("L_data" in e and "L_PB" in e for e in history)
+        assert all("L_NN_or_BC" in e and "L_PB" in e for e in history)
 
     def test_conservation_of_trained_predictions(self):
         load = LoadProfile.constant(50.0, 100.0, 0.05)
@@ -330,4 +333,33 @@ class TestCheckpoints:
         doc["params"] = encode_params(params)
         path.write_text(json.dumps(doc))
         with pytest.raises(ShapeError):
+            load_model(path)
+
+    @pytest.mark.parametrize("hidden", [100_000, 9])
+    def test_architecture_checked_before_the_model_is_built(self, tmp_path, monkeypatch, hidden):
+        # hidden 100000 would make each hidden layer's W (100000, 100000),
+        # 74.5 GiB of float64; the blob's shapes are compared with the ones
+        # the architecture implies first, and no model is built
+        path = tmp_path / "pinn.json"
+        save_model(path, Pinn3ccModel(ELBOW, t_scale=50.0, spec=PinnSpec(8, "relu")))
+        doc = json.loads(path.read_text())
+        doc["architecture"]["hidden"] = hidden
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(fatigue_pinn, "Pinn3ccModel", refuse_to_build)
+        with pytest.raises(ShapeError, match="pinn.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", "4"), ("hidden", 4.0), ("hidden", True), ("seed", 1.5), ("activation", 5),
+        ("t_scale", "50"), ("t_scale", None), ("cc3", [1, 2]), ("cc3", {"F": 0.01, "R": 0.001}),
+        ("cc3", {"F": "0.01", "R": 0.001, "LD": 10.0, "LR": 10.0}),
+        ("cc3", {"F": 0.01, "R": 0.001, "LD": 10.0, "LR": 10.0, "X": 1.0}),
+    ])
+    def test_malformed_architecture_fields_rejected(self, tmp_path, field, value):
+        path = tmp_path / "pinn.json"
+        save_model(path, Pinn3ccModel(ELBOW, t_scale=50.0, spec=PinnSpec(4, "relu")))
+        doc = json.loads(path.read_text())
+        doc["architecture"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="pinn.json"):
             load_model(path)

@@ -1,11 +1,12 @@
 import hashlib
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from fatiguemotion import nncore
-from fatiguemotion.errors import NumericError, ParameterError, ShapeError
+from fatiguemotion.errors import DataFormatError, NumericError, ParameterError, ShapeError
 from fatiguemotion.nncore import (
     BPTT_BLOCK,
     Adam,
@@ -509,14 +510,14 @@ class TestTrainLoop:
     def test_early_stop_on_plateau(self):
         model = _QuadraticModel()
         cfg = TrainConfig(batch_size=4, lr=0.05, epochs=1000, patience=5, seed=0)
-        _, history = train_loop(model, 8, _plateau_loss, cfg)
+        history = train_loop(model, 8, _plateau_loss, cfg)
         # loss reaches the 0.25 floor within ~10 epochs; stop within patience
         assert history[-1]["epoch"] <= 25
 
     def test_history_one_entry_per_epoch(self):
         model = _QuadraticModel()
         cfg = TrainConfig(batch_size=8, lr=0.01, epochs=7, patience=100, seed=0)
-        _, history = train_loop(model, 8, _plateau_loss, cfg)
+        history = train_loop(model, 8, _plateau_loss, cfg)
         assert [h["epoch"] for h in history] == list(range(1, 8))  # no entry for the untrained model
 
     def test_bit_reproducible(self):
@@ -526,7 +527,7 @@ class TestTrainLoop:
             x = rng.normal(size=(16, 2))
             y = rng.normal(size=(16, 1))
             cfg = TrainConfig(batch_size=4, lr=0.01, epochs=20, patience=50, seed=3)
-            return train_loop(mlp, 16, _mlp_mse(x, y), cfg)
+            return mlp, train_loop(mlp, 16, _mlp_mse(x, y), cfg)
 
         m1, h1 = make()
         m2, h2 = make()
@@ -544,7 +545,7 @@ class TestTrainLoop:
             return _plateau_loss(model, idx)
 
         cfg = TrainConfig(batch_size=4, lr=0.01, epochs=3, patience=50, seed=0)
-        _, history = train_loop(_QuadraticModel(), 10, loss_fn, cfg)
+        history = train_loop(_QuadraticModel(), 10, loss_fn, cfg)
         assert [h["epoch"] for h in history] == [1, 2, 3]
         assert [len(idx) for idx in calls] == [4, 4, 2] * 3
         for epoch in range(3):
@@ -553,7 +554,7 @@ class TestTrainLoop:
     def test_config_validated(self):
         for bad in ({"epochs": 0}, {"batch_size": 0}, {"patience": 0}, {"lr": 0.0},
                     {"lr": float("nan")}, {"lr": float("inf")}, {"lr_decay": 0.0},
-                    {"lr_decay": 1.5}, {"decay_patience": -1}):
+                    {"lr_decay": 1.5}, {"decay_patience": 0}, {"decay_patience": -1}):
             with pytest.raises(ParameterError):
                 TrainConfig(**bad)
 
@@ -578,7 +579,7 @@ class TestTrainLoop:
 
         model = _QuadraticModel()
         cfg = TrainConfig(batch_size=8, lr=0.1, epochs=6, patience=3, seed=0)
-        _, history = train_loop(model, 8, loss_fn, cfg)
+        history = train_loop(model, 8, loss_fn, cfg)
         assert [h["train_loss"] for h in history] == [1.0, 0.5, 0.1, 0.9, 0.9, 0.9]
         # best epoch was 3 (0.1): three optimizer steps of lr from 2.0
         assert model.w[0] == pytest.approx(2.0 - 3 * 0.1, abs=1e-7)
@@ -602,6 +603,18 @@ class TestCheckpoints:
         assert doc["meta"]["note"] == "test"
         for a, b in zip(mlp.params(), doc["params"]):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", ["float32", "int64", None])
+    def test_non_float64_dtype_refused(self, tmp_path, dtype):
+        # the blob is read as float64 whatever the field says, so any other
+        # dtype is refused rather than reinterpreted
+        path = tmp_path / "model.json"
+        save_checkpoint(path, {}, [np.arange(4.0)])
+        doc = json.loads(path.read_text())
+        doc["params"]["dtype"] = dtype
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="model.json.*not float64"):
+            load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
