@@ -11,6 +11,7 @@ included), 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -259,7 +260,7 @@ def _cmd_apply_fatigue(args) -> dict:
     sq.save_sequence(fatigued, outdir / "fatigued.csv")
     sq.save_sequence(report.baseline, outdir / "baseline.csv")
     report.save(outdir / "report.json")
-    return {"pipeline_hash": config.config_hash()}
+    return {"pipeline_hash": report.metadata["config_hash"]}
 
 
 def _cmd_eval(args) -> None:
@@ -387,7 +388,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Keep freed memory on the heap between training batches. By default
+    glibc trims the ~15 MB a desk training batch frees from the top of the
+    heap and faults it back in on the next batch. Both thresholds are set:
+    setting the trim threshold alone also freezes the mmap threshold at
+    128 KiB, so every large array is mapped and unmapped instead. Does
+    nothing where ``mallopt`` is missing (not glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB come from the heap
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: up to 256 MiB freed at its top stays
+
+
 def run(argv) -> int:
+    _keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

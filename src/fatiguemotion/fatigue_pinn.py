@@ -64,8 +64,8 @@ class Pinn3ccModel:
     """Five fully connected layers, input (t, M_A), output (M_F, M_R) in %MVC."""
 
     def __init__(self, cc3: Cc3Params, t_scale: float, spec: PinnSpec = PinnSpec(), seed: int = 0):
-        if t_scale <= 0:
-            raise ParameterError("t_scale must be > 0")
+        if not (np.isfinite(t_scale) and t_scale > 0):
+            raise ParameterError(f"t_scale must be finite and > 0, got {t_scale}")
         acts = [spec.activation] * (N_DENSE_LAYERS - 1) + ["linear"]
         self.mlp = Mlp(layer_sizes(spec.hidden), acts, np.random.default_rng(seed))
         self.cc3 = cc3
@@ -196,10 +196,12 @@ def supervised_loss(model: Pinn3ccModel, batch: PinnData, anchor: PinnData | Non
     rho_f, rho_r, dc_dmr = ode_residuals(
         model.cc3, batch.m_a, batch.tl, m[:n, 0], m[:n, 1], mdot[:n, 0], mdot[:n, 1]
     )
-    l_pb = float(np.mean(rho_f**2) + np.mean(rho_r**2))
+    # each mean is np.mean's own sum and division, without its wrapper
+    l_pb = float((rho_f**2).sum() / n + (rho_r**2).sum() / n)
     data_rows = slice(0 if anchor is None else n, None)
     err = m[data_rows] - np.stack([data.m_f, data.m_r], axis=-1)
-    l_data = float(np.mean(err[:, 0]**2) + np.mean(err[:, 1]**2))
+    n_data = data.t.size
+    l_data = float((err[:, 0]**2).sum() / n_data + (err[:, 1]**2).sum() / n_data)
     terms = dict(zip(LOSS_TERMS, (l_data + l_pb, l_data, l_pb)))
     if not grad:
         return terms, None
@@ -211,7 +213,7 @@ def supervised_loss(model: Pinn3ccModel, batch: PinnData, anchor: PinnData | Non
     gydot[:n, 1] = a_r
     gy[:n, 0] = a_f * model.cc3.R - a_r * model.cc3.R
     gy[:n, 1] = a_r * dc_dmr
-    gy[data_rows] += (2.0 / data.t.size) * err
+    gy[data_rows] += (2.0 / n_data) * err
     return terms, model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
 
 
@@ -270,9 +272,11 @@ def load_model(path) -> tuple[Pinn3ccModel, dict]:
     rates = ("F", "R", "LD", "LR")
     if not (type(hidden) is int and type(seed) is int and isinstance(activation, str)
             and isinstance(cc3, dict) and sorted(cc3) == sorted(rates)
-            and all(type(v) in (int, float) for v in (t_scale, *cc3.values()))):
+            and all(type(v) in (int, float) for v in (t_scale, *cc3.values()))
+            and np.isfinite(t_scale) and t_scale > 0):
         raise DataFormatError(f"{path}: hidden and seed must be integers, activation a string, "
-                              f"t_scale a number and cc3 an object of the numbers {', '.join(rates)}")
+                              f"t_scale a finite number > 0 and cc3 an object of the numbers "
+                              f"{', '.join(rates)}")
     spec = PinnSpec(hidden, activation)
     sizes = layer_sizes(hidden)
     # before the model is built: the architecture may claim more than memory holds

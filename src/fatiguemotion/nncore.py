@@ -70,22 +70,11 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _act_d(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return np.ones_like(z)
+    """relu' or tanh' at z; a linear layer passes its gradients through instead."""
     if name == "relu":
         return (z > 0).astype(z.dtype)
     if name == "tanh":
         return 1.0 - np.tanh(z) ** 2
-    raise ParameterError(f"unknown activation {name!r}")
-
-
-def _act_dd(name: str, z: np.ndarray) -> np.ndarray:
-    # relu'' is zero a.e.; that is the correct gradient for piecewise-linear nets
-    if name in ("linear", "relu"):
-        return np.zeros_like(z)
-    if name == "tanh":
-        th = np.tanh(z)
-        return -2.0 * th * (1.0 - th**2)
     raise ParameterError(f"unknown activation {name!r}")
 
 
@@ -164,31 +153,39 @@ class Mlp:
 
     def forward_tangent(self, x: np.ndarray, v: np.ndarray):
         """Forward pass carrying an input tangent: returns (y, dy/dalpha, cache)
-        where the tangent direction satisfies dx/dalpha = v."""
+        where the tangent direction satisfies dx/dalpha = v. The cache keeps
+        each layer's output and activation derivative (None when linear)."""
         a = np.asarray(x, dtype=float)
         adot = np.broadcast_to(np.asarray(v, dtype=float), a.shape).copy()
         caches = []
         for layer in self.layers:
-            z = a @ layer.W.T + layer.b
+            z = a @ layer.W.T
+            z += layer.b
             zdot = adot @ layer.W.T
-            caches.append((a, adot, z, zdot))
+            d = None if layer.activation == "linear" else _act_d(layer.activation, z)
+            a_in, adot_in = a, adot
             a = _act(layer.activation, z)
-            adot = _act_d(layer.activation, z) * zdot
+            adot = zdot if d is None else d * zdot
+            caches.append((a_in, adot_in, a, d, zdot))
         ensure_finite("mlp tangent forward", a, adot)
         return a, adot, caches
 
     def backward_tangent(self, caches, gy: np.ndarray, gydot: np.ndarray):
         """Reverse pass through :meth:`forward_tangent`: parameter gradients of a
-        loss L(y, ydot). Needs the activation's second derivative, which is
-        zero a.e. for relu."""
+        loss L(y, ydot). The tangent's gradient reaches gz through the
+        activation's second derivative, which only tanh has: it is zero for a
+        linear layer and zero a.e. for relu."""
         ga = np.asarray(gy, dtype=float)
         gadot = np.asarray(gydot, dtype=float)
         grads: list[np.ndarray] = []
-        for layer, (a_in, adot_in, z, zdot) in zip(reversed(self.layers), reversed(caches)):
-            d = _act_d(layer.activation, z)
-            dd = _act_dd(layer.activation, z)
-            gz = ga * d + gadot * dd * zdot
-            gzdot = gadot * d
+        for layer, (a_in, adot_in, a, d, zdot) in zip(reversed(self.layers), reversed(caches)):
+            if d is None:
+                gz, gzdot = ga, gadot
+            else:
+                gz = ga * d
+                if layer.activation == "tanh":
+                    gz += gadot * (-2.0 * a * d) * zdot  # tanh'' = -2 tanh tanh'
+                gzdot = gadot * d
             gW = gz.T @ a_in + gzdot.T @ adot_in
             gb = gz.sum(axis=0)
             ga = gz @ layer.W

@@ -2,9 +2,11 @@ import binascii
 import builtins
 import hashlib
 import json
+import platform
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fatiguemotion import arm, fatigue_pinn, nncore, surrogates
@@ -752,3 +754,27 @@ class TestModelCommands:
         assert len(rows) == 1 + 601  # header plus t = 0, 0.05, ..., 30
         assert (tmp_path / "a" / "trajectory.csv").read_bytes() == \
             (tmp_path / "b" / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's mallopt")
+def test_training_batches_keep_the_heap(tmp_path):
+    # A desk float32 training batch frees ~15 MB; under glibc's default
+    # policy the next batch faults it back in (some 3700 minor faults).
+    # Any run sets the policy for the rest of the process.
+    resource = pytest.importorskip("resource")
+    assert run(["sim-3cc", "--F", "0.02", "--R", "0.002", "--t", "1", "--out", str(tmp_path)]) == 0
+    rng = np.random.default_rng(0)
+    model = surrogates.BiLstmModel(2, surrogates.DESK_SPEC)
+    x = rng.normal(size=(surrogates.DESK_WINDOW, 32, 2)).astype(np.float32)
+    y = rng.normal(size=(surrogates.DESK_WINDOW, 32))
+    opt = nncore.Adam(model.params())
+
+    def batch():  # as train_dyn's loss function: the caches are freed on return
+        pred, cache = model.forward(x)
+        return model.backward(cache, nncore.mse(pred, y)[1].astype(np.float32))[0]
+
+    faults = []
+    for _ in range(5):
+        opt.step(model.params(), batch())
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    assert faults[-1] - faults[0] <= 100, np.diff(faults)

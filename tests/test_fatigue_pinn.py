@@ -63,8 +63,9 @@ class TestArchitecture:
         np.testing.assert_array_equal(np.stack(model.predict(t, m_a), axis=-1), m)
 
     def test_t_scale_validated(self):
-        with pytest.raises(ParameterError):
-            Pinn3ccModel(ELBOW, t_scale=0.0)
+        for t_scale in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ParameterError):
+                Pinn3ccModel(ELBOW, t_scale=t_scale)
 
 
 class TestTimeDerivatives:
@@ -354,6 +355,8 @@ class TestCheckpoints:
         ("t_scale", "50"), ("t_scale", None), ("cc3", [1, 2]), ("cc3", {"F": 0.01, "R": 0.001}),
         ("cc3", {"F": "0.01", "R": 0.001, "LD": 10.0, "LR": 10.0}),
         ("cc3", {"F": 0.01, "R": 0.001, "LD": 10.0, "LR": 10.0, "X": 1.0}),
+        # json writes these as NaN, Infinity and -Infinity, and reads them back
+        ("t_scale", float("nan")), ("t_scale", float("inf")), ("t_scale", -float("inf")), ("t_scale", 0.0),
     ])
     def test_malformed_architecture_fields_rejected(self, tmp_path, field, value):
         path = tmp_path / "pinn.json"

@@ -124,6 +124,65 @@ class TestTangent:
         _tangent_gradcheck("relu", np.random.default_rng(3))
 
 
+    @pytest.mark.parametrize("activations", [
+        ["relu", "relu", "linear"], ["relu", "relu", "relu"], ["linear", "linear", "linear"],
+        ["tanh", "tanh", "linear"], ["tanh", "tanh", "tanh"], ["relu", "tanh", "linear"],
+    ])
+    def test_bits_match_the_composed_chain_rule(self, activations):
+        # row 0 is x = 0 and the biases are zero, so every layer's
+        # pre-activation there is exactly 0 (relu' 0), its tangent is not
+        rng = np.random.default_rng(8)
+        mlp = Mlp([2, 16, 16, 2], activations, rng)
+        x = rng.normal(size=(12, 2))
+        x[0] = 0.0
+        v = np.zeros_like(x)
+        v[:, 0] = 1.0 / 120.0
+        gy, gydot = rng.normal(size=(2, 12, 2))
+        y, ydot, cache = mlp.forward_tangent(x, v)
+        grads = mlp.backward_tangent(cache, gy, gydot)
+        want_y, want_ydot, want_grads = _composed_tangent_passes(mlp, x, v, gy, gydot)
+        for got, want in zip([y, ydot, *grads], [want_y, want_ydot, *want_grads], strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _composed_tangent_passes(mlp, x, v, gy, gydot):
+    """Both tangent passes as the full chain rule for every activation: the
+    reverse pass recomputes each layer's first and second derivatives from
+    its pre-activation z and multiplies out their unit and zero factors.
+    Returns (y, ydot, parameter gradients)."""
+    def act(name, z):
+        return {"linear": z, "relu": np.maximum(z, 0.0), "tanh": np.tanh(z)}[name]
+
+    def act_d(name, z):
+        return {"linear": np.ones_like(z), "relu": (z > 0).astype(z.dtype),
+                "tanh": 1.0 - np.tanh(z) ** 2}[name]
+
+    def act_dd(name, z):
+        th = np.tanh(z)
+        return np.zeros_like(z) if name in ("linear", "relu") else -2.0 * th * (1.0 - th**2)
+
+    a = np.asarray(x, dtype=float)
+    adot = np.broadcast_to(np.asarray(v, dtype=float), a.shape).copy()
+    caches = []
+    for layer in mlp.layers:
+        z = a @ layer.W.T + layer.b
+        zdot = adot @ layer.W.T
+        caches.append((a, adot, z, zdot))
+        a = act(layer.activation, z)
+        adot = act_d(layer.activation, z) * zdot
+    y, ydot = a, adot
+    ga, gadot = gy, gydot
+    grads = []
+    for layer, (a_in, adot_in, z, zdot) in zip(reversed(mlp.layers), reversed(caches)):
+        d = act_d(layer.activation, z)
+        gz = ga * d + gadot * act_dd(layer.activation, z) * zdot
+        gzdot = gadot * d
+        grads = [gz.T @ a_in + gzdot.T @ adot_in, gz.sum(axis=0)] + grads
+        ga = gz @ layer.W
+        gadot = gzdot @ layer.W
+    return y, ydot, grads
+
+
 def _tangent_gradcheck(activation, rng):
     """FD gradcheck of a loss of both an Mlp's output and its input tangent."""
     mlp = Mlp([2, 6, 6, 2], [activation, activation, "linear"], rng)
