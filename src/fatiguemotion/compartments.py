@@ -136,6 +136,8 @@ class LoadProfile:
         if not (math.isfinite(dt) and dt > 0):
             raise ParameterError(f"dt must be finite and > 0, got {dt}")
         n = int(round(duration / dt)) + 1
+        if n == 1 and duration > 0:
+            raise ParameterError(f"duration {duration} s rounds to no step of dt {dt} s")
         try:
             values = np.full(n, float(tl))
         except (ValueError, MemoryError) as exc:  # numpy refuses the frame count

@@ -14,15 +14,16 @@ and the *predicted* M_R. The data term is the mean squared error of
 (M_F, M_R) against an ``anchor``'s targets. Supervised training anchors each
 batch at its own simulated pools; unsupervised (forward-problem) training
 anchors the collocation points at the one t=0 boundary sample and learns
-the rest from the residuals alone. The anchor's rows join the batch, so a
-loss takes one tangent pass and its gradients one reverse pass; inference
-(:meth:`Pinn3ccModel.predict`) runs the cache-free :meth:`Mlp.forward`.
+the rest from the residuals alone. A run's inputs, time tangent and targets
+are built once (:func:`prepare_run`); a batch loss is one tangent and one
+reverse pass over its rows. Inference runs the cache-free :meth:`Mlp.forward`.
 
 Inputs are scaled to [0,1] (t by the trajectory duration, M_A by 100) and
 outputs are rescaled to %MVC; losses are computed in %MVC units.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +91,6 @@ class Pinn3ccModel:
         out = self.out_scale * self.mlp.forward(self._inputs(t, m_a))
         return out[:, 0], out[:, 1]
 
-    def _forward_time_tangent(self, t, m_a):
-        """Forward pass plus exact d(output)/dt with the M_A input held fixed."""
-        u = self._inputs(t, m_a)
-        v = np.zeros_like(u)
-        v[..., 0] = 1.0 / self.t_scale
-        y, ydot, cache = self.mlp.forward_tangent(u, v)
-        return self.out_scale * y, self.out_scale * ydot, cache
-
 
 def ode_residuals(p: Cc3Params, m_a, tl, m_f, m_r, mdot_f, mdot_r):
     """(rho_F, rho_R, dC/dM_R) of the compartment ODEs over arrays of samples."""
@@ -128,15 +121,6 @@ class PinnData:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def subset(self, idx) -> "PinnData":
-        return PinnData(
-            self.t[idx],
-            self.m_a[idx],
-            self.tl[idx],
-            None if self.m_f is None else self.m_f[idx],
-            None if self.m_r is None else self.m_r[idx],
-        )
 
 
 def data_from_trajectory(traj: Cc3Trajectory, load: LoadProfile, indices) -> PinnData:
@@ -173,65 +157,85 @@ def collocation_from_load(load: LoadProfile, cc3: Cc3Params) -> PinnData:
     return PinnData(t=load.times, m_a=m_a, tl=load.values.copy())
 
 
-def supervised_loss(model: Pinn3ccModel, batch: PinnData, anchor: PinnData | None = None, grad: bool = True):
+# A run's samples in the model's scaling (prepare_run): inputs u (t, M_A) and
+# tangent direction v = du/dt, (N + K, 2), the N samples' rows then the K
+# anchor_rows (None: no anchor); the samples' m_a and tl; the data term's targets.
+PinnRun = namedtuple("PinnRun", "u v m_a tl targets anchor_rows")
+
+
+def prepare_run(model: Pinn3ccModel, data: PinnData, anchor: PinnData | None = None) -> PinnRun:
+    """The :class:`PinnRun` of ``data`` anchored at ``anchor`` (by default ``data`` itself)."""
+    targets = data if anchor is None else anchor
+    if targets.m_f is None or targets.m_r is None:
+        raise ParameterError("the data term needs M_F and M_R targets")
+    t, m_a = data.t, data.m_a
+    if anchor is not None:
+        t, m_a = np.concatenate([t, anchor.t]), np.concatenate([m_a, anchor.m_a])
+    u = model._inputs(t, m_a)
+    v = np.zeros_like(u)
+    v[:, 0] = 1.0 / model.t_scale  # dt/dt in the scaled input, M_A held fixed
+    anchor_rows = None if anchor is None else np.arange(len(data), u.shape[0])
+    return PinnRun(u, v, data.m_a, data.tl, np.stack([targets.m_f, targets.m_r], axis=-1), anchor_rows)
+
+
+def supervised_loss(model: Pinn3ccModel, run: PinnRun, rows=None, grad: bool = True):
     """(terms, grads): each :data:`LOSS_TERMS` name mapped to its float, L =
     L_data + L_PB, L_data and L_PB, and the gradients of L for all stack
     parameters (None when ``grad`` is False: a forward-only pass, no backward).
 
-    L_PB is the mean squared ODE residual over ``batch``. L_data is the
-    mean squared error of (M_F, M_R) against the targets of ``anchor``: by
-    default the batch itself (L_NN); otherwise, e.g. the t=0 boundary sample
-    (L_BC), rows appended to the batch. Either way one tangent pass gives
-    every output and one reverse pass every gradient; the anchor rows take
-    part in the data term only, so their tangent gradient is zero.
+    L_PB is the mean squared ODE residual over the samples ``rows`` of
+    ``run`` (by default all). L_data is the mean squared error of (M_F, M_R)
+    against the targets of those samples (L_NN) or of every anchor row (e.g.
+    the t=0 boundary, L_BC). One tangent pass gives every output and one
+    reverse pass every gradient; the anchor rows take part in the data term
+    only, so their tangent gradient is zero.
     """
-    data = batch if anchor is None else anchor
-    if data.m_f is None or data.m_r is None:
-        raise ParameterError("the data term needs M_F and M_R targets")
-    n = batch.t.size
-    t, m_a = batch.t, batch.m_a
-    if anchor is not None:
-        t, m_a = np.concatenate([t, anchor.t]), np.concatenate([m_a, anchor.m_a])
-    m, mdot, cache = model._forward_time_tangent(t, m_a)
-    rho_f, rho_r, dc_dmr = ode_residuals(
-        model.cc3, batch.m_a, batch.tl, m[:n, 0], m[:n, 1], mdot[:n, 0], mdot[:n, 1]
-    )
+    anchored = run.anchor_rows is not None
+    if rows is None:  # every sample: the run's own arrays, no copies
+        u, v, m_a, tl, targets = run.u, run.v, run.m_a, run.tl, run.targets
+    else:
+        uv_rows = np.concatenate([rows, run.anchor_rows]) if anchored else rows
+        u, v, m_a, tl = run.u[uv_rows], run.v[uv_rows], run.m_a[rows], run.tl[rows]
+        targets = run.targets if anchored else run.targets[rows]
+    n = m_a.size
+    y, ydot, cache = model.mlp.forward_tangent(u, v)
+    m, mdot = model.out_scale * y, model.out_scale * ydot
+    rho_f, rho_r, dc_dmr = ode_residuals(model.cc3, m_a, tl, m[:n, 0], m[:n, 1], mdot[:n, 0], mdot[:n, 1])
     # each mean is np.mean's own sum and division, without its wrapper
     l_pb = float((rho_f**2).sum() / n + (rho_r**2).sum() / n)
-    data_rows = slice(0 if anchor is None else n, None)
-    err = m[data_rows] - np.stack([data.m_f, data.m_r], axis=-1)
-    n_data = data.t.size
+    data_rows = slice(n if anchored else 0, None)
+    err = m[data_rows] - targets
+    n_data = targets.shape[0]
     l_data = float((err[:, 0]**2).sum() / n_data + (err[:, 1]**2).sum() / n_data)
     terms = dict(zip(LOSS_TERMS, (l_data + l_pb, l_data, l_pb)))
     if not grad:
         return terms, None
-    gy = np.zeros_like(m)
-    gydot = np.zeros_like(mdot)
-    a_f = (2.0 / n) * rho_f
-    a_r = (2.0 / n) * rho_r
-    gydot[:n, 0] = a_f
-    gydot[:n, 1] = a_r
-    gy[:n, 0] = a_f * model.cc3.R - a_r * model.cc3.R
-    gy[:n, 1] = a_r * dc_dmr
+    gy, gydot = g = np.zeros((2, *m.shape))
+    a_f = np.multiply(2.0 / n, rho_f, out=gydot[:n, 0])
+    a_r = np.multiply(2.0 / n, rho_r, out=gydot[:n, 1])
+    np.subtract(a_f * model.cc3.R, a_r * model.cc3.R, out=gy[:n, 0])
+    np.multiply(a_r, dc_dmr, out=gy[:n, 1])
     gy[data_rows] += (2.0 / n_data) * err
-    return terms, model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
+    g *= model.out_scale
+    return terms, model.mlp.backward_tangent(cache, gy, gydot)
 
 
 def train_supervised(model: Pinn3ccModel, data: PinnData, config: TrainConfig, anchor: PinnData | None = None):
-    """Adam on L_data + L_PB (see :func:`supervised_loss`; ``anchor`` is the
-    same for every batch). Returns (model, history); each history entry
-    holds the :data:`LOSS_TERMS` of a forward-only :func:`supervised_loss`
-    over all of ``data``: entry 0 for the untrained model, whose train_loss
-    is its L_total, then one entry after each epoch."""
+    """Adam on L_data + L_PB over one :func:`prepare_run` (``anchor`` is the
+    same for every batch). Returns (model, history); each entry holds the
+    :data:`LOSS_TERMS` of a forward-only :func:`supervised_loss` over all of
+    ``data``: entry 0 for the untrained model (train_loss its L_total), then
+    one after each epoch."""
     if len(data) < 1:
         raise ParameterError("empty dataset")
+    run = prepare_run(model, data, anchor)
 
     def loss_fn(m, idx):
-        terms, grads = supervised_loss(m, data.subset(idx), anchor)
+        terms, grads = supervised_loss(m, run, idx)
         return terms["L_total"], grads
 
     def epoch_log(m):
-        return supervised_loss(m, data, anchor, grad=False)[0]
+        return supervised_loss(m, run, grad=False)[0]
 
     initial = epoch_log(model)
     history = nncore.train_loop(model, len(data), loss_fn, config, epoch_log_fn=epoch_log)

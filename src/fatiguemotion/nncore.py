@@ -152,11 +152,12 @@ class Mlp:
         return x
 
     def forward_tangent(self, x: np.ndarray, v: np.ndarray):
-        """Forward pass carrying an input tangent: returns (y, dy/dalpha, cache)
-        where the tangent direction satisfies dx/dalpha = v. The cache keeps
-        each layer's output and activation derivative (None when linear)."""
-        a = np.asarray(x, dtype=float)
-        adot = np.broadcast_to(np.asarray(v, dtype=float), a.shape).copy()
+        """Forward pass carrying an input tangent v = dx/dalpha of x's shape,
+        read and never written: returns (y, dy/dalpha, cache). The cache keeps v
+        and each layer's output and activation derivative (None when linear)."""
+        a, adot = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        if adot.shape != a.shape:
+            raise ShapeError(f"tangent direction must have the input's shape {a.shape}, got {adot.shape}")
         caches = []
         for layer in self.layers:
             z = a @ layer.W.T
@@ -174,7 +175,7 @@ class Mlp:
         """Reverse pass through :meth:`forward_tangent`: parameter gradients of a
         loss L(y, ydot). The tangent's gradient reaches gz through the
         activation's second derivative, which only tanh has: it is zero for a
-        linear layer and zero a.e. for relu."""
+        linear layer and zero a.e. for relu. Nothing reads the stack input's gradients."""
         ga = np.asarray(gy, dtype=float)
         gadot = np.asarray(gydot, dtype=float)
         grads: list[np.ndarray] = []
@@ -188,8 +189,8 @@ class Mlp:
                 gzdot = gadot * d
             gW = gz.T @ a_in + gzdot.T @ adot_in
             gb = gz.sum(axis=0)
-            ga = gz @ layer.W
-            gadot = gzdot @ layer.W
+            if layer is not self.layers[0]:
+                ga, gadot = gz @ layer.W, gzdot @ layer.W
             grads = [gW, gb] + grads
         return grads
 
@@ -424,34 +425,37 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam with bias correction over one flat moment buffer; updates parameter arrays in place.
 
-    Gradients of any float dtype are upcast to float64 once, in the flat
-    concatenation, so the moments and the update are float64 throughout.
+    Gradients of any float dtype are upcast to float64 once, into a flat buffer kept with
+    the moments and one scratch vector, where a step writes all it computes, in float64.
     """
 
     def __init__(self, params, lr: float = 0.001):
         self.lr = lr
         self.t = 0
         self.shapes = [p.shape for p in params]
-        self.ends = np.cumsum([p.size for p in params])
-        self.m = np.zeros(sum(p.size for p in params))
-        self.v = np.zeros_like(self.m)
+        self.m, self.v, self._g, self._s = np.zeros((4, sum(p.size for p in params)))
+        ends = np.cumsum([p.size for p in params])
+        self._updates = [self._g[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
 
     def step(self, params, grads) -> None:
         if [p.shape for p in params] != self.shapes:
             raise ShapeError("parameter list does not match optimizer state")
-        g = np.concatenate([np.ravel(x) for x in grads], dtype=np.float64)
+        g, s = self._g, self._s
+        np.concatenate(grads, axis=None, out=g)
         if not np.isfinite(g).all():
             raise NumericError("adam: NaN/Inf gradient, training aborted")
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
         self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * g
+        self.m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
         self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * g * g
-        update = self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + ADAM_EPS)
-        for p, end in zip(params, self.ends):
-            p -= update[end - p.size:end].reshape(p.shape)
+        self.v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=s), g, out=s)
+        # update = lr * (m / b1t) / (sqrt(v / b2t) + eps), into g
+        np.add(np.sqrt(np.divide(self.v, b2t, out=s), out=s), ADAM_EPS, out=s)
+        np.divide(np.multiply(self.lr, np.divide(self.m, b1t, out=g), out=g), s, out=g)
+        for p, update in zip(params, self._updates):
+            p -= update
 
 
 # --- training loop --------------------------------------------------------------

@@ -414,6 +414,14 @@ class TestUserErrors:
                     "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_sim_3cc_duration_under_half_a_step(self, tmp_path, capsys):
+        # 10 s at dt 20 once wrote a trajectory.csv holding only the t = 0 row
+        code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "10", "--dt", "20",
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "no step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("dt", ["nan", "inf"])
     def test_sim_3cc_non_finite_dt(self, tmp_path, dt):
         (tmp_path / "tl.csv").write_text("tl\n10\n20\n")

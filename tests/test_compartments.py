@@ -260,6 +260,13 @@ class TestSimulate:
                 LoadProfile.constant(50.0, duration, dt)
         assert LoadProfile.constant(50.0, 0.0, 0.05).values.size == 1
 
+    @pytest.mark.parametrize("duration, dt", [(10.0, 20.0), (0.02, 0.05), (1e-300, 0.05)])
+    def test_constant_refuses_a_duration_that_rounds_to_no_step(self, duration, dt):
+        # once a one-frame profile: the t = 0 state and no step at all
+        with pytest.raises(ParameterError, match="no step"):
+            LoadProfile.constant(50.0, duration, dt)
+        assert LoadProfile.constant(50.0, 0.03, 0.05).values.size == 2
+
     def test_determinism(self):
         load = LoadProfile.constant(70.0, 20.0, 0.05)
         a = simulate(None, load, FAST)

@@ -16,6 +16,7 @@ from fatiguemotion.fatigue_pinn import (
     training_indices,
     load_model,
     ode_residuals,
+    prepare_run,
     save_model,
     supervised_loss,
     train_supervised,
@@ -30,6 +31,49 @@ from test_surrogates import refuse_to_build
 def boundary(t0, m_a0, m_f0, m_r0):
     """A one-sample anchor: targets (M_F, M_R) at (t0, M_A(t0))."""
     return PinnData(t=[t0], m_a=[m_a0], tl=[0.0], m_f=[m_f0], m_r=[m_r0])
+
+
+def time_tangent(model, t, m_a):
+    """(M_F, M_R) and their exact time derivative at (t, M_A), in %MVC, from
+    the inputs and tangent direction that :func:`prepare_run` builds."""
+    t, m_a = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
+                                 np.atleast_1d(np.asarray(m_a, dtype=float)))
+    zeros = np.zeros_like(t)
+    run = prepare_run(model, PinnData(t, m_a, zeros, m_f=zeros, m_r=zeros))
+    y, ydot, _ = model.mlp.forward_tangent(run.u, run.v)
+    return model.out_scale * y, model.out_scale * ydot
+
+
+def composed_loss(model, samples, rows, anchor=None):
+    """(terms, grads) of :func:`supervised_loss` on the samples ``rows``,
+    composed the way each batch once built its own: ``_inputs`` of the rows
+    and the anchor's, a tangent direction of 1/t_scale in t, then
+    ``forward_tangent`` and ``backward_tangent``."""
+    t, m_a, tl = samples.t[rows], samples.m_a[rows], samples.tl[rows]
+    n = t.size
+    if anchor is None:
+        targets = np.stack([samples.m_f[rows], samples.m_r[rows]], axis=-1)
+    else:
+        targets = np.stack([anchor.m_f, anchor.m_r], axis=-1)
+        t, m_a = np.concatenate([t, anchor.t]), np.concatenate([m_a, anchor.m_a])
+    u = model._inputs(t, m_a)
+    v = np.zeros_like(u)
+    v[:, 0] = 1.0 / model.t_scale
+    y, ydot, cache = model.mlp.forward_tangent(u, v)
+    m, mdot = model.out_scale * y, model.out_scale * ydot
+    rho_f, rho_r, dc_dmr = ode_residuals(model.cc3, m_a[:n], tl, m[:n, 0], m[:n, 1], mdot[:n, 0], mdot[:n, 1])
+    data_rows = slice(0 if anchor is None else n, None)
+    err = m[data_rows] - targets
+    l_pb = float(np.mean(rho_f**2) + np.mean(rho_r**2))
+    l_data = float(np.mean(err[:, 0]**2) + np.mean(err[:, 1]**2))
+    gy, gydot = np.zeros_like(m), np.zeros_like(mdot)
+    gydot[:n, 0] = (2.0 / n) * rho_f
+    gydot[:n, 1] = (2.0 / n) * rho_r
+    gy[:n, 0] = gydot[:n, 0] * model.cc3.R - gydot[:n, 1] * model.cc3.R
+    gy[:n, 1] = gydot[:n, 1] * dc_dmr
+    gy[data_rows] += (2.0 / targets.shape[0]) * err
+    grads = model.mlp.backward_tangent(cache, gy * model.out_scale, gydot * model.out_scale)
+    return dict(zip(LOSS_TERMS, (l_data + l_pb, l_data, l_pb))), grads
 
 
 def zero_model(spec=PinnSpec(8, "relu")):
@@ -59,7 +103,7 @@ class TestArchitecture:
     def test_predict_is_the_tangent_pass_output(self, activation):
         model = Pinn3ccModel(ELBOW, t_scale=50.0, spec=PinnSpec(16, activation), seed=2)
         t, m_a = np.random.default_rng(1).uniform([0, 0], [50, 100], size=(40, 2)).T
-        m, _, _ = model._forward_time_tangent(t, m_a)
+        m, _ = time_tangent(model, t, m_a)
         np.testing.assert_array_equal(np.stack(model.predict(t, m_a), axis=-1), m)
 
     def test_t_scale_validated(self):
@@ -71,7 +115,7 @@ class TestArchitecture:
 class TestTimeDerivatives:
     def test_zero_weights_zero_derivative(self):
         model = zero_model()
-        _, mdot, _ = model._forward_time_tangent(5.0, 30.0)
+        _, mdot = time_tangent(model, 5.0, 30.0)
         assert mdot.shape == (1, 2) and (mdot == 0.0).all()
 
     def test_linear_in_time_constant_derivative(self):
@@ -83,7 +127,7 @@ class TestTimeDerivatives:
         model.mlp.layers[3].W[0, 0] = 1.0
         model.mlp.layers[4].W[:, 0] = 1.0
         t = np.array([3.0, 10.0, 77.0])
-        _, mdot, _ = model._forward_time_tangent(t, np.full(3, 20.0))
+        _, mdot = time_tangent(model, t, np.full(3, 20.0))
         # output = out_scale * (t / t_scale): slope 100/100 = 1
         assert mdot.shape == (3, 2)
         np.testing.assert_allclose(mdot, 1.0, rtol=1e-12)
@@ -93,7 +137,7 @@ class TestTimeDerivatives:
         rng = np.random.default_rng(0)
         h = 1e-3
         t, m_a = rng.uniform([1, 0], [99, 100], size=(50, 2)).T
-        _, mdot, _ = model._forward_time_tangent(t, m_a)
+        _, mdot = time_tangent(model, t, m_a)
         fd = (np.stack(model.predict(t + h, m_a), axis=-1)
               - np.stack(model.predict(t - h, m_a), axis=-1)) / (2 * h)
         assert (np.abs(mdot - fd) / np.maximum(np.abs(fd), 1e-6) < 1e-3).all()
@@ -102,7 +146,7 @@ class TestTimeDerivatives:
 class TestPhysicsResiduals:
     def test_zero_net_zero_load(self):
         model = zero_model()
-        m, mdot, _ = model._forward_time_tangent(0.0, 0.0)
+        m, mdot = time_tangent(model, 0.0, 0.0)
         rho_f, rho_r, _ = ode_residuals(ELBOW, 0.0, 0.0, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1])
         assert (rho_f == 0.0).all() and (rho_r == 0.0).all()
 
@@ -126,8 +170,8 @@ class TestPhysicsResiduals:
             t=np.linspace(0, 100, 20), m_a=np.full(20, 50.0), tl=np.full(20, 50.0),
             m_f=np.zeros(20), m_r=np.full(20, 50.0),
         )
-        terms, _ = supervised_loss(model, data)
-        m, mdot, _ = model._forward_time_tangent(data.t, data.m_a)
+        terms, _ = supervised_loss(model, prepare_run(model, data))
+        m, mdot = time_tangent(model, data.t, data.m_a)
         rho_f, rho_r, _ = ode_residuals(ELBOW, data.m_a, data.tl, m[:, 0], m[:, 1], mdot[:, 0], mdot[:, 1])
         expected = float(np.mean(rho_f**2) + np.mean(rho_r**2))
         assert terms["L_PB"] == pytest.approx(expected, rel=1e-12)
@@ -143,24 +187,24 @@ class TestLossBookkeeping:
     def test_additivity(self):
         data, _ = self.make_data()
         model = Pinn3ccModel(ELBOW, t_scale=120.0, seed=2)
-        terms, _ = supervised_loss(model, data, grad=False)
+        terms, _ = supervised_loss(model, prepare_run(model, data), grad=False)
         assert list(terms) == list(LOSS_TERMS)
         assert terms["L_total"] == pytest.approx(terms["L_NN_or_BC"] + terms["L_PB"], rel=1e-12)
 
     def test_breakdown_is_forward_only(self, monkeypatch):
         data, load = self.make_data()
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(8, "tanh"), seed=5)
-        colloc = collocation_from_load(load, ELBOW)
-        anchor = boundary(0.0, 40.0, 0.0, 60.0)
-        supervised, _ = supervised_loss(model, data)
-        unsupervised, _ = supervised_loss(model, colloc, anchor)
+        own = prepare_run(model, data)
+        anchored = prepare_run(model, collocation_from_load(load, ELBOW), boundary(0.0, 40.0, 0.0, 60.0))
+        supervised, _ = supervised_loss(model, own)
+        unsupervised, _ = supervised_loss(model, anchored)
 
         def no_backward(*args):
             raise AssertionError("backward pass during a forward-only evaluation")
 
         monkeypatch.setattr(Mlp, "backward_tangent", no_backward)
-        assert supervised_loss(model, data, grad=False) == (supervised, None)
-        assert supervised_loss(model, colloc, anchor, grad=False) == (unsupervised, None)
+        assert supervised_loss(model, own, grad=False) == (supervised, None)
+        assert supervised_loss(model, anchored, grad=False) == (unsupervised, None)
 
     @pytest.mark.parametrize("anchored", [False, True], ids=["own-anchor", "boundary-anchor"])
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "forward-only"])
@@ -170,13 +214,37 @@ class TestLossBookkeeping:
         batch, anchor = data, None
         if anchored:
             batch, anchor = collocation_from_load(load, ELBOW), boundary(0.0, 40.0, 0.0, 60.0)
+        run = prepare_run(model, batch, anchor)
         calls = []
         for name in ("forward", "forward_tangent", "backward_tangent"):
             original = getattr(Mlp, name)
             monkeypatch.setattr(Mlp, name, lambda *args, name=name, original=original:
                                 calls.append(name) or original(*args))
-        supervised_loss(model, batch, anchor, grad)
+        # a training batch's rows, or every sample as the epoch log takes them
+        supervised_loss(model, run, np.arange(0, len(batch), 3) if grad else None, grad)
         assert calls == (["forward_tangent", "backward_tangent"] if grad else ["forward_tangent"])
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["own-anchor", "boundary-anchor"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_batch_rows_match_the_composed_loss(self, anchored, activation):
+        # a run's inputs are built once and each batch takes its rows: the
+        # same loss terms and gradients, bit for bit, as inputs built for
+        # the batch alone
+        data, load = self.make_data()
+        model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(16, activation), seed=5)
+        samples, anchor = data, None
+        if anchored:
+            samples, anchor = collocation_from_load(load, ELBOW), boundary(0.0, 40.0, 0.0, 60.0)
+        run = prepare_run(model, samples, anchor)
+        for rows in (np.random.default_rng(3).permutation(len(samples))[:11], np.arange(len(samples))):
+            terms, grads = supervised_loss(model, run, rows)
+            want_terms, want_grads = composed_loss(model, samples, rows, anchor)
+            assert terms == want_terms
+            for got, want in zip(grads, want_grads, strict=True):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # every sample, read from the run's own arrays
+        every = np.arange(len(samples))
+        assert supervised_loss(model, run, grad=False)[0] == composed_loss(model, samples, every, anchor)[0]
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_untrained_model_evaluated_once(self, monkeypatch, mode):
@@ -184,10 +252,10 @@ class TestLossBookkeeping:
         n = len(data) if mode == "supervised" else len(collocation_from_load(load, ELBOW))
         full_data_calls = []
 
-        def spy(model, batch, *args, **kwargs):
-            if len(batch) == n:
-                full_data_calls.append(batch)
-            return supervised_loss(model, batch, *args, **kwargs)
+        def spy(model, run, rows=None, **kwargs):
+            if (run.m_a.size if rows is None else len(rows)) == n:
+                full_data_calls.append(rows)
+            return supervised_loss(model, run, rows, **kwargs)
 
         monkeypatch.setattr(fatigue_pinn, "supervised_loss", spy)
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(8, "relu"), seed=6)
@@ -211,21 +279,21 @@ class TestLossBookkeeping:
     def test_bc_zero_when_exact(self):
         model = zero_model()
         data = PinnData(t=np.array([1.0]), m_a=np.array([0.0]), tl=np.array([0.0]))
-        terms, _ = supervised_loss(model, data, boundary(0.0, 0.0, 0.0, 0.0))
+        terms, _ = supervised_loss(model, prepare_run(model, data, boundary(0.0, 0.0, 0.0, 0.0)))
         assert terms["L_NN_or_BC"] == 0.0
 
     def test_bc_is_squared_error_at_the_boundary(self):
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=4)
         data = collocation_from_load(LoadProfile.constant(50.0, 120.0, 12.0), ELBOW)
-        terms, _ = supervised_loss(model, data, boundary(0.0, 40.0, 1.0, 55.0))
+        terms, _ = supervised_loss(model, prepare_run(model, data, boundary(0.0, 40.0, 1.0, 55.0)))
         m_f0, m_r0 = model.predict([0.0], [40.0])
         assert terms["L_NN_or_BC"] == float(np.sum(np.array([m_f0[0] - 1.0, m_r0[0] - 55.0]) ** 2))
 
     def test_batch_as_its_own_anchor_is_the_default(self):
         data, _ = self.make_data(n=10)
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=3)
-        default, grads = supervised_loss(model, data)
-        anchored, anchored_grads = supervised_loss(model, data, data)
+        default, grads = supervised_loss(model, prepare_run(model, data))
+        anchored, anchored_grads = supervised_loss(model, prepare_run(model, data, data))
         assert anchored["L_NN_or_BC"] == pytest.approx(default["L_NN_or_BC"], rel=1e-12)
         assert anchored["L_PB"] == default["L_PB"]
         for g, ag in zip(grads, anchored_grads):
@@ -235,14 +303,16 @@ class TestLossBookkeeping:
         model = Pinn3ccModel(ELBOW, t_scale=10.0)
         data = PinnData(t=np.array([0.0, 1.0]), m_a=np.zeros(2), tl=np.zeros(2))
         with pytest.raises(ParameterError):
-            supervised_loss(model, data)
+            prepare_run(model, data)
 
     def test_supervised_gradients_match_fd(self):
         data, _ = self.make_data(n=10)
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=3)
 
+        run = prepare_run(model, data)
+
         def loss_fn():
-            terms, grads = supervised_loss(model, data)
+            terms, grads = supervised_loss(model, run)
             return terms["L_total"], grads
 
         from test_nncore import fd_gradcheck
@@ -254,8 +324,10 @@ class TestLossBookkeeping:
         data = collocation_from_load(load, ELBOW)
         model = Pinn3ccModel(ELBOW, t_scale=120.0, spec=PinnSpec(6, "tanh"), seed=4)
 
+        run = prepare_run(model, data, boundary(0.0, 50.0, 0.0, 50.0))
+
         def loss_fn():
-            terms, grads = supervised_loss(model, data, boundary(0.0, 50.0, 0.0, 50.0))
+            terms, grads = supervised_loss(model, run, np.arange(1, len(data)))
             return terms["L_total"], grads
 
         from test_nncore import fd_gradcheck

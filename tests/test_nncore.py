@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -118,6 +119,13 @@ class TestTangent:
 
     def test_backward_tangent_gradcheck(self):
         _tangent_gradcheck("tanh", np.random.default_rng(7))
+
+    def test_tangent_direction_must_have_the_input_shape(self):
+        mlp = Mlp([2, 4, 2], ["tanh", "linear"], np.random.default_rng(2))
+        x = np.ones((3, 2))
+        for v in (0.0, np.ones(2), np.ones((1, 2)), np.ones((3, 1))):
+            with pytest.raises(ShapeError, match="tangent direction"):
+                mlp.forward_tangent(x, v)
 
     def test_backward_tangent_gradcheck_relu(self):
         # relu'' is zero a.e.: the tangent's gradient flows through relu' only
@@ -523,6 +531,26 @@ class TestAdam:
         for a, b in zip(*sides):
             assert a.dtype == np.float64 and np.array_equal(a, b)
 
+    def test_steps_after_the_first_allocate_under_one_flat_vector(self):
+        # the flat gradient, the moment terms and the update go into two
+        # buffers the optimizer keeps; a step allocates the finiteness mask
+        # (one byte a parameter) and no parameter-sized float64 array
+        rng = np.random.default_rng(14)
+        params = [rng.normal(size=s) for s in ((64, 2), (64,), (64, 64), (64,), (2, 64), (2,))]
+        grads = [rng.normal(size=p.shape) for p in params]
+        opt = Adam(params, lr=0.01)
+        opt.step(params, grads)
+        flat_bytes = 8 * sum(p.size for p in params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            opt.step(params, grads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < flat_bytes, (peak, flat_bytes)
+
     def test_golden_bits(self):
         # sha256 of mixed-shape parameters after 50 seeded steps with
         # gradients spanning nine decades, recorded with per-array moments
@@ -558,7 +586,7 @@ def _mlp_mse(x, y):
     tangent pass with a zero tangent."""
 
     def loss_fn(m, idx):
-        pred, _, cache = m.forward_tangent(x[idx], 0.0)
+        pred, _, cache = m.forward_tangent(x[idx], np.zeros_like(x[idx]))
         loss, gy = mse(pred, y[idx])
         return loss, m.backward_tangent(cache, gy, np.zeros_like(gy))
 
