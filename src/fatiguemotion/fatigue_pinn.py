@@ -191,12 +191,11 @@ def supervised_loss(model: Pinn3ccModel, run: PinnRun, rows=None, grad: bool = T
     only, so their tangent gradient is zero.
     """
     anchored = run.anchor_rows is not None
-    if rows is None:  # every sample: the run's own arrays, no copies
-        u, v, m_a, tl, targets = run.u, run.v, run.m_a, run.tl, run.targets
-    else:
-        uv_rows = np.concatenate([rows, run.anchor_rows]) if anchored else rows
-        u, v, m_a, tl = run.u[uv_rows], run.v[uv_rows], run.m_a[rows], run.tl[rows]
-        targets = run.targets if anchored else run.targets[rows]
+    if rows is None:
+        rows = np.arange(run.m_a.size)
+    uv_rows = np.concatenate([rows, run.anchor_rows]) if anchored else rows
+    u, v, m_a, tl = run.u[uv_rows], run.v[uv_rows], run.m_a[rows], run.tl[rows]
+    targets = run.targets if anchored else run.targets[rows]
     n = m_a.size
     y, ydot, cache = model.mlp.forward_tangent(u, v)
     m, mdot = model.out_scale * y, model.out_scale * ydot

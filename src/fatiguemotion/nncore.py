@@ -156,8 +156,6 @@ class Mlp:
         read and never written: returns (y, dy/dalpha, cache). The cache keeps v
         and each layer's output and activation derivative (None when linear)."""
         a, adot = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        if adot.shape != a.shape:
-            raise ShapeError(f"tangent direction must have the input's shape {a.shape}, got {adot.shape}")
         caches = []
         for layer in self.layers:
             z = a @ layer.W.T

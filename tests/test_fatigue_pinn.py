@@ -242,7 +242,7 @@ class TestLossBookkeeping:
             assert terms == want_terms
             for got, want in zip(grads, want_grads, strict=True):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        # every sample, read from the run's own arrays
+        # every sample, the rows the epoch log takes by default
         every = np.arange(len(samples))
         assert supervised_loss(model, run, grad=False)[0] == composed_loss(model, samples, every, anchor)[0]
 
