@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataFormatError, ParameterError, read_json
 from .sequences import (
     MotionSequence,
+    load_alike,
     load_sequence,
     save_sequence,
 )
@@ -50,13 +51,6 @@ class ArmParams:
             raise ParameterError("need 0 < r1 <= l1")
         if not 0 < self.r2 <= self.l2:
             raise ParameterError("need 0 < r2 <= l2")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArmParams":
-        return cls(**d)
 
 
 def mass_matrix(q, params: ArmParams) -> np.ndarray:
@@ -139,7 +133,7 @@ class ArmTrial:
     torque: MotionSequence  # torques, N*m
 
 
-def generate_trajectory(params: ArmParams, n_frames: int, dt: float, rng, n_segments: int = 2):
+def generate_trajectory(n_frames: int, dt: float, rng, n_segments: int = 2):
     """Smooth random waypoint trajectory; returns (q, qd, qdd) arrays (T, 2).
 
     Every trial starts from the same neutral posture (the waypoint-box
@@ -179,7 +173,7 @@ def generate_dataset(
     rng = np.random.default_rng(seed)
     trials = []
     for _ in range(n_trials):
-        q, qd, qdd = generate_trajectory(params, n_frames, dt, rng, n_segments)
+        q, qd, qdd = generate_trajectory(n_frames, dt, rng, n_segments)
         tau = inverse_dynamics(q, qd, qdd, params)
         trials.append(ArmTrial(MotionSequence(JOINT_NAMES, dt, q), MotionSequence(JOINT_NAMES, dt, tau)))
     return trials
@@ -200,7 +194,7 @@ def save_trials(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict | 
         save_sequence(trial.torque, outdir / f"{stem}_torques.csv")
         entries.append(stem)
     manifest = {
-        "arm_params": params.to_dict(),
+        "arm_params": asdict(params),
         "trials": entries,
         "n_frames": trials[0].motion.n_frames,
         "dt": trials[0].motion.dt,
@@ -228,7 +222,7 @@ def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
     path = datadir / "manifest.json"
     manifest = read_json(path)
     try:
-        params = ArmParams.from_dict(manifest["arm_params"])
+        params = ArmParams(**manifest["arm_params"])
         stems = list(manifest["trials"])
     except KeyError as exc:
         raise DataFormatError(f"{path}: dataset manifest lacks {exc}") from None
@@ -237,9 +231,6 @@ def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
     trials = []
     for stem in stems:
         paths = datadir / f"{stem}_angles.csv", datadir / f"{stem}_torques.csv"
-        trial = ArmTrial(*map(load_sequence, paths))
-        layouts = [(s.joint_names, s.n_frames, s.dt) for s in (trial.motion, trial.torque)]
-        if layouts[0] != layouts[1]:
-            raise DataFormatError(f"{paths[0]} and {paths[1]} differ in (joints, frames, dt): {layouts}")
-        trials.append(trial)
+        motion = load_sequence(paths[0])
+        trials.append(ArmTrial(motion, load_alike(paths[1], motion, paths[0])))
     return trials, params, manifest

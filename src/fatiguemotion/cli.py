@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -88,8 +87,7 @@ def _parse_load(spec: str, duration: float, dt: float) -> cc.LoadProfile:
                     if line and line.lower() not in ("tl", "target_load"):
                         raise DataFormatError(f"{path}:{lineno}: target load {line!r} is not a number") from None
         load = cc.LoadProfile(np.array(values), dt)
-        steps = duration / dt
-        if not (math.isfinite(steps) and int(round(steps)) + 1 == load.values.size):
+        if cc.LoadProfile.frame_count(duration, dt) != load.values.size:
             raise ParameterError(f"{path}: {load.values.size} target-load samples at dt={dt} "
                                  f"span {(load.values.size - 1) * dt} s, not --t {duration} s")
         return load
@@ -132,10 +130,8 @@ def _cmd_train_pinn(args) -> dict:
         raise ParameterError(f"--frames must be >= 2, got {args.frames}")
     # Supervised data come from a simulation at the fine step; unsupervised
     # collocation points are the frames themselves.
-    if args.unsupervised:
-        load = _parse_load(args.tl, args.t, args.t / (args.frames - 1))
-    else:
-        load = _parse_load(args.tl, args.t, min(0.05, args.t / (args.frames - 1)))
+    dt = args.t / (args.frames - 1)
+    load = _parse_load(args.tl, args.t, dt if args.unsupervised else min(cc.MAX_STEP, dt))
     model = fp.Pinn3ccModel(
         params, t_scale=args.t, spec=fp.PinnSpec(args.hidden, args.activation), seed=args.seed
     )
@@ -264,10 +260,8 @@ def _cmd_apply_fatigue(args) -> dict:
 
 
 def _cmd_eval(args) -> None:
-    pred = sq.load_sequence(args.pred)
     truth = sq.load_sequence(args.truth)
-    if pred.joint_names != truth.joint_names:
-        raise DataFormatError("joint sets differ between pred and truth")
+    pred = sq.load_alike(args.pred, truth, args.truth)
     metrics = {}
     for i, name in enumerate(truth.joint_names):
         metrics[name] = {
@@ -297,8 +291,8 @@ def _cmd_export_curves(args) -> dict:
             raise ParameterError(f"--run label {label!r} given twice")
         specs[label] = Path(rundir)
     baseline = sq.load_sequence(args.baseline)
-    runs = [(label, sq.load_sequence(rundir / "fatigued.csv"), pl.load_traces(rundir / "report.json"))
-            for label, rundir in specs.items()]
+    runs = [(label, sq.load_alike(rundir / "fatigued.csv", baseline, args.baseline),
+             pl.load_traces(rundir / "report.json")) for label, rundir in specs.items()]
     return {"files": pl.export_curves(baseline, runs, Path(args.out))}
 
 

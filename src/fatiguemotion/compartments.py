@@ -129,15 +129,23 @@ class LoadProfile:
             raise ParameterError("target load must be a number in [0, 100]")
         v.setflags(write=False)
 
-    @classmethod
-    def constant(cls, tl: float, duration: float, dt: float) -> "LoadProfile":
-        if not (math.isfinite(duration) and duration >= 0):
-            raise ParameterError(f"duration must be finite and >= 0, got {duration}")
+    @staticmethod
+    def frame_count(duration: float, dt: float) -> int:
+        """round(duration / dt) + 1, the samples of a ``duration``-second profile; ParameterError
+        unless that is a finite count of steps >= 0, and >= 1 for a positive duration."""
         if not (math.isfinite(dt) and dt > 0):
             raise ParameterError(f"dt must be finite and > 0, got {dt}")
-        n = int(round(duration / dt)) + 1
+        steps = duration / dt
+        if not (math.isfinite(steps) and steps >= 0):
+            raise ParameterError(f"duration must be finite and >= 0 in steps of dt {dt} s, got {duration}")
+        n = int(round(steps)) + 1
         if n == 1 and duration > 0:
             raise ParameterError(f"duration {duration} s rounds to no step of dt {dt} s")
+        return n
+
+    @classmethod
+    def constant(cls, tl: float, duration: float, dt: float) -> "LoadProfile":
+        n = cls.frame_count(duration, dt)
         try:
             values = np.full(n, float(tl))
         except (ValueError, MemoryError) as exc:  # numpy refuses the frame count
@@ -264,7 +272,7 @@ def simulate(initial: CompartmentState | None, load: LoadProfile, params: Cc3Par
         for k, tl in zip(range(3, 3 * n, 3), map(float, load.values[:-1])):
             state = advance(state, tl, params, dt)
             flat[k], flat[k + 1], flat[k + 2] = state
-    return Cc3Trajectory(times=np.arange(n) * dt, states=states)
+    return Cc3Trajectory(times=load.times, states=states)
 
 
 def modulate_torque(tau, rc_hat):
@@ -277,7 +285,8 @@ def modulate_torque(tau, rc_hat):
 
 @dataclass(frozen=True)
 class FatigueProfile:
-    """Per-joint fatigue configuration: rates plus the attenuation factor."""
+    """Per-joint fatigue configuration: rates plus the attenuation factor. ``cc3``,
+    the rates' :class:`Cc3Params`, is built and validated once and is not a field."""
 
     joint: str
     F: float
@@ -289,11 +298,7 @@ class FatigueProfile:
     def __post_init__(self):
         if not 0 <= self.lam <= 1:
             raise ParameterError(f"lambda must be in [0,1], got {self.lam}")
-        Cc3Params(self.F, self.R, self.LD, self.LR)  # validates the rates
-
-    @property
-    def cc3(self) -> Cc3Params:
-        return Cc3Params(self.F, self.R, self.LD, self.LR)
+        object.__setattr__(self, "cc3", Cc3Params(self.F, self.R, self.LD, self.LR))
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -52,8 +52,9 @@ class PinnSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ParameterError(f"hidden must be >= 1, got {self.hidden}")
+        if self.hidden < 1 or self.activation not in nncore.ACTIVATIONS:
+            raise ParameterError(f"need hidden >= 1 and an activation of {nncore.ACTIVATIONS}, "
+                                 f"got {self.hidden} and {self.activation!r}")
 
 
 def layer_sizes(hidden: int) -> list[int]:
@@ -102,22 +103,14 @@ def ode_residuals(p: Cc3Params, m_a, tl, m_f, m_r, mdot_f, mdot_r):
 
 @dataclass
 class PinnData:
-    """Training samples: times, active pool, target load, optional pool targets."""
+    """Training samples: times, active pool, target load, optional pool
+    targets, each a 1-D float64 array of one entry per sample (not converted)."""
 
     t: np.ndarray
     m_a: np.ndarray
     tl: np.ndarray
     m_f: np.ndarray | None = None
     m_r: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.m_a = np.asarray(self.m_a, dtype=float)
-        self.tl = np.asarray(self.tl, dtype=float)
-        if self.m_f is not None:
-            self.m_f = np.asarray(self.m_f, dtype=float)
-        if self.m_r is not None:
-            self.m_r = np.asarray(self.m_r, dtype=float)
 
     def __len__(self) -> int:
         return self.t.size
@@ -280,11 +273,14 @@ def load_model(path) -> tuple[Pinn3ccModel, dict]:
         raise DataFormatError(f"{path}: hidden and seed must be integers, activation a string, "
                               f"t_scale a finite number > 0 and cc3 an object of the numbers "
                               f"{', '.join(rates)}")
-    spec = PinnSpec(hidden, activation)
+    try:
+        spec, cc3 = PinnSpec(hidden, activation), Cc3Params(**cc3)
+    except ParameterError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     sizes = layer_sizes(hidden)
     # before the model is built: the architecture may claim more than memory holds
     nncore.check_shapes([s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_out, n_in), (n_out,))],
                         doc["params"], path)
-    model = Pinn3ccModel(Cc3Params(**cc3), t_scale, spec, seed=seed)
+    model = Pinn3ccModel(cc3, t_scale, spec, seed=seed)
     nncore.copy_params(model.params(), doc["params"], path)
     return model, doc["meta"]

@@ -10,14 +10,16 @@ float64, so float32 training keeps float64 master weights and checkpoints.
 Gradients are exact reverse-mode, including gradients of outputs with
 respect to inputs.
 
-The dense stack :class:`Mlp` has one pass per job. :meth:`Mlp.forward` is
-inference: it returns the output and keeps nothing. :meth:`Mlp.forward_tangent`
-carries an input tangent (a directional derivative) alongside the output and
-keeps the caches of :meth:`Mlp.backward_tangent`, which gives the parameter
-gradients of a loss of both the output and its tangent. That is what lets an
-ODE-residual loss differentiate a network output with respect to its time
-input and still train by backprop; rows whose loss does not involve the
-tangent get a zero tangent gradient.
+:class:`DenseLayer` is affine, y = x W^T + b. The dense stack :class:`Mlp`
+holds one activation per layer, applies it after the layer and has one pass
+per job. :meth:`Mlp.forward` is inference: it returns the output and keeps
+nothing. :meth:`Mlp.forward_tangent` carries an input tangent (a
+directional derivative) alongside the output and keeps the caches of
+:meth:`Mlp.backward_tangent`, which gives the parameter gradients of a loss
+of both the output and its tangent. That is what lets an ODE-residual loss
+differentiate a network output with respect to its time input and still
+train by backprop; rows whose loss does not involve the tangent get a zero
+tangent gradient.
 
 Every LSTM step runs on contiguous memory, in as few passes as the math
 needs: an elementwise op on one of a (B, 4H) row's four strided (B, H) gate
@@ -59,23 +61,18 @@ CHECKPOINT_VERSION = 1
 
 # --- activations -------------------------------------------------------------
 
+ACTIVATIONS = ("linear", "relu", "tanh")
+
+
 def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return z
     if name == "relu":
         return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    raise ParameterError(f"unknown activation {name!r}")
+    return np.tanh(z) if name == "tanh" else z
 
 
 def _act_d(name: str, z: np.ndarray) -> np.ndarray:
     """relu' or tanh' at z; a linear layer passes its gradients through instead."""
-    if name == "relu":
-        return (z > 0).astype(z.dtype)
-    if name == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    raise ParameterError(f"unknown activation {name!r}")
+    return (z > 0).astype(z.dtype) if name == "relu" else 1.0 - np.tanh(z) ** 2
 
 
 def as_float(x) -> np.ndarray:
@@ -99,13 +96,12 @@ def glorot_uniform(n_out: int, n_in: int, rng) -> np.ndarray:
 # --- dense layers -------------------------------------------------------------
 
 class DenseLayer:
-    """Fully connected layer y = act(x W^T + b), x of shape (B, n_in)."""
+    """Affine layer y = x W^T + b, x of shape (B, n_in), in x's float dtype
+    (:func:`as_float`); its forward cache is x. :class:`Mlp` applies activations."""
 
-    def __init__(self, n_in: int, n_out: int, activation: str, rng):
-        _act(activation, np.zeros(1))  # validate name
+    def __init__(self, n_in: int, n_out: int, rng):
         self.n_in = n_in
         self.n_out = n_out
-        self.activation = activation
         self.W = glorot_uniform(n_out, n_in, rng)
         self.b = np.zeros(n_out)
 
@@ -116,29 +112,21 @@ class DenseLayer:
         x = as_float(x)
         if x.shape[-1] != self.n_in:
             raise ShapeError(f"dense layer expects width {self.n_in}, got {x.shape[-1]}")
-        z = x @ self.W.T.astype(x.dtype, copy=False) + self.b.astype(x.dtype, copy=False)
-        return _act(self.activation, z), (x, z)
+        return x @ self.W.T.astype(x.dtype, copy=False) + self.b.astype(x.dtype, copy=False), x
 
-    def backward(self, cache, gy: np.ndarray):
-        x, z = cache
-        # a linear layer passes gy through: gy * 1.0 is gy, bit for bit
-        gz = gy if self.activation == "linear" else gy * _act_d(self.activation, z)
-        gW = gz.T @ x
-        gb = gz.sum(axis=0)
-        gx = gz @ self.W.astype(x.dtype, copy=False)
-        return [gW, gb], gx
+    def backward(self, x, gy: np.ndarray):
+        return [gy.T @ x, gy.sum(axis=0)], gy @ self.W.astype(x.dtype, copy=False)
 
 
 class Mlp:
-    """Stack of dense layers; ``sizes`` = [n_in, h1, ..., n_out]."""
+    """Stack of :class:`DenseLayer`, each followed by its activation, one of
+    :data:`ACTIVATIONS`; ``sizes`` = [n_in, h1, ..., n_out]."""
 
     def __init__(self, sizes, activations, rng):
-        if len(activations) != len(sizes) - 1:
-            raise ParameterError("need one activation per weight layer")
-        self.sizes = list(sizes)
-        self.layers = [
-            DenseLayer(sizes[i], sizes[i + 1], activations[i], rng) for i in range(len(sizes) - 1)
-        ]
+        if len(activations) != len(sizes) - 1 or not set(activations) <= set(ACTIVATIONS):
+            raise ParameterError(f"need one activation of {ACTIVATIONS} per weight layer, got {activations}")
+        self.activations = list(activations)
+        self.layers = [DenseLayer(sizes[i], sizes[i + 1], rng) for i in range(len(sizes) - 1)]
 
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
@@ -146,8 +134,8 @@ class Mlp:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Inference: the stack's output y, keeping nothing for a reverse pass.
         Same arithmetic as the y of :meth:`forward_tangent`, so the same bits."""
-        for layer in self.layers:
-            x = layer.forward(x)[0]
+        for layer, name in zip(self.layers, self.activations):
+            x = _act(name, layer.forward(x)[0])
         ensure_finite("mlp forward", x)
         return x
 
@@ -157,13 +145,13 @@ class Mlp:
         and each layer's output and activation derivative (None when linear)."""
         a, adot = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
         caches = []
-        for layer in self.layers:
+        for layer, name in zip(self.layers, self.activations):
             z = a @ layer.W.T
             z += layer.b
             zdot = adot @ layer.W.T
-            d = None if layer.activation == "linear" else _act_d(layer.activation, z)
+            d = None if name == "linear" else _act_d(name, z)
             a_in, adot_in = a, adot
-            a = _act(layer.activation, z)
+            a = _act(name, z)
             adot = zdot if d is None else d * zdot
             caches.append((a_in, adot_in, a, d, zdot))
         ensure_finite("mlp tangent forward", a, adot)
@@ -177,12 +165,13 @@ class Mlp:
         ga = np.asarray(gy, dtype=float)
         gadot = np.asarray(gydot, dtype=float)
         grads: list[np.ndarray] = []
-        for layer, (a_in, adot_in, a, d, zdot) in zip(reversed(self.layers), reversed(caches)):
+        for layer, name, (a_in, adot_in, a, d, zdot) in zip(
+                reversed(self.layers), reversed(self.activations), reversed(caches)):
             if d is None:
                 gz, gzdot = ga, gadot
             else:
                 gz = ga * d
-                if layer.activation == "tanh":
+                if name == "tanh":
                     gz += gadot * (-2.0 * a * d) * zdot  # tanh'' = -2 tanh tanh'
                 gzdot = gadot * d
             gW = gz.T @ a_in + gzdot.T @ adot_in

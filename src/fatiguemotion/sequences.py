@@ -117,6 +117,16 @@ def load_sequence(path) -> MotionSequence:
     return MotionSequence(names, dt, np.array(rows))
 
 
+def load_alike(path, ref: MotionSequence, ref_path) -> MotionSequence:
+    """The sequence in ``path``; DataFormatError naming both files unless its
+    joints, frame count and dt are those of ``ref``, read from ``ref_path``."""
+    seq = load_sequence(path)
+    layouts = [(s.joint_names, s.n_frames, s.dt) for s in (ref, seq)]
+    if layouts[0] != layouts[1]:
+        raise DataFormatError(f"{ref_path} and {path} differ in (joints, frames, dt): {layouts}")
+    return seq
+
+
 def _parses(cell: str) -> bool:
     try:
         float(cell)

@@ -117,7 +117,6 @@ class BiLstmLayer:
         self.fwd = LstmCell(n_in, n_hidden, rng)
         self.bwd = LstmCell(n_in, n_hidden, rng)
         self.activation = activation
-        self.n_in = n_in
         self.n_out = 2 * n_hidden
 
     def params(self):
@@ -161,7 +160,7 @@ class BiLstmModel:
             layer = BiLstmLayer(width, spec.hidden, act, rng)
             self.layers.append(layer)
             width = layer.n_out
-        self.head = DenseLayer(width, 1, "linear", rng)
+        self.head = DenseLayer(width, 1, rng)
 
     def params(self):
         out = []
@@ -477,8 +476,8 @@ def load_model(path) -> tuple[BiLstmModel, dict]:
     n_in, n_out, n_layers, hidden = nncore.architecture_fields(
         path, arch, ("n_in", "n_out", "n_layers", "hidden"))
     seed = arch.get("seed", 0)
-    if not all(type(v) is int for v in (n_in, n_layers, hidden, seed)):
-        raise DataFormatError(f"{path}: n_in, n_layers, hidden and seed must be integers")
+    if not (all(type(v) is int for v in (n_in, n_layers, hidden, seed)) and min(n_in, n_layers, hidden) >= 1):
+        raise DataFormatError(f"{path}: n_in, n_layers and hidden must be integers >= 1, seed an integer")
     if type(n_out) is not int or n_out != 1:
         raise DataFormatError(f"{path}: a surrogate has one output, got n_out {n_out!r}")
     spec = BiLstmSpec(n_layers, hidden)

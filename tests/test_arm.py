@@ -169,7 +169,7 @@ class TestDatasetGenerator:
         # generate_dataset draws one trajectory per trial from a generator seeded once
         rng = np.random.default_rng(2)
         for trial in generate_dataset(P, 5, 64, 0.05, seed=2):
-            q, qd, qdd = generate_trajectory(P, 64, 0.05, rng)
+            q, qd, qdd = generate_trajectory(64, 0.05, rng)
             np.testing.assert_array_equal(q, trial.motion.frames)
             assert np.abs(inverse_dynamics(q, qd, qdd, P) - trial.torque.frames).max() < 1e-9
 
@@ -182,7 +182,7 @@ class TestDatasetGenerator:
             assert t.motion.joint_names == JOINT_NAMES
 
     def test_rest_to_rest(self):
-        _, qd, _ = generate_trajectory(P, 32, 0.05, np.random.default_rng(4))
+        _, qd, _ = generate_trajectory(32, 0.05, np.random.default_rng(4))
         np.testing.assert_allclose(qd[0], 0.0, atol=1e-12)
         np.testing.assert_allclose(qd[-1], 0.0, atol=1e-9)
 

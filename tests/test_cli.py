@@ -457,6 +457,16 @@ class TestUserErrors:
         assert run([*argv, "--t", "0.4", "--out", str(tmp_path / "ok")]) == 0
         assert len((tmp_path / "ok" / "trajectory.csv").read_text().splitlines()) == 1 + 3
 
+    @pytest.mark.parametrize("t", ["0.05", "-0.05"], ids=["under-half-a-step", "negative"])
+    def test_sim_3cc_load_csv_refuses_a_duration_const_refuses(self, tmp_path, capsys, t):
+        # a one-sample csv: load once exited 0 and wrote the t = 0 row only
+        (tmp_path / "tl.csv").write_text("30\n")
+        argv = ["sim-3cc", "--F", "0.01", "--R", "0.001", "--dt", "0.2", "--t", t]
+        for tl in (f"csv:{tmp_path / 'tl.csv'}", "const:30"):
+            assert run([*argv, "--tl", tl, "--out", str(tmp_path / "out")]) == 2
+            assert "data error: duration" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
 
 class TestLoadCsv:
     """csv: loads skip blank lines and tl/target_load headers wherever they stand."""
@@ -512,10 +522,12 @@ class TestMalformedArtefacts:
         "[]",
         lambda doc: [doc["meta"][k].pop("joints") for k in ("input_norm", "target_norm")],
         lambda doc: doc["architecture"].update(n_out=2),
+        lambda doc: doc["architecture"].update(n_layers=0),
+        lambda doc: doc["architecture"].update(hidden=-1),
     ], ids=["architecture-without-n_in", "no-meta", "non-base64-character", "truncated-padding",
             "no-blob", "no-shapes", "params-not-an-object", "blob-not-whole-floats",
             "architecture-not-an-object", "n_layers-a-string", "meta-not-an-object", "seed-a-string",
-            "not-an-object", "normalization-without-joints", "n_out-2"])
+            "not-an-object", "normalization-without-joints", "n_out-2", "n_layers-0", "hidden-negative"])
     def test_malformed_checkpoint(self, trained, tmp_path, capsys, edit):
         # Every checkpoint gets the edit (a string replaces the whole file),
         # so a normalization they all share gets as far as its decode;
@@ -603,6 +615,37 @@ class TestMalformedArtefacts:
                     "--out", str(tmp_path / "curves")])
         assert code == 2
         assert "run 'tired'" in capsys.readouterr().err
+        assert not (tmp_path / "curves").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: ["# dt=0.025", *lines[1:]],
+        lambda lines: lines[:-1],
+    ], ids=["dt", "one-row-short"])
+    def test_eval_refuses_a_pred_of_another_layout(self, trained, tmp_path, capsys, edit):
+        truth = trained / "data" / "trial000_angles.csv"
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(edit(truth.read_text().splitlines())) + "\n")
+        code = run(["eval", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path / "eval")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pred.csv" in err and "trial000_angles.csv" in err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: ["# dt=0.025", *lines[1:]],
+        lambda lines: lines[:-1],
+    ], ids=["dt", "one-row-short"])
+    def test_export_curves_refuses_a_run_of_another_layout(self, trained, tmp_path, capsys, edit):
+        assert _apply(trained, trained / "models", tmp_path / "apply") == 0
+        shutil.copytree(tmp_path / "apply", tmp_path / "other")
+        path = tmp_path / "other" / "fatigued.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code = run(["export-curves", "--baseline", str(tmp_path / "apply" / "baseline.csv"),
+                    "--run", f"intact={tmp_path / 'apply'}", "--run", f"tired={tmp_path / 'other'}",
+                    "--out", str(tmp_path / "curves")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "apply" / "baseline.csv") in err and str(path) in err
         assert not (tmp_path / "curves").exists()
 
 

@@ -30,7 +30,8 @@ from test_surrogates import refuse_to_build
 
 def boundary(t0, m_a0, m_f0, m_r0):
     """A one-sample anchor: targets (M_F, M_R) at (t0, M_A(t0))."""
-    return PinnData(t=[t0], m_a=[m_a0], tl=[0.0], m_f=[m_f0], m_r=[m_r0])
+    t, m_a, tl, m_f, m_r = np.array([[t0], [m_a0], [0.0], [m_f0], [m_r0]], dtype=float)
+    return PinnData(t, m_a, tl, m_f=m_f, m_r=m_r)
 
 
 def time_tangent(model, t, m_a):
@@ -374,6 +375,25 @@ class TestTraining:
         assert worst < 10.0
 
 
+class TestSamples:
+    def test_producers_give_float64_arrays(self, monkeypatch):
+        # PinnData converts nothing: each producer hands in 1-D float64 arrays
+        load = LoadProfile.constant(40.0, 10.0, 0.5)
+        anchors = []
+        monkeypatch.setattr(fatigue_pinn, "train_supervised",
+                            lambda model, data, config, anchor: anchors.append(anchor))
+        train_unsupervised(zero_model(), load, TrainConfig(epochs=1))
+        collocation = collocation_from_load(load, ELBOW)
+        assert collocation.m_f is None and collocation.m_r is None
+        supervised = data_from_trajectory(simulate(None, load, ELBOW), load, training_indices(load, 8))
+        for data in (supervised, collocation, *anchors):
+            for name in ("t", "m_a", "tl", "m_f", "m_r"):
+                value = getattr(data, name)
+                assert value is None and data is collocation or (
+                    type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == 1), name
+        assert len(anchors) == 1 and len(anchors[0]) == 1
+
+
 class TestCheckpoints:
     def test_round_trip_embeds_rates(self, tmp_path):
         custom = Cc3Params(F=0.02, R=0.003, LD=8.0, LR=9.0)
@@ -429,12 +449,15 @@ class TestCheckpoints:
         ("cc3", {"F": 0.01, "R": 0.001, "LD": 10.0, "LR": 10.0, "X": 1.0}),
         # json writes these as NaN, Infinity and -Infinity, and reads them back
         ("t_scale", float("nan")), ("t_scale", float("inf")), ("t_scale", -float("inf")), ("t_scale", 0.0),
+        # the right JSON type, out of range
+        ("hidden", 0), ("activation", "swish"), ("cc3", {"F": -1, "R": 0.001, "LD": 10.0, "LR": 10.0}),
     ])
-    def test_malformed_architecture_fields_rejected(self, tmp_path, field, value):
+    def test_malformed_architecture_fields_rejected(self, tmp_path, monkeypatch, field, value):
         path = tmp_path / "pinn.json"
         save_model(path, Pinn3ccModel(ELBOW, t_scale=50.0, spec=PinnSpec(4, "relu")))
         doc = json.loads(path.read_text())
         doc["architecture"][field] = value
         path.write_text(json.dumps(doc))
+        monkeypatch.setattr(fatigue_pinn, "Pinn3ccModel", refuse_to_build)
         with pytest.raises(DataFormatError, match="pinn.json"):
             load_model(path)

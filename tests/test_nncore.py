@@ -59,7 +59,7 @@ def lstm_forward(cell, x):
 
 class TestDenseForward:
     def test_identity_layer(self):
-        layer = DenseLayer(3, 3, "linear", np.random.default_rng(0))
+        layer = DenseLayer(3, 3, np.random.default_rng(0))
         layer.W = np.eye(3)
         layer.b = np.zeros(3)
         x = np.array([[1.0, -2.0, 0.5]])
@@ -67,11 +67,10 @@ class TestDenseForward:
         np.testing.assert_array_equal(y, x)
 
     def test_relu(self):
-        layer = DenseLayer(2, 2, "relu", np.random.default_rng(0))
-        layer.W = np.eye(2)
-        layer.b = np.zeros(2)
-        y, _ = layer.forward(np.array([[-1.0, 2.0]]))
-        np.testing.assert_array_equal(y, [[0.0, 2.0]])
+        mlp = Mlp([2, 2], ["relu"], np.random.default_rng(0))
+        mlp.layers[0].W = np.eye(2)
+        mlp.layers[0].b = np.zeros(2)
+        np.testing.assert_array_equal(mlp.forward(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
 
     def test_deterministic(self):
         a = Mlp([2, 8, 1], ["relu", "linear"], np.random.default_rng(5))
@@ -80,8 +79,8 @@ class TestDenseForward:
         np.testing.assert_array_equal(a.forward(x), b.forward(x))
 
     def test_unknown_activation(self):
-        with pytest.raises(ParameterError):
-            DenseLayer(2, 2, "swish", np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="swish"):
+            Mlp([2, 2, 2], ["relu", "swish"], np.random.default_rng(0))
 
 
 class TestBackward:
@@ -94,12 +93,14 @@ class TestBackward:
 
     def test_linear_input_gradient_closed_form(self):
         rng = np.random.default_rng(5)
-        layer = DenseLayer(3, 2, "linear", rng)
+        layer = DenseLayer(3, 2, rng)
         x = rng.normal(size=(4, 3))
         gy = rng.normal(size=(4, 2))
         _, cache = layer.forward(x)
-        _, gx = layer.backward(cache, gy)
+        (gW, gb), gx = layer.backward(cache, gy)
         np.testing.assert_allclose(gx, gy @ layer.W, rtol=1e-12)
+        np.testing.assert_allclose(gW, gy.T @ x, rtol=1e-12)
+        np.testing.assert_allclose(gb, gy.sum(axis=0), rtol=1e-12)
 
 
 class TestTangent:
@@ -165,18 +166,19 @@ def _composed_tangent_passes(mlp, x, v, gy, gydot):
     a = np.asarray(x, dtype=float)
     adot = np.broadcast_to(np.asarray(v, dtype=float), a.shape).copy()
     caches = []
-    for layer in mlp.layers:
+    for layer, name in zip(mlp.layers, mlp.activations):
         z = a @ layer.W.T + layer.b
         zdot = adot @ layer.W.T
         caches.append((a, adot, z, zdot))
-        a = act(layer.activation, z)
-        adot = act_d(layer.activation, z) * zdot
+        a = act(name, z)
+        adot = act_d(name, z) * zdot
     y, ydot = a, adot
     ga, gadot = gy, gydot
     grads = []
-    for layer, (a_in, adot_in, z, zdot) in zip(reversed(mlp.layers), reversed(caches)):
-        d = act_d(layer.activation, z)
-        gz = ga * d + gadot * act_dd(layer.activation, z) * zdot
+    for layer, name, (a_in, adot_in, z, zdot) in zip(reversed(mlp.layers), reversed(mlp.activations),
+                                                     reversed(caches)):
+        d = act_d(name, z)
+        gz = ga * d + gadot * act_dd(name, z) * zdot
         gzdot = gadot * d
         grads = [gz.T @ a_in + gzdot.T @ adot_in, gz.sum(axis=0)] + grads
         ga = gz @ layer.W

@@ -7,7 +7,7 @@ import pytest
 
 from fatiguemotion import surrogates
 from fatiguemotion.arm import ArmParams, generate_dataset
-from fatiguemotion.errors import ParameterError, ShapeError
+from fatiguemotion.errors import DataFormatError, ParameterError, ShapeError
 from fatiguemotion.nncore import LstmCell, TrainConfig, encode_params, mse
 from fatiguemotion.sequences import fit_normalizer
 from fatiguemotion.surrogates import (
@@ -111,7 +111,7 @@ class TestBuilders:
         assert model.layers[0].fwd.n_hidden == 128
         assert model.layers[0].activation == "linear"
         assert all(layer.activation == "relu" for layer in model.layers[1:])
-        assert model.head.n_out == 1 and model.head.activation == "linear"
+        assert model.head.n_out == 1 and isinstance(model.head, surrogates.DenseLayer)  # affine
         assert model.kind == "id"
 
     def test_desk_config(self):
@@ -505,6 +505,19 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         monkeypatch.setattr(surrogates, "BiLstmModel", refuse_to_build)
         with pytest.raises(ShapeError, match="id_elbow.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [("n_layers", 0), ("hidden", -1)])
+    def test_out_of_range_architecture_refused_before_the_model_is_built(self, tiny_dataset, tmp_path,
+                                                                         monkeypatch, field, value):
+        _, angle_norm, torque_norm = tiny_dataset
+        path = tmp_path / "id_elbow.json"
+        save_model(path, BiLstmModel(2, BiLstmSpec(2, 3), kind="id"), "elbow", angle_norm, torque_norm, 1.0)
+        doc = json.loads(path.read_text())
+        doc["architecture"][field] = value
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(surrogates, "BiLstmModel", refuse_to_build)
+        with pytest.raises(DataFormatError, match="id_elbow.json"):
             load_model(path)
 
 
