@@ -407,8 +407,8 @@ class TestUserErrors:
         code = run(["train-pinn", "--frames", "1", "--epochs", "1", "--out", str(tmp_path / "out")])
         assert code == 2
 
-    @pytest.mark.parametrize("t, dt", [("-1", "0.05"), ("nan", "0.05"), ("1", "0")],
-                             ids=["negative-duration", "nan-duration", "zero-dt"])
+    @pytest.mark.parametrize("t, dt", [("-1", "0.05"), ("nan", "0.05"), ("1", "0"), ("1e300", "1e-300")],
+                             ids=["negative-duration", "nan-duration", "zero-dt", "steps-beyond-float"])
     def test_sim_3cc_bad_duration(self, tmp_path, t, dt):
         code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", t, "--dt", dt,
                     "--out", str(tmp_path / "out")])

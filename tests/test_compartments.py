@@ -255,7 +255,7 @@ class TestSimulate:
 
     def test_constant_duration_domain(self):
         for duration, dt in ((-1.0, 0.05), (float("nan"), 0.05), (float("inf"), 0.05),
-                             (1.0, 0.0), (1.0, -0.05), (1.0, float("nan"))):
+                             (1.0, 0.0), (1.0, -0.05), (1.0, float("nan")), (1e300, 1e-300)):
             with pytest.raises(ParameterError):
                 LoadProfile.constant(50.0, duration, dt)
         assert LoadProfile.constant(50.0, 0.0, 0.05).values.size == 1
