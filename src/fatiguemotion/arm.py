@@ -12,13 +12,12 @@ All functions broadcast over leading axes: q, qd, qdd may be (2,) or
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError, read_json
+from .errors import DataFormatError, ParameterError, read_json, reading, write_json
 from .sequences import (
     MotionSequence,
     load_alike,
@@ -186,7 +185,6 @@ def save_trials(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict | 
     writes it inside its run manifest, :func:`save_dataset` on its own.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, trial in enumerate(trials):
         stem = f"trial{i:03d}"
@@ -207,27 +205,24 @@ def save_trials(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict | 
 def save_dataset(trials: list[ArmTrial], params: ArmParams, outdir, meta: dict | None = None) -> dict:
     """:func:`save_trials` plus the manifest, as ``manifest.json``; returns the manifest."""
     manifest = save_trials(trials, params, outdir, meta)
-    with open(Path(outdir) / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(Path(outdir) / "manifest.json", manifest, indent=2)
     return manifest
 
 
 def load_dataset(datadir) -> tuple[list[ArmTrial], ArmParams, dict]:
     """(trials, arm parameters, manifest) of a :func:`save_dataset` directory;
-    only each trial's angle and torque CSVs are read. A torque CSV whose joint
+    only each trial's angle and torque CSVs are read, one pair per stem of
+    the manifest's ``trials``, a list of strings. A torque CSV whose joint
     names, frame count or dt differ from its angle CSV's raises
     DataFormatError naming both files."""
     datadir = Path(datadir)
     path = datadir / "manifest.json"
     manifest = read_json(path)
-    try:
+    with reading(path):
         params = ArmParams(**manifest["arm_params"])
-        stems = list(manifest["trials"])
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: dataset manifest lacks {exc}") from None
-    except TypeError as exc:
-        raise DataFormatError(f"{path}: malformed dataset manifest: {exc}") from None
+        stems = manifest["trials"]
+    if not (isinstance(stems, list) and all(isinstance(stem, str) for stem in stems)):
+        raise DataFormatError(f"{path}: trials must be a list of strings")
     trials = []
     for stem in stems:
         paths = datadir / f"{stem}_angles.csv", datadir / f"{stem}_torques.csv"

@@ -4,9 +4,11 @@ Subcommands: gen-data, sim-3cc, train-pinn, train-dyn, apply-fatigue, eval,
 export-curves. After a command succeeds, :func:`run` writes manifest.json
 into its --out directory so the run can be reproduced: the command, argv,
 seed, package version and ``config`` (every other parsed option, plus what
-the command derived from its inputs) with its sha256 ``config_hash``.
+the command derived from its inputs) with its sha256 ``config_hash``. A directory appears with the first file
+written into it, so a command that fails before writing leaves no --out.
 Exit codes: 0 success, 1 usage, 2 data error (an allocation numpy refuses
-included), 3 numeric error.
+included), 3 numeric error. A data error in a file the command reads names
+that file (see :mod:`fatiguemotion.errors`).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from . import fatigue_pinn as fp
 from . import pipeline as pl
 from . import sequences as sq
 from . import surrogates as sg
-from .errors import DataFormatError, FatigueMotionError, NumericError, ParameterError, open_text
+from .errors import DataFormatError, FatigueMotionError, NumericError, ParameterError, open_text, reading, write_json
 from .nncore import TrainConfig
 
 
@@ -49,7 +51,6 @@ def _write_manifest(args, argv, facts: dict) -> None:
     config = {k: v for k, v in vars(args).items() if k not in ("fn", "command", "seed", "out")}
     config.update(facts)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     doc = {
         **base,
         "command": args.command,
@@ -59,9 +60,7 @@ def _write_manifest(args, argv, facts: dict) -> None:
         "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "package_version": __version__,
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "manifest.json", doc, indent=2, sort_keys=True)
     print(f"seed={args.seed} config_hash={doc['config_hash'][:12]} -> {outdir}")
 
 
@@ -86,8 +85,10 @@ def _parse_load(spec: str, duration: float, dt: float) -> cc.LoadProfile:
                     line = line.strip()
                     if line and line.lower() not in ("tl", "target_load"):
                         raise DataFormatError(f"{path}:{lineno}: target load {line!r} is not a number") from None
-        load = cc.LoadProfile(np.array(values), dt)
-        if cc.LoadProfile.frame_count(duration, dt) != load.values.size:
+        n = cc.LoadProfile.frame_count(duration, dt)  # checks --t and --dt, which the file does not hold
+        with reading(path):
+            load = cc.LoadProfile(np.array(values), dt)
+        if n != load.values.size:
             raise ParameterError(f"{path}: {load.values.size} target-load samples at dt={dt} "
                                  f"span {(load.values.size - 1) * dt} s, not --t {duration} s")
         return load
@@ -110,9 +111,7 @@ def _cmd_sim_3cc(args) -> None:
     params = cc.Cc3Params(args.F, args.R, args.LD, args.LR)
     load = _parse_load(args.tl, args.t, args.dt)
     traj = cc.simulate(None, load, params)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    cc.trajectory_to_csv(traj, outdir / "trajectory.csv", lam=args.lam)
+    cc.trajectory_to_csv(traj, Path(args.out) / "trajectory.csv", lam=args.lam)
 
 
 def _cmd_train_pinn(args) -> dict:
@@ -147,7 +146,6 @@ def _cmd_train_pinn(args) -> dict:
         data = fp.data_from_trajectory(traj, load, idx)
         model, history = fp.train_supervised(model, data, cfg)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     fp.save_model(outdir / f"pinn_{args.joint}.json", model, meta={"joint": args.joint})
     sq.write_table(outdir / "training_log.csv", ",".join(["epoch", *fp.LOSS_TERMS]), (
         np.array([e["epoch"] for e in history]), np.array([[e[k] for k in fp.LOSS_TERMS] for e in history])))
@@ -172,11 +170,9 @@ def _cmd_train_dyn(args) -> dict:
         if joint not in joint_names:
             raise ParameterError(f"joint {joint!r} not in dataset ({joint_names})")
     jobs = [(joint, joint_names.index(joint), kind) for joint in joints for kind in kinds]
-    sg.window_offsets(train_trials[0].motion.n_frames, args.window, args.window_stride)
     spec = sg.BiLstmSpec(args.layers, args.hidden)
     base_cfg = sg.desk_train_config(args.epochs, args.lr)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     n = len(joint_names)
     for joint, j, kind in jobs:
         samples = sg.make_samples(train_trials, kind, j, angle_norm, torque_norm)
@@ -208,11 +204,10 @@ def _load_model_dir(modeldir: Path):
     for kind in ("id", "fd"):
         for path in sorted(modeldir.glob(f"{kind}_*.json")):
             model, meta = sg.load_model(path)
-            try:
-                joint = meta["joint"]
-                inp, tgt = meta["input_norm"], meta["target_norm"]
-            except KeyError as exc:
-                raise DataFormatError(f"{path}: checkpoint meta lacks {exc}") from None
+            with reading(path):
+                joint, inp, tgt = meta["joint"], meta["input_norm"], meta["target_norm"]
+            if not isinstance(joint, str):
+                raise DataFormatError(f"{path}: checkpoint meta joint must be a string")
             if joint in models[kind]:
                 raise DataFormatError(f"{path}: second {kind.upper()} checkpoint for joint {joint!r}")
             norms = sg.model_io(kind, inp, tgt)
@@ -228,10 +223,8 @@ def _load_model_dir(modeldir: Path):
         raise DataFormatError(
             f"{modeldir}: ID joints {sorted(id_models)} differ from FD joints {sorted(fd_models)}"
         )
-    try:
+    with reading(reference[0]):
         angle_norm, torque_norm = (sq.NormalizationParams.from_dict(d) for d in reference[1])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{reference[0]}: malformed checkpoint normalization: {exc!r}") from None
     return id_models, fd_models, angle_norm, torque_norm
 
 
@@ -252,7 +245,6 @@ def _cmd_apply_fatigue(args) -> dict:
     )
     fatigued, report = pl.apply_fatigue(motion, config)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     sq.save_sequence(fatigued, outdir / "fatigued.csv")
     sq.save_sequence(report.baseline, outdir / "baseline.csv")
     report.save(outdir / "report.json")
@@ -270,11 +262,7 @@ def _cmd_eval(args) -> None:
         }
         print(f"{name}: NRMSE={metrics[name]['nrmse']:.4f}% R2={metrics[name]['r2']:.5f}")
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "metrics.json", "w") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(args.out) / "metrics.json", metrics, indent=2, sort_keys=True)
 
 
 def _cmd_export_curves(args) -> dict:

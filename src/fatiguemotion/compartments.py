@@ -30,13 +30,12 @@ safely.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DataFormatError, NumericError, ParameterError, read_json
+from .errors import DataFormatError, NumericError, ParameterError, read_json, reading, write_json
 from .sequences import write_table
 
 # RK4 sub-step ceiling, the step at the default controller rates. The
@@ -314,9 +313,7 @@ class FatigueProfile:
 
 def save_profiles(profiles, path) -> None:
     """Profiles as a JSON array of {"joint", "F", "R", "LD", "LR", "lambda"}."""
-    with open(path, "w") as fh:
-        json.dump([p.to_dict() for p in profiles], fh, indent=2)
-        fh.write("\n")
+    write_json(path, [p.to_dict() for p in profiles], indent=2)
 
 
 _PROFILE_KEYS = {"joint", "F", "R", "LD", "LR", "lambda"}
@@ -328,8 +325,8 @@ def load_profiles(path) -> dict[str, FatigueProfile]:
     """Profiles by joint from a JSON object or array of objects as :func:`save_profiles` writes.
 
     A malformed entry, an unknown or missing key, a rate or lambda that is
-    not a JSON number (a bool is not), or a second profile for one joint
-    raises DataFormatError naming the entry.
+    not a JSON number (a bool is not) or is out of range, or a second profile
+    for one joint raises DataFormatError naming the file and the entry.
     """
     raw = read_json(path)
     if isinstance(raw, dict):
@@ -349,14 +346,12 @@ def load_profiles(path) -> dict[str, FatigueProfile]:
         for key in _NUMERIC_PROFILE_KEYS:
             if key in entry and type(entry[key]) not in (int, float):
                 raise DataFormatError(f"{path}: entry {i}: {key} must be a number, got {entry[key]!r}")
-        try:
-            profile = FatigueProfile.from_dict(entry)
-        except OverflowError:  # an integer beyond float range
-            raise DataFormatError(f"{path}: entry {i}: a rate or lambda is beyond float range") from None
-        if not isinstance(profile.joint, str):
+        if not isinstance(entry["joint"], str):
             raise DataFormatError(f"{path}: entry {i}: joint must be a string")
+        with reading(f"{path}: entry {i}"):
+            profile = FatigueProfile.from_dict(entry)
         if profile.joint in profiles:
-            raise DataFormatError(f"{path}: second profile for joint {profile.joint!r}")
+            raise DataFormatError(f"{path}: entry {i}: second profile for joint {profile.joint!r}")
         profiles[profile.joint] = profile
     return profiles
 

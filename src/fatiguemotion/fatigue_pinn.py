@@ -23,6 +23,7 @@ outputs are rescaled to %MVC; losses are computed in %MVC units.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import nncore
 from .compartments import Cc3Params, Cc3Trajectory, LoadProfile, controller_batch
-from .errors import DataFormatError, ParameterError
+from .errors import DataFormatError, ParameterError, reading
 from .nncore import Mlp, TrainConfig
 
 N_DENSE_LAYERS = 5
@@ -262,21 +263,18 @@ def load_model(path) -> tuple[Pinn3ccModel, dict]:
     arch = doc["architecture"]
     if arch.get("model") != "pinn3cc":
         raise ParameterError(f"{path}: not a pinn3cc checkpoint")
-    cc3, t_scale, hidden, activation = nncore.architecture_fields(
-        path, arch, ("cc3", "t_scale", "hidden", "activation"))
     seed = arch.get("seed", 0)
     rates = ("F", "R", "LD", "LR")
-    if not (type(hidden) is int and type(seed) is int and isinstance(activation, str)
-            and isinstance(cc3, dict) and sorted(cc3) == sorted(rates)
-            and all(type(v) in (int, float) for v in (t_scale, *cc3.values()))
-            and np.isfinite(t_scale) and t_scale > 0):
-        raise DataFormatError(f"{path}: hidden and seed must be integers, activation a string, "
-                              f"t_scale a finite number > 0 and cc3 an object of the numbers "
-                              f"{', '.join(rates)}")
-    try:
+    with reading(path):  # math.isfinite raises OverflowError for an integer beyond float range
+        cc3, t_scale, hidden, activation = (arch[k] for k in ("cc3", "t_scale", "hidden", "activation"))
+        if not (type(hidden) is int and type(seed) is int and seed >= 0 and isinstance(activation, str)
+                and isinstance(cc3, dict) and sorted(cc3) == sorted(rates)
+                and all(type(v) in (int, float) for v in (t_scale, *cc3.values()))
+                and math.isfinite(t_scale) and t_scale > 0):
+            raise DataFormatError(f"{path}: hidden must be an integer, seed an integer >= 0, activation "
+                                  f"a string, t_scale a finite number > 0 and cc3 an object of the "
+                                  f"numbers {', '.join(rates)}")
         spec, cc3 = PinnSpec(hidden, activation), Cc3Params(**cc3)
-    except ParameterError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
     sizes = layer_sizes(hidden)
     # before the model is built: the architecture may claim more than memory holds
     nncore.check_shapes([s for n_in, n_out in zip(sizes, sizes[1:]) for s in ((n_out, n_in), (n_out,))],

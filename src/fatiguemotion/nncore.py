@@ -48,12 +48,11 @@ from __future__ import annotations
 
 import binascii
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, NumericError, ParameterError, ShapeError, read_json
+from .errors import DataFormatError, NumericError, ParameterError, ShapeError, read_json, reading, write_json
 
 CHECKPOINT_FORMAT = "fatiguemotion-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -585,9 +584,7 @@ def save_checkpoint(path, architecture: dict, params, meta: dict | None = None) 
         "meta": meta or {},
         "params": encode_params(params),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> dict:
@@ -598,22 +595,8 @@ def load_checkpoint(path) -> dict:
         raise ParameterError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ParameterError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    missing = [k for k in ("architecture", "meta", "params") if k not in doc]
-    if missing:
-        raise DataFormatError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    if not (isinstance(doc["architecture"], dict) and isinstance(doc["meta"], dict)):
-        raise DataFormatError(f"{path}: checkpoint architecture and meta must be objects")
-    try:
+    with reading(path):  # a missing key is a KeyError, and binascii.Error a ValueError
+        if not (isinstance(doc["architecture"], dict) and isinstance(doc["meta"], dict)):
+            raise DataFormatError(f"{path}: checkpoint architecture and meta must be objects")
         doc["params"] = decode_params(doc["params"])
-    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise DataFormatError(f"{path}: malformed checkpoint params: {exc!r}") from None
     return doc
-
-
-def architecture_fields(path, arch: dict, keys) -> list:
-    """Values of ``keys`` in a checkpoint's architecture, in order; a missing
-    key raises DataFormatError naming ``path``."""
-    missing = [k for k in keys if k not in arch]
-    if missing:
-        raise DataFormatError(f"{path}: checkpoint architecture lacks {', '.join(missing)}")
-    return [arch[k] for k in keys]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .compartments import FatigueProfile, LoadProfile, modulate_torque, simulate
-from .errors import DataFormatError, DegenerateChannelError, ParameterError, ShapeError, read_json
+from .errors import DataFormatError, DegenerateChannelError, ParameterError, ShapeError, create, read_json, reading
 from .sequences import MotionSequence, NormalizationParams, torque_to_activation, write_table
 from .surrogates import BiLstmModel, predict_models
 
@@ -147,7 +147,7 @@ class FatigueReport:
             joints.append(f"    {json.dumps(name)}: {{\n" + ",\n".join(lists) + "\n    }")
         traces = "{\n" + ",\n".join(joints) + "\n  }" if joints else "{}"
         head = json.dumps({"metadata": self.metadata, "nrmse": self.nrmse, "r2": self.r2}, indent=2)
-        with open(path, "w") as fh:
+        with create(path) as fh:
             fh.write(f'{head[:-2]},\n  "traces": {traces}\n}}\n')
 
 
@@ -168,12 +168,10 @@ def load_traces(path) -> dict[str, JointFatigueTrace]:
         # JSON numbers only (null, strings, booleans and lists are not), and
         # finite: json.load reads NaN and Infinity, and an integer may not fit
         values = [tr[k] for k in ("rc_hat", *pools)]
-        numbers = all(isinstance(v, list) and all(type(e) in (int, float) for e in v) for v in values)
-        try:
-            arrays = [np.array(v, dtype=float) for v in values] if numbers else None
-        except OverflowError:
-            arrays = None
-        if arrays is None or not all(np.isfinite(a).all() for a in arrays):
+        with reading(f"{path}: trace {name!r}"):
+            arrays = [np.array(v, dtype=float) for v in values
+                      if isinstance(v, list) and all(type(e) in (int, float) for e in v)]
+        if len(arrays) < len(values) or not all(np.isfinite(a).all() for a in arrays):
             raise DataFormatError(f"{path}: trace {name!r}: values must be lists of finite numbers")
         traces[name] = JointFatigueTrace(*arrays)
     return traces
@@ -271,7 +269,6 @@ def export_curves(baseline: MotionSequence, runs, outdir) -> list[str]:
             if any(v is not None and v.shape != times.shape for v in (tr.rc_hat, tr.m_a, tr.m_f, tr.m_r)):
                 raise ShapeError(f"run {label!r}: trace {name!r} length differs from baseline")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for label, fatigued, traces in runs:
         for i, name in enumerate(baseline.joint_names):

@@ -33,7 +33,9 @@ from .errors import (
     ParameterError,
     ShapeError,
     SplitError,
+    create,
     open_text,
+    reading,
 )
 
 # Rows per formatting chunk of write_table: 128 to 1024 rows write a
@@ -66,7 +68,7 @@ class MotionSequence:
         if len(set(names)) != len(names):
             raise ParameterError(f"duplicate joint names: {list(names)}")
         if not np.isfinite(frames).all():
-            raise DataFormatError("frames contain non-finite values")
+            raise ParameterError("frames must be finite")
         frames.setflags(write=False)
 
     @property
@@ -88,12 +90,8 @@ def load_sequence(path) -> MotionSequence:
         lines = fh.read().splitlines()
     if len(lines) < 2 or not lines[0].startswith("# dt="):
         raise DataFormatError(f"{path}: line 1 must be '# dt=<seconds>'")
-    try:
+    with reading(f"{path}: line 1"):
         dt = float(lines[0][len("# dt="):])
-    except ValueError:
-        raise DataFormatError(f"{path}: line 1: cannot parse dt value") from None
-    if not (math.isfinite(dt) and dt > 0):
-        raise DataFormatError(f"{path}: line 1: dt must be finite and > 0, got {dt}")
     names = [s.strip() for s in lines[1].split(",")]
     if any(not s for s in names) or len(set(names)) != len(names):
         raise DataFormatError(f"{path}: line 2: joint names must be non-empty and unique")
@@ -112,9 +110,8 @@ def load_sequence(path) -> MotionSequence:
             raise DataFormatError(
                 f"{path}: row {lineno}, column {col + 1}: non-numeric cell {cell.strip()!r}"
             ) from None
-    if len(rows) < 2:
-        raise DataFormatError(f"{path}: need at least 2 frame rows, got {len(rows)}")
-    return MotionSequence(names, dt, np.array(rows))
+    with reading(path):
+        return MotionSequence(names, dt, np.array(rows))
 
 
 def load_alike(path, ref: MotionSequence, ref_path) -> MotionSequence:
@@ -144,7 +141,7 @@ def write_table(path, header: str, columns) -> None:
     joined from those lists, so no full-length list is held. An argument
     that is the same array object as an earlier one reuses its strings.
     """
-    with open(path, "w") as fh:
+    with create(path) as fh:
         fh.write(header + "\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK):
             strings = {}  # id of an argument -> its columns' repr lists

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .errors import DataFormatError, ParameterError, ShapeError
+from .errors import DataFormatError, ParameterError, ShapeError, reading
 from .nncore import DenseLayer, LstmCell, TrainConfig, gate_views, lstm_gates, sigmoid_lanes_negated
 from .sequences import NormalizationParams
 
@@ -473,11 +473,12 @@ def load_model(path) -> tuple[BiLstmModel, dict]:
     arch = doc["architecture"]
     if arch.get("model") != "bilstm":
         raise ParameterError(f"{path}: not a bilstm checkpoint")
-    n_in, n_out, n_layers, hidden = nncore.architecture_fields(
-        path, arch, ("n_in", "n_out", "n_layers", "hidden"))
+    with reading(path):
+        n_in, n_out, n_layers, hidden = (arch[k] for k in ("n_in", "n_out", "n_layers", "hidden"))
     seed = arch.get("seed", 0)
-    if not (all(type(v) is int for v in (n_in, n_layers, hidden, seed)) and min(n_in, n_layers, hidden) >= 1):
-        raise DataFormatError(f"{path}: n_in, n_layers and hidden must be integers >= 1, seed an integer")
+    if not (all(type(v) is int for v in (n_in, n_layers, hidden, seed))
+            and min(n_in, n_layers, hidden) >= 1 and seed >= 0):
+        raise DataFormatError(f"{path}: n_in, n_layers and hidden must be integers >= 1, seed an integer >= 0")
     if type(n_out) is not int or n_out != 1:
         raise DataFormatError(f"{path}: a surrogate has one output, got n_out {n_out!r}")
     spec = BiLstmSpec(n_layers, hidden)

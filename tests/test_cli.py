@@ -12,7 +12,7 @@ import pytest
 from fatiguemotion import arm, fatigue_pinn, nncore, surrogates
 from fatiguemotion import compartments as cc
 from fatiguemotion.cli import _parse_load, build_parser, main, run
-from fatiguemotion.errors import DataFormatError
+from fatiguemotion.errors import DataFormatError, NumericError
 from fatiguemotion.surrogates import BANK_CHUNK
 
 from test_surrogates import refuse_to_build
@@ -227,14 +227,27 @@ class TestProfileFiles:
         [{**ELBOW_ENTRY, "lambda": "1"}],
         [{**ELBOW_ENTRY, "R": None}],
         [{**ELBOW_ENTRY, "LD": 10**400}],
+        [{**ELBOW_ENTRY, "F": -1}],
+        [{**ELBOW_ENTRY, "F": float("nan")}],
+        [{**ELBOW_ENTRY, "lambda": 2}],
+        [{**ELBOW_ENTRY, "LD": 1e5}],
+        # bytes are the file itself: json.dumps refuses an integer of more than 4300 digits
+        b'[{"joint": "elbow", "F": 1' + b"0" * 5000 + b', "R": 0.01, "lambda": 0.8}]',
     ], ids=["missing-lambda", "unknown-key", "non-object-entry", "repeated-joint",
             "non-numeric-rate", "non-string-joint", "not-a-list", "rate-true", "lambda-string",
-            "rate-null", "rate-beyond-float"])
+            "rate-null", "rate-beyond-float", "rate-negative", "rate-nan", "lambda-2", "LD-past-the-step-floor",
+            "integer-of-5001-digits"])
     def test_malformed_file(self, trained, tmp_path, capsys, doc):
         path = tmp_path / "profiles.json"
-        path.write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc))
         assert _apply(trained, trained / "models", tmp_path / "out", profiles=path) == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and "Traceback" not in err
+        if isinstance(doc, list):  # the message names the entry it refuses
+            assert err.startswith(f"data error: {path}: entry {len(doc) - 1}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("F", True), ("lambda", "1"), ("R", None), ("LR", [1.0])],
@@ -283,14 +296,14 @@ class TestUserErrors:
         assert code == 2
         assert ":3:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rows", ["tl\n10\nnan\n30\n40\n", "tl\n10\n20\n30\nnan\n"],
-                             ids=["nan-row", "nan-last-row"])
+    @pytest.mark.parametrize("rows", ["tl\n10\nnan\n30\n40\n", "tl\n10\n20\n30\nnan\n", "tl\n10\n140\n30\n40\n"],
+                             ids=["nan-row", "nan-last-row", "beyond-100"])
     def test_nan_load_csv(self, tmp_path, capsys, rows):
         (tmp_path / "tl.csv").write_text(rows)
         code = run(["sim-3cc", "--F", "0.01", "--R", "0.001", "--t", "0.15", "--dt", "0.05",
                     "--tl", f"csv:{tmp_path / 'tl.csv'}", "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "target load" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'tl.csv'}: target load")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [
@@ -355,6 +368,13 @@ class TestUserErrors:
         text = path.read_text()
         path.write_text(text[: text.index(",")])
         self._exits_naming(path, argv, tmp_path, capsys)
+
+    def test_dataset_manifest_trials_not_a_list_of_strings(self, trained, tmp_path, capsys):
+        # a string once read as the stems "t", "r", "i", ... and failed on t_angles.csv
+        path, argv = self._reader_case(trained, tmp_path, "dataset-manifest")
+        for trials in ("trial000", ["trial000", 1]):
+            path.write_text(json.dumps({**json.loads(path.read_text()), "trials": trials}))
+            self._exits_naming(path, argv, tmp_path, capsys)
 
     @pytest.mark.parametrize("rate", ["1e5", "1e300"])
     def test_sim_3cc_refuses_controller_rates_past_the_step_floor(self, tmp_path, capsys, rate):
@@ -524,10 +544,14 @@ class TestMalformedArtefacts:
         lambda doc: doc["architecture"].update(n_out=2),
         lambda doc: doc["architecture"].update(n_layers=0),
         lambda doc: doc["architecture"].update(hidden=-1),
+        lambda doc: doc["architecture"].update(seed=-1),
+        lambda doc: doc["meta"].update(joint=[doc["meta"]["joint"]]),
+        lambda doc: doc["meta"].update(joint=1),
     ], ids=["architecture-without-n_in", "no-meta", "non-base64-character", "truncated-padding",
             "no-blob", "no-shapes", "params-not-an-object", "blob-not-whole-floats",
             "architecture-not-an-object", "n_layers-a-string", "meta-not-an-object", "seed-a-string",
-            "not-an-object", "normalization-without-joints", "n_out-2", "n_layers-0", "hidden-negative"])
+            "not-an-object", "normalization-without-joints", "n_out-2", "n_layers-0", "hidden-negative",
+            "seed-negative", "joint-a-list", "joint-a-number"])
     def test_malformed_checkpoint(self, trained, tmp_path, capsys, edit):
         # Every checkpoint gets the edit (a string replaces the whole file),
         # so a normalization they all share gets as far as its decode;
@@ -555,11 +579,17 @@ class TestMalformedArtefacts:
         lambda doc: doc["traces"]["elbow"]["m_f"].__setitem__(3, float("nan")),
         lambda doc: doc["traces"]["elbow"]["rc_hat"].__setitem__(3, True),
         lambda doc: doc["traces"]["elbow"]["rc_hat"].__setitem__(3, 10**400),
+        b"1" + b"0" * 5000,
     ], ids=["no-traces", "no-rc-hat", "m_a-without-m_f-m_r", "rc-hat-strings", "m_a-ragged",
-            "rc-hat-null", "rc-hat-numeric-string", "m_f-nan", "rc-hat-bool", "rc-hat-beyond-float"])
+            "rc-hat-null", "rc-hat-numeric-string", "m_f-nan", "rc-hat-bool", "rc-hat-beyond-float",
+            "rc-hat-integer-of-5001-digits"])
     def test_malformed_report(self, trained, tmp_path, capsys, edit):
         assert _apply(trained, trained / "models", tmp_path / "apply") == 0
-        self._edit_json(tmp_path / "apply" / "report.json", edit)
+        path = tmp_path / "apply" / "report.json"
+        if isinstance(edit, bytes):  # the first RC_hat value: json.dumps refuses a 5001-digit integer
+            path.write_bytes(path.read_bytes().replace(b'"rc_hat": [', b'"rc_hat": [' + edit + b",", 1))
+        else:
+            self._edit_json(path, edit)
         code = run(["export-curves", "--baseline", str(tmp_path / "apply" / "baseline.csv"),
                     "--run", f"tired={tmp_path / 'apply'}", "--out", str(tmp_path / "curves")])
         assert code == 2
@@ -666,6 +696,18 @@ class TestTrainingSettings:
                     *TINY_DYN, *extra])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_dyn_numeric_error_leaves_no_out(self, trained, tmp_path, capsys, monkeypatch):
+        # training diverges after every check passed: exit 3, and --out, made with
+        # the first file written into it, never appears
+        def diverge(*args, **kwargs):
+            raise NumericError("non-finite loss")
+
+        monkeypatch.setattr(surrogates, "train_dyn", diverge)
+        code = run(["train-dyn", "--data", str(trained / "data"), "--out", str(tmp_path / "out"), *TINY_DYN])
+        assert code == 3
+        assert capsys.readouterr().err == "numeric error: non-finite loss\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [

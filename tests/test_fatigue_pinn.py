@@ -451,6 +451,9 @@ class TestCheckpoints:
         ("t_scale", float("nan")), ("t_scale", float("inf")), ("t_scale", -float("inf")), ("t_scale", 0.0),
         # the right JSON type, out of range
         ("hidden", 0), ("activation", "swish"), ("cc3", {"F": -1, "R": 0.001, "LD": 10.0, "LR": 10.0}),
+        # integers beyond float range, and a seed numpy refuses
+        ("cc3", {"F": 10**400, "R": 0.001, "LD": 10.0, "LR": 10.0}),
+        pytest.param("t_scale", 10**400, id="t_scale-beyond-float"), ("seed", -1),
     ])
     def test_malformed_architecture_fields_rejected(self, tmp_path, monkeypatch, field, value):
         path = tmp_path / "pinn.json"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ class TestLoadSave:
         for dt in ("nan", "inf"):
             with pytest.raises(DataFormatError, match="finite"):
                 load_sequence(write(tmp_path / "m.csv", f"# dt={dt}\na,b\n1,2\n3,4\n"))
+
+    @pytest.mark.parametrize("rows", ["1,2\nnan,4\n", "1,inf\n3,4\n", "1,2\n"],
+                             ids=["nan-cell", "inf-cell", "one-row"])
+    def test_rows_that_build_no_sequence_name_the_file(self, tmp_path, rows):
+        path = write(tmp_path / "m.csv", f"# dt=0.01\na,b\n{rows}")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: "):
+            load_sequence(path)
 
     def test_round_trip(self, tmp_path):
         first = tmp_path / "first.csv"
