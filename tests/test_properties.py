@@ -108,7 +108,8 @@ def surrogate_checkpoints() -> dict:
         texts = {}
         for kind in ("id", "fd"):
             path = Path(d) / f"{kind}_elbow.json"
-            save_model(path, BiLstmModel(1, BiLstmSpec(1, 2), kind=kind), "elbow", *model_io(kind, angles, torques), 2.0)
+            model = BiLstmModel(1, BiLstmSpec(1, 2), kind=kind)
+            save_model(path, model, "elbow", *model_io(kind, angles, torques), tau_max=2.0)
             texts[kind] = path.read_text()
     return texts
 
