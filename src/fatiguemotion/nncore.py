@@ -38,7 +38,12 @@ gradients are bit for bit those of the per-lane chain rule. The training
 forward makes one whole-window input projection, adds the bias into it in
 place and reads it through a lane-major view; it copies its hidden states
 into a destination its caller gives, so a bidirectional layer's output holds
-both directions' states, and the cells' caches are views of it.
+both directions' states, and the cells' caches are views of it. A cell
+trains in one (T, B, 4H) buffer, shared by liveness (Chen et al. 2016):
+each step's gates go into the bytes of the projection row the step has
+just read, and the BPTT writes each step's dz into the bytes of its gates,
+so a backward call consumes its cache. The backward writes its input
+gradient into a destination its caller may give.
 
 :func:`train_loop` runs training batches only; a trainer logs its untrained
 model's loss itself. Single-threaded training with a fixed seed is
@@ -204,7 +209,9 @@ class LstmCell:
     lane-major (T, 4, B, H) view of it, no copy. Each step runs the
     per-gate recurrent matmul into one preallocated (4, B, H) z, adds the
     step's projection lanes, steps one fixed gate buffer and copies it into
-    the (T, 4, B, H) gate cache, and writes c and h straight into row t.
+    the bytes of the projection row z has just read: the projection buffer,
+    viewed (T, 4, B, H), is the lane-major gate cache. c and h are written
+    straight into row t.
     h is stepped in one contiguous (T, B, H) buffer (the step runs slower on
     strided rows) and copied once into the caller's (T, B, H) destination,
     which the cache keeps: ``surrogates.BiLstmLayer`` passes the halves of
@@ -220,11 +227,12 @@ class LstmCell:
     elementwise op as a whole row (B 32, H 32: about 2 us against 0.5 us).
     Per block of :data:`BPTT_BLOCK` steps it lays out the rows that do not
     depend on dh or dc, with one transposing copy of the block's lane-major
-    gates; a step then reads o and f as contiguous lanes of the cache,
-    fills one lane buffer [dc, dc, dh, dc] and multiplies its dz row by it
-    and by two factor rows, with the same operands in the same order as the
-    per-lane chain rule, so the gradients are the per-lane form's bits in
-    both dtypes.
+    gates and one copy of their o and f lanes, and then writes the block's
+    dz rows into the block's gate-cache bytes (:func:`_bptt_rows`); a step
+    reads o and f as contiguous lanes of that copy, fills one lane buffer
+    [dc, dc, dh, dc] and multiplies its dz row by it and by two factor
+    rows, with the same operands in the same order as the per-lane chain
+    rule, so the gradients are the per-lane form's bits in both dtypes.
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng):
@@ -246,14 +254,12 @@ class LstmCell:
             raise ShapeError(f"lstm expects (T, B, {self.n_in}), got {x.shape}")
         t_len, batch, _ = x.shape
         hdim, dtype = self.n_hidden, x.dtype
-        if hs.shape != (t_len, batch, hdim) or hs.dtype != dtype:
-            raise ShapeError(f"lstm output must be {dtype} of shape {(t_len, batch, hdim)}, "
-                             f"got {hs.dtype} of shape {hs.shape}")
+        _check_destination("lstm output", hs, (t_len, batch, hdim), dtype)
         zx = x @ sigmoid_lanes_negated(self.Wx.T, dtype)
         zx += sigmoid_lanes_negated(self.b, dtype)
         zx_lanes = zx.reshape(t_len, batch, 4, hdim).swapaxes(1, 2)  # (T, 4, B, H) view
+        gates = zx.reshape(t_len, 4, batch, hdim)  # the same bytes, step t's once z has read them
         wh_t = sigmoid_lanes_negated(self.Wh.reshape(4, hdim, hdim).swapaxes(1, 2), dtype, lane_axis=0)
-        gates = np.empty((t_len, 4, batch, hdim), dtype)
         cs = np.empty((t_len, batch, hdim), dtype)
         z, gate = np.empty((2, 4, batch, hdim), dtype)
         views = gate_views(z, gate)
@@ -268,11 +274,18 @@ class LstmCell:
         hs[...] = steps
         return hs, (x, gates, cs, hs)
 
-    def backward(self, cache, dh_seq: np.ndarray):
-        """BPTT: gradients of a loss given d(loss)/d(h_t) for every t, in the forward pass's dtype."""
+    def backward(self, cache, dh_seq: np.ndarray, dx: np.ndarray | None = None):
+        """BPTT: (dx, [dWx, dWh, db]) of a loss given d(loss)/d(h_t) for every
+        t, in the forward pass's dtype. It consumes its cache: the gate cache
+        becomes d(loss)/dz, so a cache is read by one backward call. dx goes
+        to the caller's (T, B, D) destination ``dx``, a new array when none is
+        given; it is written after the last read of ``dh_seq``, so it may be
+        the array ``dh_seq`` views."""
         x, gates, cs, hs = cache
         t_len, batch, _ = x.shape
         hdim, dtype = self.n_hidden, x.dtype
+        if dx is not None:
+            _check_destination("lstm input gradient", dx, x.shape, dtype)
         wx, wh = self.Wx.astype(dtype, copy=False), self.Wh.astype(dtype, copy=False)
         dz_all = _bptt_rows(gates, cs, dh_seq, wh)
         h_prev = np.concatenate([np.zeros((1, batch, hdim), dtype), hs[:-1]], axis=0)
@@ -280,8 +293,12 @@ class LstmCell:
         dWx = flat_dz.T @ x.reshape(-1, self.n_in)
         dWh = flat_dz.T @ h_prev.reshape(-1, hdim)
         db = flat_dz.sum(axis=0)
-        dx = dz_all @ wx
-        return dx, [dWx, dWh, db]
+        return np.matmul(dz_all, wx, out=dx), [dWx, dWh, db]
+
+
+def _check_destination(name: str, a: np.ndarray, shape: tuple, dtype) -> None:
+    if a.shape != shape or a.dtype != dtype:
+        raise ShapeError(f"{name} must be {dtype} of shape {shape}, got {a.dtype} of shape {a.shape}")
 
 
 def _bptt_rows(gates, cs, dh_seq, wh) -> np.ndarray:
@@ -289,18 +306,22 @@ def _bptt_rows(gates, cs, dh_seq, wh) -> np.ndarray:
     gate cache, the cell-state cache, d(loss)/dh_t and the recurrent weight
     Wh in the caches' dtype.
 
-    Its block buffers are freed on return, before the caller's weight
-    gradients allocate, so they add nothing to the peak of a backward call.
+    The dz rows are written into the gate cache's bytes, block by block
+    from the last, and the result is that buffer viewed (T, B, 4H): a
+    block's gates are copied into r1, and its o and f lanes into ``of``,
+    before its rows are written, and no other block's bytes are read. The
+    block buffers are a few (BPTT_BLOCK, B, 4H) rows, freed on return.
     """
     t_len, _, batch, hdim = gates.shape
     dtype = gates.dtype
     span = min(BPTT_BLOCK, t_len)
+    dz_all = gates.reshape(t_len, batch, 4 * hdim)
     # dz_all[t] starts as [g, c_prev, tanh(c), i] and is multiplied in place
     # by [dc, dc, dh, dc], by r1 = [i, f, o, 1 - g^2] and by r2 =
     # [1 - i, 1 - f, 1 - o, 1]: each lane's products in the order of the
     # per-lane chain rule, so the bits are those of the per-lane form
-    dz_all = np.empty((t_len, batch, 4 * hdim), dtype)
     r1, r2 = np.empty((2, span, batch, 4 * hdim), dtype)
+    of = np.empty((span, 2, batch, hdim), dtype)  # each step's o and f lanes
     dtanh_c = np.empty((span, batch, hdim), dtype)
     lane = np.empty((batch, 4, hdim), dtype)
     lane_rows = lane.reshape(batch, 4 * hdim)
@@ -310,20 +331,21 @@ def _bptt_rows(gates, cs, dh_seq, wh) -> np.ndarray:
         gate, rows, gate_rows = gates[t0 : t0 + n], dz_all[t0 : t0 + n], r1[:n]
         lag = int(t0 == 0)  # step 0 has no previous cell state: c_prev = 0
         gate_rows.reshape(n, batch, 4, hdim)[...] = gate.swapaxes(1, 2)  # [i, f, o, g] rows
-        rows[..., :hdim] = gate[:, 3]
+        of[:n] = gate[:, 2:0:-1]
+        rows[..., :hdim] = gate_rows[..., 3 * hdim :]
         rows[:lag, :, hdim : 2 * hdim] = 0.0
         rows[lag:, :, hdim : 2 * hdim] = cs[t0 + lag - 1 : t0 + n - 1]
         tanh_c = np.tanh(cs[t0 : t0 + n], out=rows[..., 2 * hdim : 3 * hdim])
-        rows[..., 3 * hdim :] = gate[:, 0]
+        rows[..., 3 * hdim :] = gate_rows[..., :hdim]
         np.subtract(1.0, gate_rows, out=r2[:n])
         r2[:n, :, 3 * hdim :] = 1.0
         np.subtract(1.0, np.square(gate_rows[..., 3 * hdim :], out=gate_rows[..., 3 * hdim :]),
                     out=gate_rows[..., 3 * hdim :])
         np.subtract(1.0, np.square(tanh_c, out=dtanh_c[:n]), out=dtanh_c[:n])
         for j in range(n - 1, -1, -1):
-            t = t0 + j
-            np.add(dh_seq[t], dh_next, out=dh)
-            dc += np.multiply(np.multiply(dh, gates[t, 2], out=tmp), dtanh_c[j], out=tmp)
+            np.add(dh_seq[t0 + j], dh_next, out=dh)
+            o, f = of[j]
+            dc += np.multiply(np.multiply(dh, o, out=tmp), dtanh_c[j], out=tmp)
             lane[...] = dc[:, None]
             lane[:, 2] = dh
             dz = rows[j]
@@ -331,7 +353,7 @@ def _bptt_rows(gates, cs, dh_seq, wh) -> np.ndarray:
             dz *= r1[j]
             dz *= r2[j]
             np.matmul(dz, wh, out=dh_next)
-            dc *= gates[t, 1]
+            dc *= f
     return dz_all
 
 

@@ -10,10 +10,12 @@ concatenation of the forward and backward hidden states (linear on the
 first layer, relu on the rest), closed by a linear dense head.
 
 Training runs one model at a time through :meth:`BiLstmModel.forward`, which
-keeps the gate and cell-state caches BPTT needs. Each layer's two cells
-write their hidden states into the layer output, whose halves are their
-caches, and :meth:`BiLstmModel.backward` works in place on the gradients it
-makes: each layer's backward overwrites the ``dy`` it is given
+keeps the gate and cell-state caches BPTT needs; each cell's input
+projection becomes its gate cache and then its dz (:mod:`nncore`). Each
+layer's two cells write their hidden states into the layer output, whose
+halves are their caches, and :meth:`BiLstmModel.backward` works in place on
+the gradients it makes: each layer's backward overwrites the ``dy`` it is
+given, and a relu layer's input gradient is written into it
 (:class:`BiLstmLayer`). Inference and the initial loss :func:`train_dyn`
 logs run through :class:`BiLstmBank`: the forward and backward cells of N
 models of one architecture are stacked on a leading axis of size K = 2N, so
@@ -36,7 +38,8 @@ forward-only pass behind the initial loss it logs. The MSE and its
 reduction, Adam, the master weights and the checkpoints stay float64.
 :func:`train_dyn` takes the initial loss itself, before any training batch,
 in bank passes over chunks of :data:`ENTRY0_CHUNK_BATCHES` training
-batches: fewer, larger passes, within a training batch's memory peak. All
+batches: fewer, larger passes, whose memory peak, windows included, stays
+under the training loop's (see that constant). All
 inference is float64: the bank computes in its input's float dtype, and
 ``apply-fatigue`` and :meth:`BiLstmModel.predict_sequence` feed it float64,
 as the gradchecks feed the models.
@@ -75,8 +78,11 @@ DESK_WINDOW_STRIDE = 2
 
 # Training batches per chunk of train_dyn's entry-0 bank passes:
 # chunks of two (64 windows at the desk batch size) took a desk pass 0.76 of
-# the time one-batch chunks took, at a tracemalloc peak of 11.9 MB against a
-# training batch's 14.8 MB (float32, T 96, 848 windows, one BLAS thread).
+# the time one-batch chunks took (float32, T 96, 848 windows, one BLAS
+# thread). Tracemalloc peaks from the start of a desk train_dyn: 13.44 MB
+# for entry 0, windows and targets included, against 13.82 MB for the
+# training loop (16.16 MB before each cell trained in one buffer); a lone
+# training batch peaks at 12.41 MB (14.76 MB before).
 ENTRY0_CHUNK_BATCHES = 2
 
 # Time steps the inference bank projects at once, and rows of h (steps times
@@ -105,10 +111,13 @@ class BiLstmLayer:
     cell writes its hidden states into the first half and the backward cell
     into the second half, reversed in time, so the cells' caches are views
     of it. A linear layer returns that array; a relu layer returns a new
-    one and caches the pre-activation. :meth:`backward` overwrites ``dy``:
-    a relu layer masks it in place with ``out > 0`` (a linear layer passes
-    it through, dy * 1.0 being dy), and the backward cell's dx is added into
-    the forward cell's.
+    one and caches the pre-activation. :meth:`backward` consumes the cells'
+    caches and overwrites ``dy``: a relu layer masks it in place with
+    ``out > 0`` (a linear layer passes it through, dy * 1.0 being dy). The
+    backward cell runs first; then the forward cell, its half of ``dy``
+    read, writes its dx into ``dy`` where the widths match (every layer
+    after the first), and the backward cell's dx is added into the forward
+    cell's, bit for bit the sum dx_f + dx_b of the other order.
     """
 
     def __init__(self, n_in: int, n_hidden: int, activation: str, rng):
@@ -136,8 +145,8 @@ class BiLstmLayer:
         if self.activation == "relu":
             np.multiply(dy, out > 0, out=dy)
         h = self.fwd.n_hidden
-        dx, grads_f = self.fwd.backward(cache_f, dy[:, :, :h])
         dx_b, grads_b = self.bwd.backward(cache_b, dy[::-1, :, h:])
+        dx, grads_f = self.fwd.backward(cache_f, dy[:, :, :h], dy if self.fwd.n_in == 2 * h else None)
         dx += dx_b[::-1]
         return dx, grads_f + grads_b
 

@@ -274,6 +274,10 @@ class TestLstmCell:
         for hs in (np.empty((5, 2, 3)), np.empty((5, 2, 4), np.float32)):
             with pytest.raises(ShapeError, match="lstm output"):
                 cell.forward(np.zeros((5, 2, 3)), hs)
+        for dx in (np.empty((5, 2, 4)), np.empty((5, 2, 3), np.float32)):
+            _, cache = lstm_forward(cell, np.zeros((5, 2, 3)))
+            with pytest.raises(ShapeError, match="lstm input gradient"):
+                cell.backward(cache, np.zeros((5, 2, 4)), dx)
 
 
 def _per_lane_backward(cell, cache, dh_seq):
@@ -332,8 +336,10 @@ class TestLstmCellRows:
         gate = cache[1]  # (T, 4, B, H): lane-major
         assert gate.shape == (t_len, 4, batch, hdim) and (gate[..., 0] == 1.0).all()
         assert (gate[:, :3, :, 1] < 1e-30).all() and (gate[:, 3, :, 1] == -1.0).all()
-        dx, grads = cell.backward(cache, dh_seq)
+        # backward consumes its cache (the gate cache becomes dz): the
+        # reference reads it first
         want_dx, want_grads = _per_lane_backward(cell, cache, dh_seq)
+        dx, grads = cell.backward(cache, dh_seq)
         for got, want in zip((dx, *grads), (want_dx, *want_grads)):
             assert got.dtype == dtype and np.array_equal(got, want)
 
